@@ -28,12 +28,12 @@ import numpy as np
 from .graph import (
     ClusterSpec,
     SimilarityGraph,
+    _disconnected_at,
     cluster_boundary,
     induced_subgraph,
-    is_disconnected,
     lambda2,
 )
-from .solver import GTVMinProblem, SolveResult, StackedParams, total_variation
+from .solver import GTVMinProblem, SolveResult, StackedParams, _edge_variation
 
 __all__ = [
     "DeviationVector",
@@ -51,6 +51,7 @@ __all__ = [
     "report_to_dict",
     "save_report",
     "bound_report_row",
+    "bound_report_rows",
     "write_reports_csv",
     "CSV_COLUMNS",
 ]
@@ -200,10 +201,11 @@ def tv_lower_bound_check(
         raise ValueError("the spectral lower bound needs a cluster with >= 2 nodes")
     if params.n != graph.n:
         raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
-    sub = induced_subgraph(graph, cluster)
-    sub_params = StackedParams(params.per_node[list(cluster.members)].copy())
-    lhs_tv = total_variation(sub, sub_params)
-    rhs = lambda2(sub) * deviations(params, cluster).sum_sq
+    lam2, _, _, _, deviation_sum = _cluster_terms(graph, params, cluster)
+    inside = np.isin(np.arange(graph.n), cluster.members)
+    ii, jj, _ = graph.edge_arrays()
+    lhs_tv = _edge_variation(graph, params.per_node, inside[ii] & inside[jj])
+    rhs = lam2 * deviation_sum
     holds = lhs_tv >= rhs - _SLACK_RTOL * max(1.0, rhs)
     return TVBoundCheck(lhs_tv=float(lhs_tv), rhs=float(rhs), holds=bool(holds))
 
@@ -216,43 +218,56 @@ def cluster_objective(
     with at least one endpoint in the cluster."""
     problem._check_params(params)
     cluster.check_against(problem.n)
-    inside = set(cluster.members)
     value = sum(problem.losses[i].value(params.vector(i)) for i in cluster.members)
     if problem.alpha > 0.0:
-        tv = 0.0
-        w = params.per_node
-        for (i, j), weight in problem.graph.edges.items():
-            if i in inside or j in inside:
-                diff = w[i] - w[j]
-                tv += weight * float(diff @ diff)
-        value += problem.alpha * tv
+        inside = np.isin(np.arange(problem.n), cluster.members)
+        ii, jj, _ = problem.graph.edge_arrays()
+        touching = inside[ii] | inside[jj]
+        value += problem.alpha * _edge_variation(problem.graph, params.per_node, touching)
     return float(value)
 
 
-def _require_cluster_data(cluster: ClusterSpec) -> tuple[np.ndarray, float]:
+def _require_cluster_data(
+    problem: GTVMinProblem, result: SolveResult, cluster: ClusterSpec, name: str
+) -> tuple[np.ndarray, float]:
+    """The cluster's reference vector and error budget, after the checks
+    that the deviation bound and its certificate chain share."""
     if cluster.reference_params is None or cluster.epsilon is None:
         raise ValueError(
             "cluster must carry reference parameters and a clustering-error budget"
         )
-    return cluster.reference_params, float(cluster.epsilon)
+    if problem.alpha <= 0.0:
+        raise ValueError(f"the {name} needs alpha > 0")
+    problem._check_params(result.params)
+    cluster.check_against(problem.n)
+    w_bar = cluster.reference_params
+    if w_bar.shape != (problem.d,):
+        raise ValueError(
+            f"reference parameters have shape {w_bar.shape}, expected ({problem.d},)"
+        )
+    return w_bar, float(cluster.epsilon)
 
 
-def _exterior_norm_max(params: StackedParams, cluster: ClusterSpec) -> float:
-    outside = [i for i in range(params.n) if i not in set(cluster.members)]
-    if not outside:
-        return 0.0
-    return float(np.max(np.linalg.norm(params.per_node[outside], axis=1)))
+def _cluster_terms(
+    graph: SimilarityGraph, params: StackedParams, cluster: ClusterSpec
+) -> tuple[float, bool, float, float, float]:
+    """(lambda2, degenerate, boundary, R, deviation sum) of one cluster.
 
-
-def _cluster_spectrum(
-    graph: SimilarityGraph, cluster: ClusterSpec
-) -> tuple[float, bool]:
-    """(lambda2 of the induced subgraph, degenerate flag). Singleton and
-    disconnected clusters are degenerate: the bound denominator vanishes."""
+    lambda2 of the induced subgraph comes from one eigensolve, and the
+    degenerate flag from that same value: singleton and disconnected
+    clusters are degenerate, the bound denominator vanishes. R is the
+    largest parameter norm outside the cluster, zero when there is no
+    outside; the deviation sum is sum_{i in C} ||w_i - avg||^2."""
     if cluster.size < 2:
-        return 0.0, True
-    sub = induced_subgraph(graph, cluster)
-    return lambda2(sub), is_disconnected(sub)
+        lam2, degenerate = 0.0, True
+    else:
+        sub = induced_subgraph(graph, cluster)
+        lam2 = lambda2(sub)
+        degenerate = _disconnected_at(sub, lam2)
+    outside = params.per_node[~np.isin(np.arange(graph.n), cluster.members)]
+    r_outside = float(np.max(np.linalg.norm(outside, axis=1))) if len(outside) else 0.0
+    boundary = cluster_boundary(graph, cluster)
+    return lam2, degenerate, boundary, r_outside, deviations(params, cluster).sum_sq
 
 
 def deviation_bound_report(
@@ -266,20 +281,10 @@ def deviation_bound_report(
     disconnected (or singleton) cluster subgraph yields a degenerate report
     with rhs = +inf instead of an error.
     """
-    w_bar, epsilon = _require_cluster_data(cluster)
-    if problem.alpha <= 0.0:
-        raise ValueError("the deviation bound needs alpha > 0")
-    problem._check_params(result.params)
-    cluster.check_against(problem.n)
-    if w_bar.shape != (problem.d,):
-        raise ValueError(
-            f"reference parameters have shape {w_bar.shape}, expected ({problem.d},)"
-        )
-
-    lhs = deviations(result.params, cluster).sum_sq
-    lam2, degenerate = _cluster_spectrum(problem.graph, cluster)
-    boundary = cluster_boundary(problem.graph, cluster)
-    r_outside = _exterior_norm_max(result.params, cluster)
+    w_bar, epsilon = _require_cluster_data(problem, result, cluster, "deviation bound")
+    lam2, degenerate, boundary, r_outside, lhs = _cluster_terms(
+        problem.graph, result.params, cluster
+    )
     w_bar_norm_sq = float(w_bar @ w_bar)
     alpha = problem.alpha
 
@@ -319,23 +324,16 @@ def certificate_check(
     form bounds. All three slacks should be non-negative up to numerical
     tolerance whenever the result is an (approximate) minimizer.
     """
-    w_bar, epsilon = _require_cluster_data(cluster)
-    if problem.alpha <= 0.0:
-        raise ValueError("the certificate chain needs alpha > 0")
-    problem._check_params(result.params)
-    cluster.check_against(problem.n)
-
+    w_bar, epsilon = _require_cluster_data(problem, result, cluster, "certificate chain")
     members = list(cluster.members)
     f_solution = cluster_objective(problem, result.params, cluster)
     candidate = result.params.copy()
     candidate.per_node[members] = w_bar
     f_candidate = cluster_objective(problem, candidate, cluster)
 
-    lam2, degenerate = _cluster_spectrum(problem.graph, cluster)
-    boundary = cluster_boundary(problem.graph, cluster)
-    r_outside = _exterior_norm_max(result.params, cluster)
-    deviation_sum = deviations(result.params, cluster).sum_sq
-
+    lam2, degenerate, boundary, r_outside, deviation_sum = _cluster_terms(
+        problem.graph, result.params, cluster
+    )
     candidate_upper = epsilon + 2.0 * problem.alpha * boundary * (
         float(w_bar @ w_bar) + r_outside**2
     )
@@ -392,6 +390,18 @@ def bound_report_row(report: BoundReport, seed, n: int, d: int) -> dict:
         "satisfied": report.satisfied,
         "degenerate": report.degenerate,
     }
+
+
+def bound_report_rows(
+    problem: GTVMinProblem, result: SolveResult, clusters: Iterable[ClusterSpec], seed
+) -> list[tuple[BoundReport, dict]]:
+    """The deviation bound report of each cluster, in order, paired with
+    its CSV row."""
+    pairs = []
+    for cluster in clusters:
+        report = deviation_bound_report(problem, result, cluster)
+        pairs.append((report, bound_report_row(report, seed, problem.n, problem.d)))
+    return pairs
 
 
 def _format_cell(value) -> str:

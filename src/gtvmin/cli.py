@@ -22,14 +22,29 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import bound_report_row, deviation_bound_report, save_report, write_reports_csv
-from .data import generate_scenario, load_scenario, save_scenario
+from .analysis import bound_report_rows, save_report, write_reports_csv
+from .data import (
+    _json_field,
+    generate_scenario,
+    load_scenario,
+    save_scenario,
+)
 from .errors import GTVMinError
 from .graph import GraphParams
 from .solver import GTVMinProblem, load_result, save_result, solve_exact, solve_iterative
 from .suites import bound_suite, certificate_suite, cross_solver_suite, spectral_suite
 
 __all__ = ["ExperimentConfig", "main", "entrypoint"]
+
+
+# the JSON kind of each config key (p_out_list may also be null)
+_CONFIG_KINDS = {
+    "an integer": ("seed", "d", "m_per_node", "max_iter"),
+    "a finite number": ("noise_std", "separation", "p_in", "p_out", "w_in", "w_out", "tol"),
+    "a string": ("solver", "out_dir"),
+    "a list of integers": ("cluster_sizes",),
+    "a list of finite numbers": ("alpha_list", "p_out_list"),
+}
 
 
 @dataclass
@@ -54,6 +69,10 @@ class ExperimentConfig:
     p_out_list: list[float] | None = None
 
     def validate(self) -> None:
+        values = dataclasses.asdict(self)
+        for kind, keys in _CONFIG_KINDS.items():
+            for key in keys:
+                _json_field(values, key, kind, "config", optional=key == "p_out_list")
         if not self.alpha_list:
             raise ValueError("alpha_list must not be empty")
         if any(a < 0 for a in self.alpha_list):
@@ -83,6 +102,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text(encoding="ascii"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -162,16 +183,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _analyze_rows(scenario, result, cluster_selection):
+def cmd_analyze(args) -> int:
+    scenario = load_scenario(args.scenario)
+    result = load_result(args.result)
     if result.params.n != scenario.n or result.params.d != scenario.d:
         raise ValueError(
             f"result shape ({result.params.n}, {result.params.d}) does not match "
             f"scenario shape ({scenario.n}, {scenario.d})"
         )
-    if cluster_selection == "all":
+    if args.cluster == "all":
         indices = range(len(scenario.clusters))
     else:
-        idx = int(cluster_selection)
+        idx = int(args.cluster)
         if not (0 <= idx < len(scenario.clusters)):
             raise ValueError(
                 f"cluster index {idx} out of range (scenario has "
@@ -179,28 +202,18 @@ def _analyze_rows(scenario, result, cluster_selection):
             )
         indices = [idx]
     problem = GTVMinProblem.from_scenario(scenario, result.alpha)
-    reports = []
-    for idx in indices:
-        report = deviation_bound_report(problem, result, scenario.clusters[idx])
-        reports.append((idx, report))
-    return reports
-
-
-def cmd_analyze(args) -> int:
-    scenario = load_scenario(args.scenario)
-    result = load_result(args.result)
+    pairs = bound_report_rows(
+        problem, result, [scenario.clusters[idx] for idx in indices], scenario.rng_seed
+    )
     out_dir = Path(args.out) if args.out else Path(args.scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = _analyze_rows(scenario, result, args.cluster)
-    rows = []
-    for idx, report in reports:
+    for idx, (report, _) in zip(indices, pairs):
         save_report(report, out_dir / f"report_cluster_{idx}.json")
-        rows.append(bound_report_row(report, scenario.rng_seed, scenario.n, scenario.d))
         print(
             f"cluster {idx}: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
             f"satisfied={report.satisfied} degenerate={report.degenerate}"
         )
-    write_reports_csv(out_dir / "reports.csv", rows)
+    write_reports_csv(out_dir / "reports.csv", [row for _, row in pairs])
     return 0
 
 
@@ -216,11 +229,8 @@ def cmd_sweep(args) -> int:
         for ia, alpha in enumerate(cfg.alpha_list):
             problem, result = _solve(scenario, alpha, cfg.solver, cfg.max_iter, cfg.tol)
             save_result(result, scen_dir / f"result_{ia:02d}.json")
-            for cluster in scenario.clusters:
-                report = deviation_bound_report(problem, result, cluster)
-                rows.append(
-                    bound_report_row(report, scenario.rng_seed, scenario.n, scenario.d)
-                )
+            pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)
+            rows += [row for _, row in pairs]
     csv_path = out_dir / "sweep.csv"
     write_reports_csv(csv_path, rows)
     print(f"{len(rows)} rows -> {csv_path}")

@@ -11,6 +11,8 @@ clustering error.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +40,38 @@ __all__ = [
 ]
 
 _CENTER_RETRIES = 1000
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# the JSON value kinds that input files are checked against, by description
+_KINDS = {
+    "an integer": _is_int,
+    "a finite number": _is_real,
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a list of finite numbers": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+}
+
+
+def _json_field(payload: dict, key: str, kind: str, source, optional: bool = False):
+    """``payload[key]``, checked to be present (``payload`` must be a dict)
+    and of the given kind (or None, when ``optional``); a ValueError naming
+    ``source`` and the key otherwise."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{source}: missing key {key!r}")
+    value = payload[key]
+    if not (_KINDS[kind](value) or (optional and value is None)):
+        raise ValueError(f"{source}: key {key!r} must be {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,19 +297,23 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
 def load_scenario(directory: str | Path) -> Scenario:
     """Read back a directory written by :func:`save_scenario`."""
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text(encoding="ascii"))
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="ascii"))
     graph = read_graph(directory / "graph.txt")
-    d = int(meta["d"])
-    clusters = [
-        ClusterSpec(
-            members=tuple(entry["members"]),
-            reference_params=None
-            if entry["reference_params"] is None
-            else np.asarray(entry["reference_params"], dtype=float),
-            epsilon=entry["epsilon"],
+    d = _json_field(meta, "d", "an integer", meta_path)
+    clusters = []
+    for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):
+        source = f"{meta_path}: clusters[{k}]"
+        ref = _json_field(
+            entry, "reference_params", "a list of finite numbers", source, optional=True
         )
-        for entry in meta["clusters"]
-    ]
+        clusters.append(
+            ClusterSpec(
+                members=tuple(_json_field(entry, "members", "a list of integers", source)),
+                reference_params=None if ref is None else np.asarray(ref, dtype=float),
+                epsilon=_json_field(entry, "epsilon", "a finite number", source, optional=True),
+            )
+        )
     datasets = []
     for i in range(graph.n):
         table = np.loadtxt(directory / f"node_{i}.csv", delimiter=",", ndmin=2)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+import scipy.sparse
 
 __all__ = [
     "DISCONNECTION_RTOL",
@@ -40,36 +40,55 @@ __all__ = [
 # this instead of dividing by a numerically meaningless eigenvalue.
 DISCONNECTION_RTOL = 1e-9
 
+# rows per block of the k-nearest-neighbor search; bounds its memory to a
+# few (block x n) arrays instead of one n x n distance matrix
+_KNN_BLOCK_ROWS = 256
+
 
 class SimilarityGraph:
     """Undirected weighted graph on nodes ``0..n-1``.
 
-    Edges are canonicalized to ``(min(i, j), max(i, j))``; self-loops,
-    duplicate pairs and non-positive weights are rejected. Instances are
-    immutable after construction and safe to share across threads.
+    Edges are ``(i, j, weight)`` triples, or an (E, 3) array of them,
+    canonicalized to ``(min(i, j), max(i, j))``; self-loops, duplicate
+    pairs and non-positive weights are rejected. The graph is
+    stored once, as edge arrays in canonical sorted order plus the weighted
+    degrees; every other view (the edge map, the dense adjacency, the
+    sparse Laplacian) is derived from them. Instances are immutable after
+    construction and safe to share across threads.
     """
 
-    __slots__ = ("_n", "_edges")
+    __slots__ = ("_n", "_ii", "_jj", "_ww", "_degrees", "_edge_map", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]] = ()):
         n = int(n)
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
-        canon: dict[tuple[int, int], float] = {}
-        for i, j, w in edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({i}, {j}) needs a positive finite weight, got {w}")
-            key = (i, j) if i < j else (j, i)
-            if key in canon:
-                raise ValueError(f"duplicate edge {key}")
-            canon[key] = w
-        self._n = n
-        self._edges = canon
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        ii, jj, ww = np.asarray(edges, dtype=float).reshape(len(edges), 3).T
+        ii, jj = ii.astype(np.intp), jj.astype(np.intp)
+        out_of_range = (np.minimum(ii, jj) < 0) | (np.maximum(ii, jj) >= n)
+        bad_weight = ~np.isfinite(ww) | (ww <= 0.0)
+        for bad, message in [
+            (ii == jj, "self-loop on node {i}"),
+            (out_of_range, "edge ({i}, {j}) out of range for n={n}"),
+            (bad_weight, "edge ({i}, {j}) needs a positive finite weight, got {w}"),
+        ]:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(message.format(i=ii[k], j=jj[k], w=ww[k], n=n))
+        ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
+        order = np.lexsort((jj, ii))
+        ii, jj, ww = ii[order], jj[order], ww[order]
+        dup = (ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1])
+        if dup.any():
+            k = int(np.argmax(dup))
+            raise ValueError(f"duplicate edge {(int(ii[k]), int(jj[k]))}")
+        degrees = np.bincount(ii, ww, n) + np.bincount(jj, ww, n)
+        for arr in (ii, jj, ww, degrees):
+            arr.flags.writeable = False
+        self._n, self._ii, self._jj, self._ww, self._degrees = n, ii, jj, ww, degrees
+        self._edge_map = self._csr = None
 
     @property
     def n(self) -> int:
@@ -77,49 +96,55 @@ class SimilarityGraph:
 
     @property
     def edges(self) -> Mapping[tuple[int, int], float]:
-        """Read-only edge map ``{(i, j): weight}`` with ``i < j``."""
-        return MappingProxyType(self._edges)
+        """Read-only edge map ``{(i, j): weight}`` with ``i < j``, in
+        canonical sorted order."""
+        if self._edge_map is None:
+            keys = zip(self._ii.tolist(), self._jj.tolist())
+            self._edge_map = dict(zip(keys, self._ww.tolist()))
+        return MappingProxyType(self._edge_map)
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._ww)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Endpoints and weights as parallel arrays in canonical sorted order."""
-        if not self._edges:
-            empty_i = np.zeros(0, dtype=int)
-            return empty_i, empty_i.copy(), np.zeros(0)
-        items = sorted(self._edges.items())
-        ii = np.array([k[0] for k, _ in items], dtype=int)
-        jj = np.array([k[1] for k, _ in items], dtype=int)
-        ww = np.array([w for _, w in items], dtype=float)
-        return ii, jj, ww
+        """Endpoints and weights as parallel read-only arrays in canonical
+        sorted order."""
+        return self._ii, self._jj, self._ww
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
         a = np.zeros((self._n, self._n))
-        for (i, j), w in self._edges.items():
-            a[i, j] = w
-            a[j, i] = w
+        a[self._ii, self._jj] = self._ww
+        a[self._jj, self._ii] = self._ww
         return a
 
     def weighted_degrees(self) -> np.ndarray:
-        deg = np.zeros(self._n)
-        for (i, j), w in self._edges.items():
-            deg[i] += w
-            deg[j] += w
-        return deg
+        """Read-only array of the weighted node degrees."""
+        return self._degrees
 
     def total_weight(self) -> float:
-        return float(sum(self._edges.values()))
+        return float(self._ww.sum())
+
+    def _laplacian_csr(self) -> scipy.sparse.csr_array:
+        """Sparse Laplacian, built on first use and kept. The dense route
+        (:func:`laplacian`) stays the cheaper one for small graphs."""
+        if self._csr is None:
+            nodes = np.arange(self._n)
+            rows = np.concatenate([self._ii, self._jj, nodes])
+            cols = np.concatenate([self._jj, self._ii, nodes])
+            vals = np.concatenate([-self._ww, -self._ww, self._degrees])
+            self._csr = scipy.sparse.csr_array((vals, (rows, cols)), shape=(self._n,) * 2)
+        return self._csr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimilarityGraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        pairs = zip(self.edge_arrays(), other.edge_arrays())
+        return self._n == other._n and all(np.array_equal(a, b) for a, b in pairs)
 
     def __hash__(self):
-        return hash((self._n, tuple(sorted(self._edges.items()))))
+        return hash((self._n, *(arr.tobytes() for arr in self.edge_arrays())))
 
     def __repr__(self) -> str:
         return f"SimilarityGraph(n={self._n}, edges={self.num_edges})"
@@ -232,25 +257,27 @@ def is_disconnected(graph: SimilarityGraph) -> bool:
     so that numerically-zero eigenvalues of barely-coupled graphs are
     classified as disconnected rather than fed into bound denominators.
     """
-    if graph.n < 2:
-        return False
-    dmax = float(graph.weighted_degrees().max())
-    if dmax == 0.0:
+    return graph.n >= 2 and _disconnected_at(graph, lambda2(graph))
+
+
+def _disconnected_at(graph: SimilarityGraph, lam2: float) -> bool:
+    """The :func:`is_disconnected` test for a graph with at least two
+    nodes whose ``lambda2`` is already known."""
+    if graph.num_edges == 0:
         return True
-    return lambda2(graph) < DISCONNECTION_RTOL * dmax
+    return lam2 < DISCONNECTION_RTOL * float(graph.weighted_degrees().max())
 
 
 def induced_subgraph(graph: SimilarityGraph, cluster: ClusterSpec) -> SimilarityGraph:
     """Subgraph on the cluster nodes, re-indexed ``0..|C|-1`` in member
     order, keeping exactly the edges with both endpoints in the cluster."""
     cluster.check_against(graph.n)
-    pos = {node: idx for idx, node in enumerate(cluster.members)}
-    sub_edges = [
-        (pos[i], pos[j], w)
-        for (i, j), w in sorted(graph.edges.items())
-        if i in pos and j in pos
-    ]
-    return SimilarityGraph(len(cluster.members), sub_edges)
+    pos = np.full(graph.n, -1)
+    pos[list(cluster.members)] = np.arange(cluster.size)
+    ii, jj, ww = graph.edge_arrays()
+    keep = (pos[ii] >= 0) & (pos[jj] >= 0)
+    sub_edges = np.column_stack([pos[ii[keep]], pos[jj[keep]], ww[keep]])
+    return SimilarityGraph(cluster.size, sub_edges)
 
 
 def cluster_boundary(graph: SimilarityGraph, cluster: ClusterSpec) -> float:
@@ -259,10 +286,9 @@ def cluster_boundary(graph: SimilarityGraph, cluster: ClusterSpec) -> float:
     For a singleton cluster this is the node's weighted degree.
     """
     cluster.check_against(graph.n)
-    inside = set(cluster.members)
-    return float(
-        sum(w for (i, j), w in graph.edges.items() if (i in inside) != (j in inside))
-    )
+    inside = np.isin(np.arange(graph.n), cluster.members)
+    ii, jj, ww = graph.edge_arrays()
+    return float(ww[inside[ii] != inside[jj]].sum())
 
 
 def generate_planted_clusters(
@@ -295,8 +321,7 @@ def generate_planted_clusters(
     prob = np.where(same, params.p_in, params.p_out)
     weight = np.where(same, params.w_in, params.w_out)
     keep = u < prob
-    edges = list(zip(ii[keep].tolist(), jj[keep].tolist(), weight[keep].tolist()))
-    graph = SimilarityGraph(n, edges)
+    graph = SimilarityGraph(n, np.column_stack([ii[keep], jj[keep], weight[keep]]))
 
     clusters = []
     start = 0
@@ -321,25 +346,35 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
-    sq_dist = cdist(emb.vectors, emb.vectors, metric="sqeuclidean")
-    np.fill_diagonal(sq_dist, np.inf)
-    pairs: set[tuple[int, int]] = set()
-    for i in range(n):
+    vectors = emb.vectors
+    nearest = np.empty((n, k), dtype=np.intp)
+    near_sq = np.empty((n, k))
+    for start in range(0, n, _KNN_BLOCK_ROWS):
+        block = slice(start, min(start + _KNN_BLOCK_ROWS, n))
+        # the direct form sum_col (x - y)^2, summed column by column as
+        # pairwise-distance routines do; |x|^2 + |y|^2 - 2 x.y cancels and
+        # can reorder near-ties
+        sq = np.zeros((block.stop - start, n))
+        for col in vectors.T:
+            sq += np.subtract.outer(col[block], col) ** 2
+        sq[np.arange(block.stop - start), np.arange(start, block.stop)] = np.inf
         # stable sort: ties resolved toward the smaller index, deterministically
-        nearest = np.argsort(sq_dist[i], kind="stable")[:k]
-        for j in nearest:
-            j = int(j)
-            pairs.add((i, j) if i < j else (j, i))
-    edges = [(i, j, float(np.exp(-sq_dist[i, j] / sigma**2))) for i, j in sorted(pairs)]
-    return SimilarityGraph(n, edges)
+        nearest[block] = np.argsort(sq, axis=1, kind="stable")[:, :k]
+        near_sq[block] = np.take_along_axis(sq, nearest[block], axis=1)
+    # a pair found from both ends has the same distance bit for bit
+    src = np.repeat(np.arange(n), k)
+    pairs = np.minimum(src, nearest.ravel()) * n + np.maximum(src, nearest.ravel())
+    pairs, first = np.unique(pairs, return_index=True)
+    weights = np.exp(-near_sq.ravel()[first] / sigma**2)
+    return SimilarityGraph(n, np.column_stack([pairs // n, pairs % n, weights]))
 
 
 def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
     """Write the line-oriented text format: first line ``n``, then one
     ``i j weight`` line per edge in canonical sorted order."""
+    ii, jj, ww = graph.edge_arrays()
     lines = [f"{graph.n}\n"]
-    for (i, j), w in sorted(graph.edges.items()):
-        lines.append(f"{i} {j} {w:.17g}\n")
+    lines += [f"{i} {j} {w:.17g}\n" for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist())]
     Path(path).write_text("".join(lines), encoding="ascii")
 
 

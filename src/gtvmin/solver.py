@@ -6,10 +6,13 @@ over the similarity graph edges,
     f(w) = sum_i L_i(w_i) + alpha * sum_{edges} A_ij ||w_i - w_j||^2,
 
 which for quadratic losses is itself quadratic with Hessian
-2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). The direct
-solver assembles the stationarity system once and factorizes it; the
-iterative solver runs synchronous gradient descent in which every node
-reads only its own loss gradient and its neighbors' parameters.
+2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). Gradients,
+the system assembly and the solver rounds read the quadratic losses as one
+stack (Gram tensor, moments, label energy) and the graph through its
+cached edge arrays and sparse Laplacian. The direct solver assembles the
+stationarity system once and factorizes it; the iterative solver runs
+synchronous gradient descent in which every node reads only its own loss
+gradient and its neighbors' parameters.
 """
 
 from __future__ import annotations
@@ -22,10 +25,17 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import eigsh
 
-from .data import LocalDataset, Scenario, quadratic_loss, quadratic_loss_gradient
+from .data import (
+    LocalDataset,
+    Scenario,
+    _json_field,
+    quadratic_loss,
+    quadratic_loss_gradient,
+)
 from .errors import DivergenceError, SingularSystemError
-from .graph import SimilarityGraph, laplacian
+from .graph import SimilarityGraph
 
 __all__ = [
     "LocalLoss",
@@ -169,6 +179,17 @@ class GTVMinProblem:
     def n(self) -> int:
         return self.graph.n
 
+    def _stacked_losses(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The losses as one stack (gram, moment, energy) such that their sum
+        is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy, or None when
+        some loss is not quadratic. Built per call from ``losses``, which
+        callers may still edit."""
+        if not all(isinstance(loss, QuadraticLoss) for loss in self.losses):
+            return None
+        gram = np.stack([loss.gram for loss in self.losses])
+        moment = np.stack([loss.moment for loss in self.losses])
+        return gram, moment, float(sum(loss.label_energy for loss in self.losses))
+
     def _check_params(self, params: StackedParams) -> None:
         if params.n != self.n or params.d != self.d:
             raise ValueError(
@@ -198,11 +219,15 @@ def total_variation(graph: SimilarityGraph, params: StackedParams) -> float:
     sum_{edges} A_ij ||w_i - w_j||^2."""
     if params.n != graph.n:
         raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
-    if graph.num_edges == 0:
-        return 0.0
+    return _edge_variation(graph, params.per_node, slice(None))
+
+
+def _edge_variation(graph: SimilarityGraph, w: np.ndarray, edges) -> float:
+    """sum A_ij ||w_i - w_j||^2 over the edges that ``edges`` (a slice or a
+    boolean mask over the canonical edge order) selects."""
     ii, jj, ww = graph.edge_arrays()
-    diff = params.per_node[ii] - params.per_node[jj]
-    return float(ww @ np.einsum("ed,ed->e", diff, diff))
+    diff = w[ii[edges]] - w[jj[edges]]
+    return float(ww[edges] @ np.einsum("ed,ed->e", diff, diff))
 
 
 def objective(problem: GTVMinProblem, params: StackedParams) -> float:
@@ -216,29 +241,56 @@ def objective_gradient(problem: GTVMinProblem, params: StackedParams) -> np.ndar
     """Gradient of :func:`objective` as an (n, d) array: per-node loss
     gradients plus 2 alpha (L kron I) applied to the stacked parameters."""
     problem._check_params(params)
-    grad = np.empty_like(params.per_node)
-    for i, loss in enumerate(problem.losses):
-        grad[i] = loss.gradient(params.vector(i))
+    return _value_and_gradient(problem, problem._stacked_losses(), params.per_node)[1]
+
+
+def _value_and_gradient(problem: GTVMinProblem, stack, w) -> tuple[float, np.ndarray]:
+    """Objective value and gradient at the (n, d) array w. Stacked losses
+    are evaluated in the Gram form; others one by one."""
+    if stack is not None:
+        gram, moment, energy = stack
+        gw = np.einsum("nij,nj->ni", gram, w)
+        value = (
+            float(np.einsum("nd,nd->", w, gw))
+            - 2.0 * float(np.einsum("nd,nd->", moment, w))
+            + energy
+        )
+        grad = 2.0 * (gw - moment)
+    else:
+        value = 0.0
+        grad = np.empty_like(w)
+        for i, loss in enumerate(problem.losses):
+            value += loss.value(w[i])
+            grad[i] = loss.gradient(w[i])
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
-        lap = laplacian(problem.graph)
-        grad += 2.0 * problem.alpha * (lap @ params.per_node)
-    return grad
+        # row i of L reads only node i and its neighbors: the update is local
+        lw = problem.graph._laplacian_csr() @ w
+        value += problem.alpha * float(np.einsum("nd,nd->", w, lw))
+        grad += 2.0 * problem.alpha * lw
+    return value, grad
 
 
-def _assemble_system(problem: GTVMinProblem, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def _assemble_system(problem: GTVMinProblem, stack, ridge: float) -> tuple[np.ndarray, ...]:
     """Stationarity system (Q + alpha L kron I + ridge I) w = q for
-    quadratic losses."""
+    quadratic losses, written straight into one dense matrix."""
     n, d = problem.n, problem.d
     mat = np.zeros((n * d, n * d))
-    rhs = np.empty(n * d)
-    for i, loss in enumerate(problem.losses):
-        mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = loss.gram
-        rhs[i * d : (i + 1) * d] = loss.moment
+    # blocks[i, a, j, b] is entry (i*d + a, j*d + b)
+    blocks = mat.reshape(n, d, n, d)
+    nodes = np.arange(n)
+    gram, moment, _ = stack
+    blocks[nodes, :, nodes, :] = gram
     if problem.alpha > 0.0:
-        mat += problem.alpha * np.kron(laplacian(problem.graph), np.eye(d))
+        ii, jj, ww = problem.graph.edge_arrays()
+        k = np.arange(d)
+        off = -problem.alpha * ww[:, None]
+        blocks[ii[:, None], k, jj[:, None], k] = off
+        blocks[jj[:, None], k, ii[:, None], k] = off
+        degrees = problem.graph.weighted_degrees()
+        blocks[nodes[:, None], k, nodes[:, None], k] += problem.alpha * degrees[:, None]
     if ridge:
         mat[np.diag_indices_from(mat)] += ridge
-    return mat, rhs
+    return mat, moment.reshape(-1)
 
 
 def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
@@ -251,12 +303,13 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     pooled design matrix is rank-deficient). ``ridge`` > 0 opts into an
     explicit diagonal shift instead of any silent pseudo-inverse.
     """
-    if any(not isinstance(loss, QuadraticLoss) for loss in problem.losses):
+    stack = problem._stacked_losses()
+    if stack is None:
         raise TypeError("solve_exact requires quadratic losses on every node")
     ridge = float(ridge)
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    mat, rhs = _assemble_system(problem, ridge)
+    mat, rhs = _assemble_system(problem, stack, ridge)
     try:
         factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
         w = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
@@ -285,57 +338,25 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     )
 
 
-class _SyncEngine:
-    """Precomputed state for synchronous gradient rounds.
-
-    The update of node i reads only that node's loss gradient and the
-    parameters of its graph neighbors (row i of the adjacency matrix is
-    zero elsewhere), so one round has Jacobi semantics: all nodes step
-    from the previous round's parameters.
-    """
-
-    def __init__(self, problem: GTVMinProblem):
-        self.problem = problem
-        self.alpha = problem.alpha
-        self.adjacency = problem.graph.adjacency()
-        self.degrees = self.adjacency.sum(axis=1)
-        if problem.graph.n > 1 and problem.graph.num_edges > 0:
-            lap_lmax = float(np.linalg.eigvalsh(laplacian(problem.graph))[-1])
-        else:
-            lap_lmax = 0.0
+def _step_size(problem: GTVMinProblem, stack) -> float:
+    """The fixed step 1/L, L = max_i smoothness_i + 2 alpha lambda_max(L)."""
+    if stack is not None:
+        top = np.linalg.eigvalsh(stack[0])[:, -1]
+        smooth = float(2.0 * max(top.max(), 0.0))
+    else:
         smooth = max(loss.smoothness() for loss in problem.losses)
-        self.lipschitz = smooth + 2.0 * problem.alpha * lap_lmax
-        self.step = 1.0 / self.lipschitz if self.lipschitz > 0.0 else 0.0
-
-        self.quadratic = all(isinstance(loss, QuadraticLoss) for loss in problem.losses)
-        if self.quadratic:
-            self.gram = np.stack([loss.gram for loss in problem.losses])
-            self.moment = np.stack([loss.moment for loss in problem.losses])
-            self.energy = float(sum(loss.label_energy for loss in problem.losses))
-
-    def lap_apply(self, w: np.ndarray) -> np.ndarray:
-        return self.degrees[:, None] * w - self.adjacency @ w
-
-    def value_and_gradient(self, w: np.ndarray, lw: np.ndarray) -> tuple[float, np.ndarray]:
-        tv = float(np.einsum("nd,nd->", w, lw))
-        if self.quadratic:
-            gw = np.einsum("nij,nj->ni", self.gram, w)
-            value = (
-                float(np.einsum("nd,nd->", w, gw))
-                - 2.0 * float(np.einsum("nd,nd->", self.moment, w))
-                + self.energy
-            )
-            grad = 2.0 * (gw - self.moment)
-        else:
-            value = 0.0
-            grad = np.empty_like(w)
-            for i, loss in enumerate(self.problem.losses):
-                value += loss.value(w[i])
-                grad[i] = loss.gradient(w[i])
-        if self.alpha > 0.0:
-            value += self.alpha * tv
-            grad = grad + 2.0 * self.alpha * lw
-        return value, grad
+    graph = problem.graph
+    lap_lmax = 0.0
+    if graph.n > 1 and graph.num_edges > 0:
+        # Lanczos to machine precision from a fixed start; ARPACK's default
+        # start is random, and the constant vector is an eigenvector
+        v0 = np.random.default_rng(0).standard_normal(graph.n)
+        top = eigsh(
+            graph._laplacian_csr(), k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False
+        )
+        lap_lmax = float(top[0])
+    lipschitz = smooth + 2.0 * problem.alpha * lap_lmax
+    return 1.0 / lipschitz if lipschitz > 0.0 else 0.0
 
 
 def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedParams:
@@ -346,10 +367,10 @@ def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedPa
     its neighbors' current parameters.
     """
     problem._check_params(params)
-    engine = _SyncEngine(problem)
+    stack = problem._stacked_losses()
     w = params.per_node
-    _, grad = engine.value_and_gradient(w, engine.lap_apply(w))
-    return StackedParams(w - engine.step * grad)
+    _, grad = _value_and_gradient(problem, stack, w)
+    return StackedParams(w - _step_size(problem, stack) * grad)
 
 
 def solve_iterative(
@@ -374,16 +395,15 @@ def solve_iterative(
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
 
-    engine = _SyncEngine(problem)
+    stack = problem._stacked_losses()
+    step = _step_size(problem, stack)
     w = np.zeros((problem.n, problem.d))
-    lw = engine.lap_apply(w)
-    f_prev, grad = engine.value_and_gradient(w, lw)
+    f_prev, grad = _value_and_gradient(problem, stack, w)
     converged = False
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
-        w = w - engine.step * grad
-        lw = engine.lap_apply(w)
-        f_cur, grad = engine.value_and_gradient(w, lw)
+        w = w - step * grad
+        f_cur, grad = _value_and_gradient(problem, stack, w)
         if not np.isfinite(f_cur):
             raise DivergenceError(
                 f"objective became non-finite at iteration {iterations}"
@@ -395,13 +415,12 @@ def solve_iterative(
         f_prev = f_cur
 
     params = StackedParams(w)
-    grad_norm = float(np.linalg.norm(objective_gradient(problem, params)))
     return SolveResult(
         params=params,
         objective_value=objective(problem, params),
         iterations=iterations,
         converged=converged,
-        residual=grad_norm,
+        residual=float(np.linalg.norm(grad)),
         alpha=problem.alpha,
     )
 
@@ -424,15 +443,19 @@ def save_result(result: SolveResult, path: str | Path) -> None:
 
 
 def load_result(path: str | Path) -> SolveResult:
-    payload = json.loads(Path(path).read_text(encoding="ascii"))
-    params = StackedParams.from_flat(
-        np.asarray(payload["params"], dtype=float), int(payload["n"]), int(payload["d"])
-    )
+    path = Path(path)
+    payload = json.loads(path.read_text(encoding="ascii"))
+
+    def field(key, kind):
+        return _json_field(payload, key, kind, path)
+
+    flat = np.asarray(field("params", "a list of finite numbers"), dtype=float)
+    params = StackedParams.from_flat(flat, field("n", "an integer"), field("d", "an integer"))
     return SolveResult(
         params=params,
-        objective_value=float(payload["objective"]),
-        iterations=int(payload["iterations"]),
-        converged=bool(payload["converged"]),
-        residual=float(payload["residual"]),
-        alpha=float(payload["alpha"]),
+        objective_value=float(field("objective", "a finite number")),
+        iterations=field("iterations", "an integer"),
+        converged=field("converged", "true or false"),
+        residual=float(field("residual", "a finite number")),
+        alpha=float(field("alpha", "a finite number")),
     )

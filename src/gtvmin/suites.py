@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    bound_report_row,
-    certificate_check,
-    deviation_bound_report,
-    tv_lower_bound_check,
-)
+from .analysis import bound_report_rows, certificate_check, tv_lower_bound_check
 from .data import Scenario, generate_scenario
 from .graph import (
     ClusterSpec,
@@ -104,11 +99,10 @@ def bound_suite(num_scenarios: int = 100, base_seed: int = 77000) -> BoundSuiteR
         scenario, alpha = random_scenario(index, base_seed)
         problem = GTVMinProblem.from_scenario(scenario, alpha)
         result = solve_exact(problem)
-        for cluster in scenario.clusters:
-            report = deviation_bound_report(problem, result, cluster)
-            rows.append(
-                bound_report_row(report, scenario.rng_seed, scenario.n, scenario.d)
-            )
+        for report, row in bound_report_rows(
+            problem, result, scenario.clusters, scenario.rng_seed
+        ):
+            rows.append(row)
             num_reports += 1
             if report.degenerate:
                 num_degenerate += 1

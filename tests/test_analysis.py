@@ -19,6 +19,7 @@ from gtvmin import (
     deviations,
     generate_planted_clusters,
     generate_scenario,
+    lambda2,
     project_consensus,
     project_disagreement,
     solve_exact,
@@ -290,6 +291,44 @@ def test_certificate_perturbation_breaks_optimality():
     assert f_worsened > f_candidate
     assert record.f_solution <= f_candidate + 1e-9
 
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_cluster_objective_matches_per_edge_sum(seed):
+    scen, problem, _ = solved_scenario(seed=seed % 1000, alpha=0.7, sizes=(4, 3), p_out=0.3)
+    rng = np.random.default_rng(seed)
+    params = StackedParams(rng.normal(size=(scen.n, scen.d)))
+    members = rng.permutation(scen.n)[: int(rng.integers(1, scen.n + 1))].tolist()
+    cluster = ClusterSpec(members=tuple(members))
+    w = params.per_node
+    expected = sum(problem.losses[i].value(w[i]) for i in members)
+    expected += 0.7 * sum(
+        weight * float((w[i] - w[j]) @ (w[i] - w[j]))
+        for (i, j), weight in scen.graph.edges.items()
+        if i in members or j in members
+    )
+    assert cluster_objective(problem, params, cluster) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("check", [deviation_bound_report, certificate_check])
+def test_one_lambda2_eigensolve_per_cluster(monkeypatch, check):
+    import gtvmin.analysis
+    import gtvmin.graph
+
+    calls = []
+
+    def counting_lambda2(graph):
+        calls.append(graph.n)
+        return lambda2(graph)
+
+    # the graph module too, so that a second solve through is_disconnected counts
+    monkeypatch.setattr(gtvmin.analysis, "lambda2", counting_lambda2)
+    monkeypatch.setattr(gtvmin.graph, "lambda2", counting_lambda2)
+    scen, problem, result = solved_scenario(seed=3, sizes=(5, 4))
+    for cluster in scen.clusters:
+        calls.clear()
+        check(problem, result, cluster)
+        assert calls == [cluster.size]
 
 def test_deviation_sum_equals_disagreement_energy():
     rng = np.random.default_rng(13)

@@ -227,11 +227,12 @@ def test_sweep_empty_alpha_list_fails_validation_before_work(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_reproducible_bytes(tmp_path):
+@pytest.mark.parametrize("solver", ["exact", "iterative"])
+def test_sweep_reproducible_bytes(tmp_path, solver):
     cfg = write_config(tmp_path / "cfg.json")
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
+    for out in (out1, out2):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--solver", solver]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
@@ -268,3 +269,40 @@ def test_config_validation():
         ExperimentConfig(p_out_list=[]).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(p_in=0.5, p_out=0.7).validate()
+
+
+def _drop_key(path, key):
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "case, key",
+    [
+        ({"alpha_list": ["x"]}, "alpha_list"),
+        ({"cluster_sizes": [3, "a"]}, "cluster_sizes"),
+        ({"d": "2"}, "d"),
+        ({"tol": float("nan")}, "tol"),
+        ("meta.json", "d"),
+        ("result.json", "residual"),
+    ],
+    ids=["alpha-str", "size-str", "d-str", "tol-nan", "meta-no-d", "result-no-residual"],
+)
+def test_bad_input_exits_1_naming_the_key(tmp_path, capsys, case, key):
+    if isinstance(case, dict):
+        cfg = write_config(tmp_path / "cfg.json", **case)
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        source = "config"
+    else:
+        scen = tmp_path / "scen"
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(scen)]) == 0
+        assert main(["solve", str(scen), "--alpha", "1.0"]) == 0
+        _drop_key(scen / case, key)
+        argv = ["analyze", str(scen), str(scen / "result.json")]
+        source = case
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert source in err and repr(key) in err

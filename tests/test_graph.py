@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -313,3 +318,103 @@ def test_graph_file_rejects_bad_content(tmp_path):
     path.write_text("2\n0 1\n")
     with pytest.raises(ValueError, match="expected"):
         read_graph(path)
+
+
+# ------------------------------------------- cached arrays against definitions
+
+def random_weighted_graph(seed):
+    """A graph built from a shuffled edge list with random orientations and
+    random weights, its edge map as defined by that list (canonical keys),
+    and a cluster of random members in random order."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(s) for s in rng.integers(1, 8, size=int(rng.integers(1, 4)))]
+    planted, _ = generate_planted_clusters(seed, sizes, p_in=0.8, p_out=0.3)
+    edges = [
+        (j, i, float(rng.uniform(0.1, 2.0))) if rng.random() < 0.5
+        else (i, j, float(rng.uniform(0.1, 2.0)))
+        for (i, j) in planted.edges
+    ]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    edge_map = {(min(i, j), max(i, j)): w for i, j, w in edges}
+    size = int(rng.integers(1, planted.n + 1))
+    cluster = ClusterSpec(members=tuple(rng.permutation(planted.n)[:size].tolist()))
+    return SimilarityGraph(planted.n, edges), edge_map, cluster, rng
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_cached_arrays_degrees_and_total_weight_match_edge_list(seed):
+    graph, edge_map, _, _ = random_weighted_graph(seed)
+    assert dict(graph.edges) == edge_map
+    ii, jj, ww = graph.edge_arrays()
+    items = sorted(edge_map.items())
+    assert list(zip(ii.tolist(), jj.tolist())) == [key for key, _ in items]
+    assert ww.tolist() == [w for _, w in items]
+    degrees = np.zeros(graph.n)
+    for (i, j), w in edge_map.items():
+        degrees[i] += w
+        degrees[j] += w
+    np.testing.assert_allclose(graph.weighted_degrees(), degrees, rtol=1e-14, atol=0.0)
+    assert graph.total_weight() == pytest.approx(sum(edge_map.values()), rel=1e-14)
+    assert not graph.weighted_degrees().flags.writeable
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_sparse_laplacian_matches_dense_route(seed):
+    graph, _, _, rng = random_weighted_graph(seed)
+    w = rng.normal(size=(graph.n, 3))
+    lap = laplacian(graph)
+    scale = max(1.0, float(np.abs(lap).sum(axis=1).max() * np.abs(w).max()))
+    assert np.max(np.abs(graph._laplacian_csr() @ w - lap @ w)) <= 1e-14 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_boundary_and_induced_subgraph_match_definitions(seed):
+    graph, edge_map, cluster, _ = random_weighted_graph(seed)
+    inside = set(cluster.members)
+    cut = [w for (i, j), w in edge_map.items() if (i in inside) != (j in inside)]
+    assert cluster_boundary(graph, cluster) == pytest.approx(sum(cut), rel=1e-14, abs=0.0)
+    pos = {node: k for k, node in enumerate(cluster.members)}
+    expected = {
+        (min(pos[i], pos[j]), max(pos[i], pos[j])): w
+        for (i, j), w in edge_map.items()
+        if i in pos and j in pos
+    }
+    sub = induced_subgraph(graph, cluster)
+    assert sub.n == cluster.size and dict(sub.edges) == expected
+
+
+# --------------------------------------------------- kNN without scipy.spatial
+
+@pytest.mark.parametrize("seed", range(6))
+def test_embedding_edges_match_cdist_route_bit_for_bit(seed):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(seed)
+    n, d, k = int(rng.integers(5, 400)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    vectors = rng.normal(size=(n, d))
+    if seed % 2:
+        vectors = np.round(vectors, 1)  # many exact distance ties
+    sigma = 3.0
+    sq = cdist(vectors, vectors, metric="sqeuclidean")
+    np.fill_diagonal(sq, np.inf)
+    expected = {}
+    for i in range(n):
+        for j in np.argsort(sq[i], kind="stable")[:k].tolist():
+            expected[(min(i, j), max(i, j))] = float(np.exp(-sq[i, j] / sigma**2))
+    graph = graph_from_embedding(Embedding(vectors), k, sigma)
+    assert dict(graph.edges) == expected
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    import gtvmin
+
+    src = str(Path(gtvmin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gtvmin; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

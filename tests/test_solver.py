@@ -181,6 +181,39 @@ def test_solve_exact_rejects_non_quadratic_losses():
         solve_exact(problem)
 
 
+@pytest.mark.parametrize("alpha, ridge", [(0.0, 0.0), (0.8, 0.0), (2.5, 1e-3)])
+def test_assembled_system_matches_kronecker_route(alpha, ridge):
+    from gtvmin.solver import _assemble_system
+
+    rng = np.random.default_rng(7)
+    scen, problem = make_problem(seed=21, alpha=alpha, sizes=(4, 3), d=3)
+    # random weights, so that the degree sums are not exact in floating point
+    edges = [(i, j, float(rng.uniform(0.1, 2.0))) for (i, j) in scen.graph.edges]
+    problem = GTVMinProblem(problem.losses, SimilarityGraph(scen.n, edges), alpha, scen.d)
+    mat, rhs = _assemble_system(problem, problem._stacked_losses(), ridge)
+    n, d = scen.n, scen.d
+    expected = np.zeros((n * d, n * d))
+    for i, loss in enumerate(problem.losses):
+        expected[i * d : (i + 1) * d, i * d : (i + 1) * d] = loss.gram
+    expected += alpha * np.kron(laplacian(problem.graph), np.eye(d)) + ridge * np.eye(n * d)
+    assert np.max(np.abs(mat - expected)) <= 1e-14 * np.max(np.abs(expected))
+    np.testing.assert_array_equal(rhs, stacked_rhs(problem))
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (3, 2), (6, 5)])
+def test_step_size_matches_dense_spectrum(sizes):
+    from gtvmin.solver import _step_size
+
+    for seed in range(5):
+        scen, problem = make_problem(seed=seed, alpha=1.7, sizes=sizes, p_out=0.5)
+        smooth = max(loss.smoothness() for loss in problem.losses)
+        lap_max = np.linalg.eigvalsh(laplacian(scen.graph))[-1]
+        expected = 1.0 / (smooth + 2.0 * 1.7 * lap_max)
+        assert _step_size(problem, problem._stacked_losses()) == pytest.approx(
+            expected, rel=1e-13
+        )
+
+
 # ------------------------------------------------------------ solve_iterative
 
 def test_iterative_alpha_zero_matches_exact():
