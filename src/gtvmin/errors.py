@@ -6,8 +6,8 @@ class GTVMinError(Exception):
 
 
 class SingularSystemError(GTVMinError):
-    """Raised when the direct solver's linear system is singular or
-    numerically indefinite."""
+    """Raised when the exact solver's linear system is singular, or when
+    its solution fails the residual gate."""
 
 
 class DivergenceError(GTVMinError):

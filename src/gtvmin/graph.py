@@ -336,7 +336,8 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
 
     Node i links to its k closest nodes in Euclidean distance; an edge is
     kept if either endpoint selects the other (union rule, which guarantees
-    minimum degree k). Edge weight is ``exp(-dist^2 / sigma^2)``.
+    minimum degree k). Edge weight is ``exp(-dist^2 / sigma^2)``; a
+    ValueError naming ``sigma`` is raised when one underflows to zero.
     """
     k = int(k)
     n = emb.n
@@ -366,6 +367,12 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     pairs = np.minimum(src, nearest.ravel()) * n + np.maximum(src, nearest.ravel())
     pairs, first = np.unique(pairs, return_index=True)
     weights = np.exp(-near_sq.ravel()[first] / sigma**2)
+    if not np.all(weights > 0.0):
+        raise ValueError(
+            f"edge weights exp(-dist^2 / sigma^2) underflow to 0 for sigma={sigma:g}: "
+            f"the largest distance from a node to one of its k={k} nearest "
+            f"neighbors is {np.sqrt(near_sq.max()):.6g}; increase sigma"
+        )
     return SimilarityGraph(n, np.column_stack([pairs // n, pairs % n, weights]))
 
 

@@ -7,12 +7,15 @@ over the similarity graph edges,
 
 which for quadratic losses is itself quadratic with Hessian
 2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). Gradients,
-the system assembly and the solver rounds read the quadratic losses as one
+the system operator and the solver rounds read the quadratic losses as one
 stack (Gram tensor, moments, label energy) and the graph through its
-cached edge arrays and sparse Laplacian. The direct solver assembles the
-stationarity system once and factorizes it; the iterative solver runs
-synchronous gradient descent in which every node reads only its own loss
-gradient and its neighbors' parameters.
+cached edge arrays and sparse Laplacian. The exact solver never forms
+the (n d) x (n d) stationarity matrix: it applies it through the Gram stack
+and the sparse Laplacian inside block-Jacobi preconditioned conjugate
+gradients, after an exact singularity test on the pooled Gram matrix of
+each graph component, and accepts the result only through a residual gate.
+The iterative solver runs synchronous gradient descent in which every node
+reads only its own loss gradient and its neighbors' parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse.linalg import eigsh
 
 from .data import (
@@ -53,9 +55,27 @@ __all__ = [
     "load_result",
 ]
 
-# the direct solver refuses solutions whose stationarity residual exceeds
+# the exact solver refuses solutions whose stationarity residual exceeds
 # this fraction of ||q||; beyond it the system counts as numerically singular
 _RESIDUAL_RTOL = 1e-8
+
+# a pooled Gram matrix whose smallest eigenvalue is at most this multiple of
+# d * eps * (its largest) counts as singular; eigvalsh returns at most
+# 0.6 d eps lambda_max for exactly rank-deficient sums of Grams (measured
+# over random ones with d <= 10), so the margin is about 100x
+_SINGULAR_EPS_MULTIPLE = 64.0
+
+# conjugate gradients stop once the recursive residual is below this
+# fraction of ||q||, or once the update has stayed below the roundoff of the
+# iterate for this many consecutive rounds (stagnation). The residual norm
+# itself is no stall signal: on ill-conditioned systems it can go hundreds
+# of rounds without a new minimum and still converge.
+_PCG_RTOL = 1e-14
+_PCG_STAGNANT_ROUNDS = 3
+
+# at most this many conjugate-gradient passes per exact solve: each pass
+# after the first refines the solution from its true residual
+_PCG_PASSES = 3
 
 
 class LocalLoss(ABC):
@@ -82,7 +102,7 @@ class QuadraticLoss(LocalLoss):
     def __init__(self, dataset: LocalDataset):
         self.dataset = dataset
         m = dataset.num_samples
-        # (1/m) X^T X and (1/m) X^T y, reused by the direct solver
+        # (1/m) X^T X and (1/m) X^T y, reused by the exact solver
         self.gram = dataset.features.T @ dataset.features / m
         self.moment = dataset.features.T @ dataset.labels / m
         self.label_energy = float(dataset.labels @ dataset.labels) / m
@@ -202,7 +222,7 @@ class GTVMinProblem:
 class SolveResult:
     """Solver output: the parameters plus convergence diagnostics.
 
-    ``residual`` is the linear-system residual for the direct solver and
+    ``residual`` is the linear-system residual for the exact solver and
     the final full-gradient norm for the iterative one.
     """
 
@@ -231,9 +251,27 @@ def _edge_variation(graph: SimilarityGraph, w: np.ndarray, edges) -> float:
 
 
 def objective(problem: GTVMinProblem, params: StackedParams) -> float:
-    """Sum of local losses plus alpha times the total variation."""
+    """Sum of local losses plus alpha times the total variation.
+
+    The quadratic losses are evaluated together in the residual form
+    (1/m_i) ||y_i - X_i w_i||^2 over their concatenated samples, so that an
+    exact fit reads exactly zero; other losses one by one."""
     problem._check_params(params)
-    loss_sum = sum(loss.value(params.vector(i)) for i, loss in enumerate(problem.losses))
+    w = params.per_node
+    quadratic = [i for i, loss in enumerate(problem.losses) if isinstance(loss, QuadraticLoss)]
+    loss_sum = sum(
+        loss.value(w[i])
+        for i, loss in enumerate(problem.losses)
+        if not isinstance(loss, QuadraticLoss)
+    )
+    if quadratic:
+        datasets = [problem.losses[i].dataset for i in quadratic]
+        counts = np.array([ds.num_samples for ds in datasets])
+        features = np.concatenate([ds.features for ds in datasets])
+        labels = np.concatenate([ds.labels for ds in datasets])
+        resid = labels - np.einsum("kd,kd->k", features, w[np.repeat(quadratic, counts)])
+        starts = np.cumsum(counts) - counts
+        loss_sum += float((np.add.reduceat(resid * resid, starts) / counts).sum())
     return float(loss_sum + problem.alpha * total_variation(problem.graph, params))
 
 
@@ -270,38 +308,101 @@ def _value_and_gradient(problem: GTVMinProblem, stack, w) -> tuple[float, np.nda
     return value, grad
 
 
-def _assemble_system(problem: GTVMinProblem, stack, ridge: float) -> tuple[np.ndarray, ...]:
-    """Stationarity system (Q + alpha L kron I + ridge I) w = q for
-    quadratic losses, written straight into one dense matrix."""
-    n, d = problem.n, problem.d
-    mat = np.zeros((n * d, n * d))
-    # blocks[i, a, j, b] is entry (i*d + a, j*d + b)
-    blocks = mat.reshape(n, d, n, d)
-    nodes = np.arange(n)
-    gram, moment, _ = stack
-    blocks[nodes, :, nodes, :] = gram
-    if problem.alpha > 0.0:
-        ii, jj, ww = problem.graph.edge_arrays()
-        k = np.arange(d)
-        off = -problem.alpha * ww[:, None]
-        blocks[ii[:, None], k, jj[:, None], k] = off
-        blocks[jj[:, None], k, ii[:, None], k] = off
-        degrees = problem.graph.weighted_degrees()
-        blocks[nodes[:, None], k, nodes[:, None], k] += problem.alpha * degrees[:, None]
+def _system_product(problem: GTVMinProblem, gram: np.ndarray, ridge: float, w):
+    """(Q + alpha (L kron I) + ridge I) applied to the (n, d) array w,
+    without forming the matrix."""
+    out = np.einsum("nij,nj->ni", gram, w)
+    if problem.alpha > 0.0 and problem.graph.num_edges > 0:
+        out += problem.alpha * (problem.graph._laplacian_csr() @ w)
     if ridge:
-        mat[np.diag_indices_from(mat)] += ridge
-    return mat, moment.reshape(-1)
+        out += ridge * w
+    return out
+
+
+def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
+    """Raise :class:`SingularSystemError` when Q + alpha (L kron I) is
+    singular, which happens iff some connected component of the graph has a
+    singular pooled Gram matrix sum_{i in c} gram_i (with alpha = 0 or no
+    edges, every node is its own component)."""
+    # imported here: scipy.sparse.csgraph adds about 1 MiB and 4 ms to
+    # importing the package, which only the exact solver needs
+    from scipy.sparse.csgraph import connected_components
+
+    graph = problem.graph
+    coupled = problem.alpha > 0.0 and graph.num_edges > 0
+    if coupled:
+        count, labels = connected_components(graph._laplacian_csr(), directed=False)
+        pooled = np.zeros((count, problem.d, problem.d))
+        np.add.at(pooled, labels, gram)
+    else:
+        labels, pooled = np.arange(graph.n), gram
+    vals = np.linalg.eigvalsh(pooled)
+    eps = np.finfo(float).eps
+    singular = vals[:, 0] <= _SINGULAR_EPS_MULTIPLE * problem.d * eps * vals[:, -1]
+    if singular.any():
+        c = int(np.argmax(singular))
+        members = np.flatnonzero(labels == c)
+        alone = "" if coupled else "; with alpha = 0 or no edges every node is its own component"
+        raise SingularSystemError(
+            f"stationarity matrix Q + alpha*(L kron I) is singular: the graph "
+            f"component of {members.size} node(s) starting at node {members[0]} "
+            f"has a singular pooled Gram matrix (smallest eigenvalue "
+            f"{vals[c, 0]:.3e}, largest {vals[c, -1]:.3e}){alone}. "
+            f"Pass ridge > 0 to regularize explicitly"
+        )
+
+
+def _pcg(apply, rhs: np.ndarray, precondition, target: float) -> np.ndarray:
+    """Preconditioned conjugate gradients on apply(w) = rhs from w = 0.
+
+    Stops at a recursive residual norm of ``target``, on stagnation, on
+    breakdown of the recurrence (a non-positive or non-finite curvature or
+    r'z), or after a hard cap of rounds; the caller decides on
+    acceptance."""
+    eps = np.finfo(float).eps
+    w = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    stagnant = 0
+    # exact arithmetic terminates within rhs.size rounds; the rest is margin
+    for _ in range(2 * rhs.size + 100):
+        if np.linalg.norm(r) <= target or stagnant >= _PCG_STAGNANT_ROUNDS:
+            break
+        ap = apply(p)
+        curvature = float(np.vdot(p, ap))
+        if not (0.0 < curvature < np.inf and rz > 0.0):
+            break
+        step = rz / curvature
+        w += step * p
+        stagnant = stagnant + 1 if abs(step) * np.linalg.norm(p) < eps * np.linalg.norm(w) else 0
+        r -= step * ap
+        z = precondition(r)
+        rz_next = float(np.vdot(r, z))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return w
 
 
 def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
-    """Direct solve of the stationarity system for quadratic losses.
+    """Solve the stationarity system (Q + alpha (L kron I) + ridge I) w = q
+    of quadratic losses to roundoff.
 
-    Factorizes the dense symmetric positive-definite matrix
-    Q + alpha (L kron I); raises :class:`SingularSystemError` when the
-    system is singular or numerically indefinite (for instance alpha = 0
-    with a rank-deficient local design matrix, or a graph component whose
-    pooled design matrix is rank-deficient). ``ridge`` > 0 opts into an
-    explicit diagonal shift instead of any silent pseudo-inverse.
+    The matrix is never formed: conjugate gradients apply it through the
+    Gram stack and the sparse Laplacian, preconditioned by the inverses of
+    its d x d diagonal blocks gram_i + (alpha deg_i + ridge) I, in up to
+    three passes, each after the first refining the solution from its true
+    residual. With
+    ``ridge`` = 0 the system is first tested for singularity: it is
+    singular iff some connected component of the graph (every node on its
+    own when alpha = 0) has a singular pooled Gram matrix, for instance
+    alpha = 0 with fewer samples than parameters at a node; such a system
+    raises :class:`SingularSystemError` naming the component. Whatever
+    stops the iteration, the solution is accepted only if its stationarity
+    residual is at most 1e-8 ||q||, and :class:`SingularSystemError` is
+    raised otherwise. ``ridge`` > 0 opts into an explicit diagonal shift
+    instead of any silent pseudo-inverse.
     """
     stack = problem._stacked_losses()
     if stack is None:
@@ -309,25 +410,39 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     ridge = float(ridge)
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    mat, rhs = _assemble_system(problem, stack, ridge)
-    try:
-        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-        w = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "stationarity matrix Q + alpha*(L kron I) is singular or indefinite "
-            "(typical causes: alpha = 0 with a rank-deficient local design "
-            "matrix, or a disconnected component whose pooled design matrix is "
-            "rank-deficient); pass ridge > 0 to regularize explicitly"
-        ) from exc
-    residual = float(np.linalg.norm(mat @ w - rhs))
-    rhs_norm = float(np.linalg.norm(rhs))
+    gram, moment, _ = stack
+    if ridge == 0.0:
+        _check_nonsingular(problem, gram)
+    shift = problem.alpha * problem.graph.weighted_degrees() + ridge
+    inverse = np.linalg.inv(gram + shift[:, None, None] * np.eye(problem.d))
+
+    def apply(v):
+        return _system_product(problem, gram, ridge, v)
+
+    def precondition(v):
+        return np.einsum("nij,nj->ni", inverse, v)
+
+    rhs_norm = float(np.linalg.norm(moment))
+    w, r, residual = np.zeros_like(moment), moment, rhs_norm
+    # the recursive residual drifts from the true one by roundoff that grows
+    # with the rounds taken; solving again for a correction from the true
+    # residual (iterative refinement) removes the drift
+    for _ in range(_PCG_PASSES):
+        candidate = w + _pcg(apply, r, precondition, _PCG_RTOL * rhs_norm)
+        r_next = moment - apply(candidate)
+        next_norm = float(np.linalg.norm(r_next))
+        if not next_norm < residual:
+            break
+        halved = next_norm <= 0.5 * residual
+        w, r, residual = candidate, r_next, next_norm
+        if residual <= _PCG_RTOL * rhs_norm or not halved:
+            break
     if rhs_norm > 0.0 and residual > _RESIDUAL_RTOL * rhs_norm:
         raise SingularSystemError(
             f"stationarity system is numerically singular: residual {residual:.3e} "
             f"exceeds {_RESIDUAL_RTOL:.0e} * ||q|| = {_RESIDUAL_RTOL * rhs_norm:.3e}"
         )
-    params = StackedParams.from_flat(w, problem.n, problem.d)
+    params = StackedParams(w)
     return SolveResult(
         params=params,
         objective_value=objective(problem, params),

@@ -118,6 +118,18 @@ def test_solve_missing_scenario_exits_3_and_names_file(tmp_path, capsys):
     assert "meta.json" in err and str(missing) in err
 
 
+def test_solve_singular_system_exits_2_naming_the_component(tmp_path, capsys):
+    # one sample per node for d = 3 parameters, no coupling at alpha = 0
+    cfg = write_config(tmp_path / "cfg.json", d=3, m_per_node=1)
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "1 node(s) starting at node 0" in err and "singular pooled Gram" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- analyze
 
 def solved_dir(tmp_path, **config_overrides):

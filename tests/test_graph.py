@@ -266,6 +266,14 @@ def test_embedding_rejects_bad_arguments():
         Embedding(np.array([[np.inf, 0.0]]))
 
 
+def test_embedding_weight_underflow_names_sigma():
+    # exp(-39^2) underflows to 0.0: the edge (1, 2) cannot get a weight
+    emb = Embedding(np.array([[0.0], [1.0], [40.0]]))
+    with pytest.raises(ValueError, match="sigma=1") as info:
+        graph_from_embedding(emb, k=1, sigma=1.0)
+    assert "k=1" in str(info.value) and "39" in str(info.value)
+
+
 # ------------------------------------------------------- validation and files
 
 def test_graph_rejects_self_loop_duplicate_and_bad_weight():

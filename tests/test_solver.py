@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gtvmin import (
     DivergenceError,
@@ -11,6 +14,7 @@ from gtvmin import (
     SingularSystemError,
     StackedParams,
     generate_scenario,
+    is_disconnected,
     laplacian,
     load_result,
     objective,
@@ -48,6 +52,17 @@ def kron_quadratic_form(graph, params):
 
 def stacked_rhs(problem):
     return np.concatenate([loss.moment for loss in problem.losses])
+
+
+def dense_system(problem, ridge=0.0):
+    """Oracle route for the stationarity matrix: the dense
+    blockdiag(gram_i) + alpha (L kron I) + ridge I."""
+    n, d = problem.n, problem.d
+    mat = np.zeros((n * d, n * d))
+    for i, loss in enumerate(problem.losses):
+        mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = loss.gram
+    lap = laplacian(problem.graph)
+    return mat + problem.alpha * np.kron(lap, np.eye(d)) + ridge * np.eye(n * d)
 
 
 # ------------------------------------------------------------ total variation
@@ -115,6 +130,35 @@ def test_objective_matches_reimplementation():
     assert objective(problem, params) == pytest.approx(total, rel=1e-10)
 
 
+def test_objective_matches_per_node_loop_with_unequal_sample_counts():
+    rng = np.random.default_rng(24)
+    n, d = 7, 3
+    datasets = [
+        LocalDataset(features=rng.normal(size=(m, d)), labels=rng.normal(size=m))
+        for m in rng.integers(1, 12, size=n)
+    ]
+    graph = SimilarityGraph(n, [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)])
+    # one generic loss among the quadratic ones
+    losses = [QuadraticLoss(ds) for ds in datasets]
+    losses[2] = _OpaqueLoss(datasets[2])
+    problem = GTVMinProblem(losses, graph, 0.6, d)
+    params = StackedParams(rng.normal(size=(n, d)))
+    loop = sum(quadratic_loss(ds, params.vector(i)) for i, ds in enumerate(datasets))
+    loop += 0.6 * total_variation(graph, params)
+    assert objective(problem, params) == pytest.approx(loop, rel=1e-13)
+
+
+def test_objective_reads_exactly_zero_at_an_exact_fit():
+    rng = np.random.default_rng(25)
+    w = rng.integers(-3, 4, size=(5, 2)).astype(float)
+    datasets = []
+    for i, m in enumerate([1, 4, 2, 7, 3]):
+        x = rng.integers(-5, 6, size=(m, 2)).astype(float)
+        datasets.append(LocalDataset(features=x, labels=x @ w[i]))
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], SimilarityGraph(5), 1.0, 2)
+    assert objective(problem, StackedParams(w)) == 0.0
+
+
 # ---------------------------------------------------------------- solve_exact
 
 def test_solve_exact_alpha_zero_gives_per_node_ols():
@@ -174,6 +218,23 @@ def test_solve_exact_singular_raises_and_ridge_recovers():
     assert np.all(np.isfinite(ridged.params.per_node))
 
 
+def test_solve_exact_singular_component_named_and_ridge_recovers():
+    # nodes 0-2 form a component with full-rank pooled Gram; nodes 3-4 a
+    # component whose two single samples cannot determine d = 3 parameters
+    rng = np.random.default_rng(26)
+    datasets = [
+        LocalDataset(features=rng.normal(size=(m, 3)), labels=rng.normal(size=m))
+        for m in (5, 5, 5, 1, 1)
+    ]
+    graph = SimilarityGraph(5, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0)])
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 1.5, 3)
+    with pytest.raises(SingularSystemError, match="2 node\\(s\\) starting at node 3"):
+        solve_exact(problem)
+    ridged = solve_exact(problem, ridge=1e-6)
+    assert np.all(np.isfinite(ridged.params.per_node))
+    assert ridged.residual <= 1e-8 * np.linalg.norm(stacked_rhs(problem))
+
+
 def test_solve_exact_rejects_non_quadratic_losses():
     scen, problem = make_problem()
     problem.losses[0] = _OpaqueLoss(scen.datasets[0])
@@ -183,21 +244,111 @@ def test_solve_exact_rejects_non_quadratic_losses():
 
 @pytest.mark.parametrize("alpha, ridge", [(0.0, 0.0), (0.8, 0.0), (2.5, 1e-3)])
 def test_assembled_system_matches_kronecker_route(alpha, ridge):
-    from gtvmin.solver import _assemble_system
+    from gtvmin.solver import _system_product
 
     rng = np.random.default_rng(7)
     scen, problem = make_problem(seed=21, alpha=alpha, sizes=(4, 3), d=3)
     # random weights, so that the degree sums are not exact in floating point
     edges = [(i, j, float(rng.uniform(0.1, 2.0))) for (i, j) in scen.graph.edges]
     problem = GTVMinProblem(problem.losses, SimilarityGraph(scen.n, edges), alpha, scen.d)
-    mat, rhs = _assemble_system(problem, problem._stacked_losses(), ridge)
     n, d = scen.n, scen.d
-    expected = np.zeros((n * d, n * d))
-    for i, loss in enumerate(problem.losses):
-        expected[i * d : (i + 1) * d, i * d : (i + 1) * d] = loss.gram
-    expected += alpha * np.kron(laplacian(problem.graph), np.eye(d)) + ridge * np.eye(n * d)
+    gram = problem._stacked_losses()[0]
+    # the matrix-free operator applied to the identity columns
+    columns = [_system_product(problem, gram, ridge, e.reshape(n, d)) for e in np.eye(n * d)]
+    mat = np.column_stack([col.reshape(-1) for col in columns])
+    expected = dense_system(problem, ridge)
     assert np.max(np.abs(mat - expected)) <= 1e-14 * np.max(np.abs(expected))
-    np.testing.assert_array_equal(rhs, stacked_rhs(problem))
+    np.testing.assert_array_equal(problem._stacked_losses()[1].reshape(-1), stacked_rhs(problem))
+
+
+def assert_matches_dense_oracle(problem, ridge=0.0):
+    """||w - w_dense|| <= (||r|| + ||r_dense||) / mu_min, where r is the
+    residual the solver reports and r_dense the oracle's; both residuals and
+    mu_min are widened by their floating-point error."""
+    mat, rhs = dense_system(problem, ridge), stacked_rhs(problem)
+    result = solve_exact(problem, ridge=ridge)
+    w = result.params.flat
+    w_dense = scipy.linalg.solve(mat, rhs, assume_a="pos")
+    eps = np.finfo(float).eps
+
+    def roundoff(v):
+        return 64 * eps * np.linalg.norm(np.abs(mat) @ np.abs(v) + np.abs(rhs))
+
+    vals = np.linalg.eigvalsh(mat)
+    mu_min = vals[0] - mat.shape[0] * eps * vals[-1]
+    assert mu_min > 0.0
+    r_dense = np.linalg.norm(mat @ w_dense - rhs)
+    bound = (result.residual + roundoff(w) + r_dense + roundoff(w_dense)) / mu_min
+    assert np.linalg.norm(w - w_dense) <= bound
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_solve_exact_matches_dense_oracle_random_weights(alpha):
+    rng = np.random.default_rng(28)
+    scen, _ = make_problem(seed=28, sizes=(6, 5), d=3, p_out=0.3)
+    edges = [(i, j, float(rng.uniform(0.1, 2.0))) for (i, j) in scen.graph.edges]
+    problem = GTVMinProblem.from_scenario(scen, alpha)
+    problem = GTVMinProblem(problem.losses, SimilarityGraph(scen.n, edges), alpha, scen.d)
+    assert_matches_dense_oracle(problem)
+
+
+def test_solve_exact_matches_dense_oracle_with_ridge():
+    _, problem = make_problem(seed=29, alpha=0.7, sizes=(6, 5), d=3)
+    assert_matches_dense_oracle(problem, ridge=0.3)
+
+
+def test_solve_exact_rank_deficient_nodes_on_connected_graph_match_dense_oracle():
+    # every local Gram has rank 1 < d, but alpha > 0 pools them over the
+    # connected graph: the system is regular and must not be refused
+    scen, problem = make_problem(seed=27, alpha=1.0, sizes=(6, 5), d=3, m=1, p_out=0.3)
+    assert not is_disconnected(scen.graph)
+    assert_matches_dense_oracle(problem)
+
+
+@pytest.mark.parametrize("alpha, p_out", [(100.0, 0.005), (0.01, 0.05)])
+def test_solve_exact_matches_dense_oracle_ill_conditioned(alpha, p_out):
+    # the two ill-conditioned 60-node cases of the iterative solver's stopping rule
+    _, problem = make_problem(seed=30, alpha=alpha, sizes=(20, 20, 20), d=3, m=4, p_out=p_out)
+    assert_matches_dense_oracle(problem)
+
+
+def test_solve_exact_long_path_at_large_alpha_matches_dense_oracle():
+    # condition number 4e8: the residual norm goes dozens of rounds without
+    # a new minimum before converging, and the recursive residual drifts
+    # from the true one by more than the residual gate allows
+    rng = np.random.default_rng(32)
+    n, d = 300, 2
+    datasets = [
+        LocalDataset(features=rng.normal(size=(4, d)), labels=rng.normal(size=4))
+        for _ in range(n)
+    ]
+    path = SimilarityGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], path, 1e8, d)
+    assert_matches_dense_oracle(problem)
+
+
+def test_solve_exact_never_forms_the_dense_matrix():
+    # n d = 20 000 unknowns: the dense matrix alone would take 3.2 GB
+    n, d = 4000, 5
+    rng = np.random.default_rng(31)
+    ring = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    chords = {tuple(sorted(pair)) for pair in rng.integers(0, n, size=(2 * n, 2)).tolist()}
+    chords -= {(i, i) for i in range(n)} | {tuple(sorted(e[:2])) for e in ring}
+    edges = ring + [(i, j, float(rng.uniform(0.1, 1.0))) for i, j in sorted(chords)]
+    datasets = [
+        LocalDataset(features=rng.normal(size=(8, d)), labels=rng.normal(size=8))
+        for _ in range(n)
+    ]
+    graph = SimilarityGraph(n, edges)
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 1.0, d)
+    tracemalloc.start()
+    try:
+        result = solve_exact(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert result.residual <= 1e-8 * np.linalg.norm(stacked_rhs(problem))
 
 
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (3, 2), (6, 5)])
