@@ -33,7 +33,7 @@ from .graph import (
     induced_subgraph,
     lambda2,
 )
-from .solver import GTVMinProblem, SolveResult, StackedParams, _edge_variation
+from .solver import GTVMinProblem, SolveResult, StackedParams, _edge_variation, _evaluate
 
 __all__ = [
     "DeviationVector",
@@ -218,13 +218,9 @@ def cluster_objective(
     with at least one endpoint in the cluster."""
     problem._check_params(params)
     cluster.check_against(problem.n)
-    value = sum(problem.losses[i].value(params.vector(i)) for i in cluster.members)
-    if problem.alpha > 0.0:
-        inside = np.isin(np.arange(problem.n), cluster.members)
-        ii, jj, _ = problem.graph.edge_arrays()
-        touching = inside[ii] | inside[jj]
-        value += problem.alpha * _edge_variation(problem.graph, params.per_node, touching)
-    return float(value)
+    inside = np.isin(np.arange(problem.n), cluster.members)
+    ii, jj, _ = problem.graph.edge_arrays()
+    return _evaluate(problem, params.per_node, inside, inside[ii] | inside[jj])
 
 
 def _require_cluster_data(

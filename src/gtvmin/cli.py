@@ -31,7 +31,14 @@ from .data import (
 )
 from .errors import GTVMinError
 from .graph import GraphParams
-from .solver import GTVMinProblem, load_result, save_result, solve_exact, solve_iterative
+from .solver import (
+    GTVMinProblem,
+    QuadraticLoss,
+    load_result,
+    save_result,
+    solve_exact,
+    solve_iterative,
+)
 from .suites import bound_suite, certificate_suite, cross_solver_suite, spectral_suite
 
 __all__ = ["ExperimentConfig", "main", "entrypoint"]
@@ -148,11 +155,10 @@ def _generate(cfg: ExperimentConfig, out_dir: Path, p_out: float | None = None):
     return scenario
 
 
-def _solve(scenario, alpha: float, solver: str, max_iter: int, tol: float):
-    problem = GTVMinProblem.from_scenario(scenario, alpha)
+def _solve(problem: GTVMinProblem, solver: str, max_iter: int, tol: float):
     if solver == "iterative":
-        return problem, solve_iterative(problem, max_iter=max_iter, tol=tol)
-    return problem, solve_exact(problem)
+        return solve_iterative(problem, max_iter=max_iter, tol=tol)
+    return solve_exact(problem)
 
 
 def cmd_generate(args) -> int:
@@ -167,9 +173,8 @@ def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     alpha = args.alpha
     solver = args.solver or "exact"
-    _, result = _solve(
-        scenario,
-        alpha,
+    result = _solve(
+        GTVMinProblem.from_scenario(scenario, alpha),
         solver,
         args.max_iter if args.max_iter is not None else 100000,
         args.tol if args.tol is not None else 1e-10,
@@ -226,8 +231,10 @@ def cmd_sweep(args) -> int:
     for ip, p_out in enumerate(p_outs):
         scen_dir = out_dir / f"scenario_{ip:02d}"
         scenario = _generate(cfg, scen_dir, p_out)
+        losses = [QuadraticLoss(ds) for ds in scenario.datasets]
         for ia, alpha in enumerate(cfg.alpha_list):
-            problem, result = _solve(scenario, alpha, cfg.solver, cfg.max_iter, cfg.tol)
+            problem = GTVMinProblem(losses, scenario.graph, alpha, scenario.d)
+            result = _solve(problem, cfg.solver, cfg.max_iter, cfg.tol)
             save_result(result, scen_dir / f"result_{ia:02d}.json")
             pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)
             rows += [row for _, row in pairs]
@@ -289,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--alpha", type=float, help="override alpha_list with one value")
+
+    def add_solver_flags(p, alpha_help, alpha_required=False):
+        p.add_argument("--alpha", type=float, required=alpha_required, help=alpha_help)
         p.add_argument("--solver", choices=["exact", "iterative"])
         p.add_argument("--max-iter", dest="max_iter", type=int)
         p.add_argument("--tol", type=float)
@@ -300,10 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="train on a scenario directory")
     p_solve.add_argument("scenario", help="scenario directory")
-    p_solve.add_argument("--alpha", type=float, required=True)
-    p_solve.add_argument("--solver", choices=["exact", "iterative"])
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int)
-    p_solve.add_argument("--tol", type=float)
+    add_solver_flags(p_solve, "coupling strength", alpha_required=True)
     p_solve.add_argument("--out", help="result JSON path")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -316,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="generate/solve/analyze over alpha_list")
     add_config_flags(p_sweep)
+    add_solver_flags(p_sweep, "override alpha_list with one value")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="run the verification suites")

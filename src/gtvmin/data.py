@@ -316,12 +316,14 @@ def load_scenario(directory: str | Path) -> Scenario:
         )
     datasets = []
     for i in range(graph.n):
-        table = np.loadtxt(directory / f"node_{i}.csv", delimiter=",", ndmin=2)
-        if table.shape[1] != d + 1:
-            raise ValueError(
-                f"node_{i}.csv has {table.shape[1]} columns, expected {d + 1}"
-            )
-        datasets.append(LocalDataset(features=table[:, :d], labels=table[:, d]))
+        path = directory / f"node_{i}.csv"
+        try:
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+            if table.shape[1] != d + 1:
+                raise ValueError(f"{table.shape[1]} columns, expected {d + 1}")
+            datasets.append(LocalDataset(features=table[:, :d], labels=table[:, d]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return Scenario(
         datasets=datasets,
         graph=graph,

@@ -6,14 +6,16 @@ over the similarity graph edges,
     f(w) = sum_i L_i(w_i) + alpha * sum_{edges} A_ij ||w_i - w_j||^2,
 
 which for quadratic losses is itself quadratic with Hessian
-2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). Gradients,
-the system operator and the solver rounds read the quadratic losses as one
-stack (Gram tensor, moments, label energy) and the graph through its
-cached edge arrays and sparse Laplacian. The exact solver never forms
-the (n d) x (n d) stationarity matrix: it applies it through the Gram stack
-and the sparse Laplacian inside block-Jacobi preconditioned conjugate
-gradients, after an exact singularity test on the pooled Gram matrix of
-each graph component, and accepts the result only through a residual gate.
+2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). A problem
+stacks its quadratic losses once: the Gram tensor, moments and label energy
+feed the system operator, the gradients and both solvers; the samples,
+batched by sample count, feed the one exact evaluator of objective values.
+The graph is read through its cached edge arrays and sparse Laplacian. The
+exact solver never forms the (n d) x (n d) stationarity matrix: it
+applies it through the Gram stack and the sparse Laplacian inside
+block-Jacobi preconditioned conjugate gradients, after an exact singularity
+test on the pooled Gram matrix of each graph component, and accepts the
+result only through a residual gate.
 The iterative solver runs synchronous gradient descent in which every node
 reads only its own loss gradient and its neighbors' parameters.
 """
@@ -165,7 +167,10 @@ class StackedParams:
 
 
 class GTVMinProblem:
-    """Per-node losses on a similarity graph plus the coupling strength."""
+    """Per-node losses on a similarity graph plus the coupling strength.
+
+    Immutable: ``losses`` is a tuple, which the problem stacks once, at
+    construction, when every loss is quadratic (see ``_stacked_losses``)."""
 
     def __init__(
         self,
@@ -181,10 +186,25 @@ class GTVMinProblem:
             raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         if int(d) < 1:
             raise ValueError("parameter dimension must be >= 1")
-        self.losses = list(losses)
+        self.losses = tuple(losses)
         self.graph = graph
         self.alpha = alpha
         self.d = int(d)
+        self._stack = self._batches = None
+        if all(isinstance(loss, QuadraticLoss) for loss in self.losses):
+            self._stack = (
+                np.stack([loss.gram for loss in self.losses]),
+                np.stack([loss.moment for loss in self.losses]),
+                float(sum(loss.label_energy for loss in self.losses)),
+            )
+            # the samples as (node indices, features, labels) per sample count
+            data = [loss.dataset for loss in self.losses]
+            counts = np.array([ds.num_samples for ds in data])
+            self._batches = []
+            for m in np.unique(counts):
+                idx = np.flatnonzero(counts == m)
+                x, y = zip(*((data[i].features, data[i].labels) for i in idx))
+                self._batches.append((idx, np.stack(x), np.stack(y)))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, alpha: float) -> "GTVMinProblem":
@@ -202,13 +222,8 @@ class GTVMinProblem:
     def _stacked_losses(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         """The losses as one stack (gram, moment, energy) such that their sum
         is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy, or None when
-        some loss is not quadratic. Built per call from ``losses``, which
-        callers may still edit."""
-        if not all(isinstance(loss, QuadraticLoss) for loss in self.losses):
-            return None
-        gram = np.stack([loss.gram for loss in self.losses])
-        moment = np.stack([loss.moment for loss in self.losses])
-        return gram, moment, float(sum(loss.label_energy for loss in self.losses))
+        some loss is not quadratic. Built once, by the constructor."""
+        return self._stack
 
     def _check_params(self, params: StackedParams) -> None:
         if params.n != self.n or params.d != self.d:
@@ -250,62 +265,53 @@ def _edge_variation(graph: SimilarityGraph, w: np.ndarray, edges) -> float:
     return float(ww[edges] @ np.einsum("ed,ed->e", diff, diff))
 
 
-def objective(problem: GTVMinProblem, params: StackedParams) -> float:
-    """Sum of local losses plus alpha times the total variation.
+def _evaluate(problem: GTVMinProblem, w: np.ndarray, nodes, edges) -> float:
+    """sum_{i in nodes} L_i(w_i) + alpha sum_{edges} A_ij ||w_i - w_j||^2 at
+    the (n, d) array w (``nodes``, ``edges``: slices or boolean masks).
+    Quadratic losses take the residual form (1/m) ||y - X w_i||^2 by batched
+    matmul, which rounds like :func:`quadratic_loss`: an exact fit reads 0."""
+    if problem._batches is None:
+        value = sum(problem.losses[i].value(w[i]) for i in np.arange(problem.n)[nodes])
+    else:
+        per_node = np.empty(problem.n)
+        for idx, x, y in problem._batches:
+            r = y - (x @ w[idx][:, :, None])[:, :, 0]
+            per_node[idx] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / y.shape[1]
+        value = per_node[nodes].sum()
+    if problem.alpha > 0.0:
+        value += problem.alpha * _edge_variation(problem.graph, w, edges)
+    return float(value)
 
-    The quadratic losses are evaluated together in the residual form
-    (1/m_i) ||y_i - X_i w_i||^2 over their concatenated samples, so that an
-    exact fit reads exactly zero; other losses one by one."""
+
+def objective(problem: GTVMinProblem, params: StackedParams) -> float:
+    """Sum of local losses plus alpha times the total variation. Parameters
+    that fit every quadratic loss exactly and agree across every edge read
+    exactly zero."""
     problem._check_params(params)
-    w = params.per_node
-    quadratic = [i for i, loss in enumerate(problem.losses) if isinstance(loss, QuadraticLoss)]
-    loss_sum = sum(
-        loss.value(w[i])
-        for i, loss in enumerate(problem.losses)
-        if not isinstance(loss, QuadraticLoss)
-    )
-    if quadratic:
-        datasets = [problem.losses[i].dataset for i in quadratic]
-        counts = np.array([ds.num_samples for ds in datasets])
-        features = np.concatenate([ds.features for ds in datasets])
-        labels = np.concatenate([ds.labels for ds in datasets])
-        resid = labels - np.einsum("kd,kd->k", features, w[np.repeat(quadratic, counts)])
-        starts = np.cumsum(counts) - counts
-        loss_sum += float((np.add.reduceat(resid * resid, starts) / counts).sum())
-    return float(loss_sum + problem.alpha * total_variation(problem.graph, params))
+    return _evaluate(problem, params.per_node, slice(None), slice(None))
 
 
 def objective_gradient(problem: GTVMinProblem, params: StackedParams) -> np.ndarray:
     """Gradient of :func:`objective` as an (n, d) array: per-node loss
     gradients plus 2 alpha (L kron I) applied to the stacked parameters."""
     problem._check_params(params)
-    return _value_and_gradient(problem, problem._stacked_losses(), params.per_node)[1]
+    return _value_and_gradient(problem, params.per_node)[1]
 
 
-def _value_and_gradient(problem: GTVMinProblem, stack, w) -> tuple[float, np.ndarray]:
-    """Objective value and gradient at the (n, d) array w. Stacked losses
-    are evaluated in the Gram form; others one by one."""
+def _value_and_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarray]:
+    """Objective value and gradient at the (n, d) array w: w' (M w - 2 q) +
+    energy and 2 (M w - q) with M w from :func:`_system_product` for stacked
+    losses, else :func:`_evaluate` and the per-node loss gradients."""
+    stack = problem._stacked_losses()
     if stack is not None:
         gram, moment, energy = stack
-        gw = np.einsum("nij,nj->ni", gram, w)
-        value = (
-            float(np.einsum("nd,nd->", w, gw))
-            - 2.0 * float(np.einsum("nd,nd->", moment, w))
-            + energy
-        )
-        grad = 2.0 * (gw - moment)
-    else:
-        value = 0.0
-        grad = np.empty_like(w)
-        for i, loss in enumerate(problem.losses):
-            value += loss.value(w[i])
-            grad[i] = loss.gradient(w[i])
+        mw = _system_product(problem, gram, 0.0, w)
+        return float(np.einsum("nd,nd->", w, mw - 2.0 * moment)) + energy, 2.0 * (mw - moment)
+    grad = np.array([loss.gradient(w[i]) for i, loss in enumerate(problem.losses)])
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
         # row i of L reads only node i and its neighbors: the update is local
-        lw = problem.graph._laplacian_csr() @ w
-        value += problem.alpha * float(np.einsum("nd,nd->", w, lw))
-        grad += 2.0 * problem.alpha * lw
-    return value, grad
+        grad += 2.0 * problem.alpha * (problem.graph._laplacian_csr() @ w)
+    return _evaluate(problem, w, slice(None), slice(None)), grad
 
 
 def _system_product(problem: GTVMinProblem, gram: np.ndarray, ridge: float, w):
@@ -481,11 +487,8 @@ def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedPa
     directly: node i's new parameters depend only on its own dataset and
     its neighbors' current parameters.
     """
-    problem._check_params(params)
-    stack = problem._stacked_losses()
-    w = params.per_node
-    _, grad = _value_and_gradient(problem, stack, w)
-    return StackedParams(w - _step_size(problem, stack) * grad)
+    grad = objective_gradient(problem, params)
+    return StackedParams(params.per_node - _step_size(problem, problem._stacked_losses()) * grad)
 
 
 def solve_iterative(
@@ -507,18 +510,17 @@ def solve_iterative(
     if int(max_iter) < 1:
         raise ValueError("max_iter must be >= 1")
     tol = float(tol)
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
-    stack = problem._stacked_losses()
-    step = _step_size(problem, stack)
+    step = _step_size(problem, problem._stacked_losses())
     w = np.zeros((problem.n, problem.d))
-    f_prev, grad = _value_and_gradient(problem, stack, w)
+    f_prev, grad = _value_and_gradient(problem, w)
     converged = False
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
         w = w - step * grad
-        f_cur, grad = _value_and_gradient(problem, stack, w)
+        f_cur, grad = _value_and_gradient(problem, w)
         if not np.isfinite(f_cur):
             raise DivergenceError(
                 f"objective became non-finite at iteration {iterations}"

@@ -10,6 +10,9 @@ from gtvmin import (
     ClusterSpec,
     GTVMinProblem,
     GraphParams,
+    LocalDataset,
+    LocalLoss,
+    QuadraticLoss,
     SimilarityGraph,
     StackedParams,
     certificate_check,
@@ -20,8 +23,10 @@ from gtvmin import (
     generate_planted_clusters,
     generate_scenario,
     lambda2,
+    objective,
     project_consensus,
     project_disagreement,
+    quadratic_loss,
     solve_exact,
     tv_lower_bound_check,
 )
@@ -308,6 +313,51 @@ def test_cluster_objective_matches_per_edge_sum(seed):
         if i in members or j in members
     )
     assert cluster_objective(problem, params, cluster) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_objective_and_cluster_objective_exactly_zero_at_noiseless_reference(d):
+    scen = generate_scenario(
+        rng_seed=11, cluster_sizes=[5], d=d, m_per_node=10, noise_std=0.0, separation=2.0
+    )
+    problem = GTVMinProblem.from_scenario(scen, 1.0)
+    cluster = scen.clusters[0]
+    params = StackedParams(np.tile(cluster.reference_params, (scen.n, 1)))
+    assert objective(problem, params) == 0.0
+    assert cluster_objective(problem, params, cluster) == 0.0
+
+
+class _GenericLoss(LocalLoss):
+    """A quadratic loss seen only through the generic interface."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+
+    def value(self, w):
+        return quadratic_loss(self.dataset, w)
+
+    def gradient(self, w):
+        raise NotImplementedError
+
+    def smoothness(self):
+        raise NotImplementedError
+
+
+@pytest.mark.parametrize("loss", [QuadraticLoss, _GenericLoss])
+def test_cluster_objective_of_one_node_at_alpha_zero_is_its_loss_bit_for_bit(loss):
+    rng = np.random.default_rng(31)
+    d = 3
+    datasets = [
+        LocalDataset(features=rng.normal(size=(m, d)), labels=rng.normal(size=m))
+        for m in (1, 4, 2, 7, 4, 12, 1, 5, 17, 2)
+    ]
+    n = len(datasets)
+    graph = SimilarityGraph(n, [(i, (i + 1) % n, float(rng.uniform(0.1, 2.0))) for i in range(n)])
+    problem = GTVMinProblem([loss(ds) for ds in datasets], graph, 0.0, d)
+    params = StackedParams(rng.normal(size=(n, d)))
+    for i, ds in enumerate(datasets):
+        value = cluster_objective(problem, params, ClusterSpec(members=(i,)))
+        assert value == quadratic_loss(ds, params.vector(i))
 
 
 @pytest.mark.parametrize("check", [deviation_bound_report, certificate_check])

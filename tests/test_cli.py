@@ -130,6 +130,75 @@ def test_solve_singular_system_exits_2_naming_the_component(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_non_finite_tol_exits_1_naming_tol(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path / "cfg.json")
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    capsys.readouterr()
+    argv = ["solve", str(scen_dir), "--alpha", "1", "--solver", "iterative", "--tol", tol]
+    assert main(argv) == 1
+    assert "tol must be finite" in capsys.readouterr().err
+    assert not (scen_dir / "result.json").exists()
+
+
+def test_solve_residual_gate_exits_2_naming_the_residual(tmp_path, capsys, monkeypatch):
+    import gtvmin.solver
+
+    cfg = write_config(tmp_path / "cfg.json")
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    capsys.readouterr()
+    # conjugate gradients that never move leave the full residual ||q||
+    monkeypatch.setattr(gtvmin.solver, "_pcg", lambda apply, rhs, *_: np.zeros_like(rhs))
+    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "numerically singular: residual" in err and "Traceback" not in err
+
+
+def _corrupt_cell(path, value):
+    rows = path.read_text().splitlines()
+    cells = rows[0].split(",")
+    cells[1] = value
+    rows[0] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda p: _corrupt_cell(p, "a"), "could not convert string 'a'"),
+        (lambda p: _corrupt_cell(p, "nan"), "dataset entries must be finite"),
+        (lambda p: p.write_text("1,2\n3,4\n"), "2 columns, expected 3"),
+    ],
+    ids=["non-numeric", "nan", "columns"],
+)
+def test_bad_node_file_exits_1_naming_the_file(tmp_path, capsys, corrupt, message):
+    cfg = write_config(tmp_path / "cfg.json")
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    corrupt(scen_dir / "node_4.csv")
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{scen_dir / 'node_4.csv'}: " in err and message in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "graph.txt: empty graph file"), ("6\n0 1 x\n", "graph.txt:2: malformed edge line")],
+    ids=["empty", "malformed-edge"],
+)
+def test_bad_graph_file_exits_1_naming_the_line(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path / "cfg.json")
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    (scen_dir / "graph.txt").write_text(text)
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- analyze
 
 def solved_dir(tmp_path, **config_overrides):
@@ -261,6 +330,41 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"seed": 1, "bogus": True}))
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_not_a_json_object_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([1, 2]))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--alpha", "1"), ("--solver", "exact"), ("--max-iter", "10"), ("--tol", "1e-9")]
+)
+def test_generate_rejects_solver_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "scen"
+    assert main(["generate", flag, value, "--out", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_builds_each_scenario_losses_once(tmp_path, monkeypatch):
+    from gtvmin.solver import QuadraticLoss
+
+    built = []
+    original = QuadraticLoss.__init__
+
+    def counting_init(self, dataset):
+        built.append(dataset)
+        original(self, dataset)
+
+    monkeypatch.setattr(QuadraticLoss, "__init__", counting_init)
+    cfg = write_config(tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 10.0], p_out_list=[0.1, 0.2])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    # two scenarios of six nodes, whatever the number of alphas
+    assert len(built) == 12
 
 
 def test_usage_error_exits_1(capsys):

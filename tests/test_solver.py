@@ -148,6 +148,19 @@ def test_objective_matches_per_node_loop_with_unequal_sample_counts():
     assert objective(problem, params) == pytest.approx(loop, rel=1e-13)
 
 
+@pytest.mark.parametrize("generic", [False, True])
+def test_value_and_gradient_value_is_the_objective(generic):
+    from gtvmin.solver import _value_and_gradient
+
+    scen, problem = make_problem(seed=27, alpha=1.3, d=3)
+    if generic:
+        losses = [_OpaqueLoss(ds) for ds in scen.datasets]
+        problem = GTVMinProblem(losses, scen.graph, problem.alpha, scen.d)
+    params = StackedParams(np.random.default_rng(27).normal(size=(scen.n, scen.d)))
+    value, _ = _value_and_gradient(problem, params.per_node)
+    assert value == pytest.approx(objective(problem, params), rel=1e-12)
+
+
 def test_objective_reads_exactly_zero_at_an_exact_fit():
     rng = np.random.default_rng(25)
     w = rng.integers(-3, 4, size=(5, 2)).astype(float)
@@ -237,9 +250,17 @@ def test_solve_exact_singular_component_named_and_ridge_recovers():
 
 def test_solve_exact_rejects_non_quadratic_losses():
     scen, problem = make_problem()
-    problem.losses[0] = _OpaqueLoss(scen.datasets[0])
+    losses = [_OpaqueLoss(scen.datasets[0]), *problem.losses[1:]]
+    problem = GTVMinProblem(losses, scen.graph, problem.alpha, scen.d)
     with pytest.raises(TypeError):
         solve_exact(problem)
+
+
+def test_problem_losses_are_immutable_and_stacked_once():
+    scen, problem = make_problem()
+    with pytest.raises(TypeError):
+        problem.losses[0] = _OpaqueLoss(scen.datasets[0])
+    assert problem._stacked_losses() is problem._stacked_losses()
 
 
 @pytest.mark.parametrize("alpha, ridge", [(0.0, 0.0), (0.8, 0.0), (2.5, 1e-3)])
@@ -392,6 +413,13 @@ def test_iterative_matches_exact_on_connected_scenario():
     exact = solve_exact(problem)
     iterative = solve_iterative(problem, max_iter=10**5, tol=1e-12)
     assert np.max(np.abs(exact.params.per_node - iterative.params.per_node)) <= 1e-5
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_solve_iterative_rejects_non_finite_tol(tol):
+    _, problem = make_problem()
+    with pytest.raises(ValueError, match="tol must be finite"):
+        solve_iterative(problem, tol=tol)
 
 
 def test_iterative_divergence_raises():
