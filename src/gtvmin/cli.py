@@ -34,6 +34,7 @@ from .graph import GraphParams
 from .solver import (
     GTVMinProblem,
     QuadraticLoss,
+    _check_stopping,
     load_result,
     save_result,
     solve_exact,
@@ -170,15 +171,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    max_iter = ExperimentConfig.max_iter if args.max_iter is None else args.max_iter
+    tol = ExperimentConfig.tol if args.tol is None else args.tol
+    # checked whichever solver runs, so a bad flag never passes unnoticed
+    _check_stopping(max_iter, tol, ("--max-iter", "--tol"))
     scenario = load_scenario(args.scenario)
     alpha = args.alpha
     solver = args.solver or "exact"
-    result = _solve(
-        GTVMinProblem.from_scenario(scenario, alpha),
-        solver,
-        args.max_iter if args.max_iter is not None else 100000,
-        args.tol if args.tol is not None else 1e-10,
-    )
+    result = _solve(GTVMinProblem.from_scenario(scenario, alpha), solver, max_iter, tol)
     out_path = Path(args.out) if args.out else Path(args.scenario) / "result.json"
     save_result(result, out_path)
     print(

@@ -263,8 +263,11 @@ def clustering_error(scenario: Scenario, cluster: ClusterSpec, w_bar: np.ndarray
 def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
     """Serialize to a directory: graph.txt, meta.json and per-node CSVs.
 
-    All floats are written with 17 significant digits so the round trip is
-    bit exact and repeated saves are byte identical.
+    ``node_<i>.csv`` holds one row per sample, the features then the label,
+    each formatted ``%.17g``, comma-separated, with ``\\n`` line ends: the
+    bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes, made with one
+    string format and one write per file. 17 significant digits make the
+    round trip bit exact, and repeated saves are byte identical.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -288,14 +291,23 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
     (directory / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="ascii"
     )
+    row = ",".join(["%.17g"] * (scenario.d + 1)) + "\n"
     for i, ds in enumerate(scenario.datasets):
-        table = np.column_stack([ds.features, ds.labels])
-        np.savetxt(directory / f"node_{i}.csv", table, fmt="%.17g", delimiter=",")
+        cells = np.column_stack([ds.features, ds.labels]).ravel().tolist()
+        (directory / f"node_{i}.csv").write_text(
+            (row * ds.num_samples) % tuple(cells), encoding="ascii", newline="\n"
+        )
     return directory
 
 
 def load_scenario(directory: str | Path) -> Scenario:
-    """Read back a directory written by :func:`save_scenario`."""
+    """Read back a directory written by :func:`save_scenario`.
+
+    Each node file is opened once, as ASCII text, and the handle is parsed
+    by ``np.loadtxt(delimiter=",", ndmin=2)``. A file that does not parse,
+    has other than d + 1 columns or holds a non-finite entry raises a
+    ValueError that starts with its path; a missing file raises OSError.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="ascii"))
@@ -318,7 +330,8 @@ def load_scenario(directory: str | Path) -> Scenario:
     for i in range(graph.n):
         path = directory / f"node_{i}.csv"
         try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
+            with open(path, encoding="ascii") as fh:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
             if table.shape[1] != d + 1:
                 raise ValueError(f"{table.shape[1]} columns, expected {d + 1}")
             datasets.append(LocalDataset(features=table[:, :d], labels=table[:, d]))

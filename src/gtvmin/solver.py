@@ -491,6 +491,18 @@ def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedPa
     return StackedParams(params.per_node - _step_size(problem, problem._stacked_losses()) * grad)
 
 
+def _check_stopping(max_iter: int, tol: float, names=("max_iter", "tol")) -> float:
+    """Check :func:`solve_iterative`'s stopping parameters, ``max_iter >= 1``
+    and ``tol`` finite and >= 0, raising a ValueError that names the one at
+    fault by its entry in ``names``; returns ``tol`` as a float."""
+    if int(max_iter) < 1:
+        raise ValueError(f"{names[0]} must be >= 1, got {max_iter}")
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{names[1]} must be finite and >= 0, got {tol}")
+    return tol
+
+
 def solve_iterative(
     problem: GTVMinProblem,
     max_iter: int = 10000,
@@ -507,11 +519,7 @@ def solve_iterative(
     iterating and raise :class:`DivergenceError` once the objective turns
     non-finite.
     """
-    if int(max_iter) < 1:
-        raise ValueError("max_iter must be >= 1")
-    tol = float(tol)
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    tol = _check_stopping(max_iter, tol)
 
     step = _step_size(problem, problem._stacked_losses())
     w = np.zeros((problem.n, problem.d))

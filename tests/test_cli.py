@@ -142,6 +142,26 @@ def test_solve_non_finite_tol_exits_1_naming_tol(tmp_path, capsys, tol):
     assert not (scen_dir / "result.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "--tol must be finite and >= 0"),
+        ("--tol", "inf", "--tol must be finite and >= 0"),
+        ("--max-iter", "-5", "--max-iter must be >= 1"),
+        ("--max-iter", "0", "--max-iter must be >= 1"),
+    ],
+)
+def test_solve_exact_checks_the_iterative_flags(tmp_path, capsys, flag, value, message):
+    cfg = write_config(tmp_path / "cfg.json")
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (scen_dir / "result.json").exists()
+
+
 def test_solve_residual_gate_exits_2_naming_the_residual(tmp_path, capsys, monkeypatch):
     import gtvmin.solver
 
@@ -170,8 +190,9 @@ def _corrupt_cell(path, value):
         (lambda p: _corrupt_cell(p, "a"), "could not convert string 'a'"),
         (lambda p: _corrupt_cell(p, "nan"), "dataset entries must be finite"),
         (lambda p: p.write_text("1,2\n3,4\n"), "2 columns, expected 3"),
+        (lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "can't decode byte 0xff"),
     ],
-    ids=["non-numeric", "nan", "columns"],
+    ids=["non-numeric", "nan", "columns", "non-ascii"],
 )
 def test_bad_node_file_exits_1_naming_the_file(tmp_path, capsys, corrupt, message):
     cfg = write_config(tmp_path / "cfg.json")
@@ -182,6 +203,17 @@ def test_bad_node_file_exits_1_naming_the_file(tmp_path, capsys, corrupt, messag
     assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
     err = capsys.readouterr().err
     assert f"{scen_dir / 'node_4.csv'}: " in err and message in err
+
+
+def test_missing_node_file_exits_3_naming_the_file(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    (scen_dir / "node_4.csv").unlink()
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(scen_dir / "node_4.csv") in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 import filecmp
+import io
 
 import numpy as np
 import pytest
 
+import gtvmin.data
 from gtvmin import (
+    ClusterSpec,
     GraphParams,
     LocalDataset,
+    Scenario,
+    SimilarityGraph,
     clustering_error,
     generate_scenario,
     load_scenario,
@@ -220,3 +225,78 @@ def test_scenario_roundtrip_and_byte_identical(tmp_path):
     assert names == sorted(p.name for p in dir_b.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+def _adversarial_scenario(d):
+    """Four nodes whose cells hit the %.17g corner cases: the sign of zero,
+    the smallest subnormal, the largest finite magnitudes, inexact decimals
+    and integral values; node 0 has a single sample."""
+    cells = [
+        -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        0.1, 1.0 / 3.0, -2.0 / 3.0, 1.0, -7.0, 2.0**53, 1e16, 1e-300, 123456789.0,
+    ]
+    cells += [0.5] * (-len(cells) % (d + 1))
+    table = np.array(cells).reshape(-1, d + 1)
+    datasets = [LocalDataset(features=table[:1, :d], labels=table[:1, d])]
+    for shift in range(1, 4):
+        t = np.roll(table, shift, axis=1)
+        datasets.append(LocalDataset(features=t[:, :d], labels=t[:, d]))
+    graph = SimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    return Scenario(datasets=datasets, graph=graph, clusters=[ClusterSpec((0, 1, 2, 3))], d=d)
+
+
+def _assert_node_files_match_savetxt(scen, directory, oracle_dir):
+    save_scenario(scen, directory)
+    oracle_dir.mkdir()
+    for i, ds in enumerate(scen.datasets):
+        oracle = oracle_dir / f"node_{i}.csv"
+        table = np.column_stack([ds.features, ds.labels])
+        np.savetxt(oracle, table, fmt="%.17g", delimiter=",")
+        assert (directory / f"node_{i}.csv").read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_node_files_equal_savetxt_bytes_on_corner_values(tmp_path, d):
+    scen = _adversarial_scenario(d)
+    _assert_node_files_match_savetxt(scen, tmp_path / "scen", tmp_path / "oracle")
+    tokens = (tmp_path / "scen" / "node_1.csv").read_text().replace("\n", ",").split(",")
+    for token in ["-0", "4.9406564584124654e-324", "-1.7976931348623157e+308", "9007199254740992"]:
+        assert token in tokens
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_node_files_equal_savetxt_bytes_on_generated_scenarios(tmp_path, seed):
+    scen = make_scenario(seed=seed, noise=0.3, sizes=(4, 3), d=3, m=6)
+    _assert_node_files_match_savetxt(scen, tmp_path / "scen", tmp_path / "oracle")
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_loaded_arrays_equal_loadtxt_bit_for_bit(tmp_path, d):
+    directory = save_scenario(_adversarial_scenario(d), tmp_path / "scen")
+    loaded = load_scenario(directory)
+    for i, ds in enumerate(loaded.datasets):
+        oracle = np.loadtxt(directory / f"node_{i}.csv", delimiter=",", ndmin=2)
+        got = np.column_stack([ds.features, ds.labels])
+        # comparing the bit patterns tells -0.0 from 0.0
+        np.testing.assert_array_equal(got.view(np.int64), oracle.view(np.int64))
+
+
+def test_scenario_io_writes_without_savetxt_and_reads_from_handles(tmp_path, monkeypatch):
+    np_module = gtvmin.data.np
+    load = np_module.loadtxt
+    sources = []
+
+    def no_savetxt(*args, **kwargs):
+        raise AssertionError("np.savetxt called")
+
+    def spy_loadtxt(source, *args, **kwargs):
+        sources.append(source)
+        return load(source, *args, **kwargs)
+
+    monkeypatch.setattr(np_module, "savetxt", no_savetxt)
+    monkeypatch.setattr(np_module, "loadtxt", spy_loadtxt)
+    scen = make_scenario(seed=4, sizes=(3, 2), d=2, m=5)
+    load_scenario(save_scenario(scen, tmp_path / "scen"))
+    assert len(sources) == scen.n
+    for source in sources:
+        assert isinstance(source, io.TextIOBase)
