@@ -201,7 +201,8 @@ def tv_lower_bound_check(
         raise ValueError("the spectral lower bound needs a cluster with >= 2 nodes")
     if params.n != graph.n:
         raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
-    lam2, _, _, _, deviation_sum = _cluster_terms(graph, params, cluster)
+    lam2 = _cluster_geometry(graph, cluster)[0]
+    deviation_sum = deviations(params, cluster).sum_sq
     inside = np.isin(np.arange(graph.n), cluster.members)
     ii, jj, _ = graph.edge_arrays()
     lhs_tv = _edge_variation(graph, params.per_node, inside[ii] & inside[jj])
@@ -244,25 +245,38 @@ def _require_cluster_data(
     return w_bar, float(cluster.epsilon)
 
 
-def _cluster_terms(
-    graph: SimilarityGraph, params: StackedParams, cluster: ClusterSpec
-) -> tuple[float, bool, float, float, float]:
-    """(lambda2, degenerate, boundary, R, deviation sum) of one cluster.
+def _cluster_geometry(graph: SimilarityGraph, cluster: ClusterSpec) -> tuple[float, bool, float]:
+    """(lambda2, degenerate, boundary) of one cluster.
 
     lambda2 of the induced subgraph comes from one eigensolve, and the
     degenerate flag from that same value: singleton and disconnected
-    clusters are degenerate, the bound denominator vanishes. R is the
-    largest parameter norm outside the cluster, zero when there is no
-    outside; the deviation sum is sum_{i in C} ||w_i - avg||^2."""
+    clusters are degenerate, the bound denominator vanishes."""
     if cluster.size < 2:
         lam2, degenerate = 0.0, True
     else:
         sub = induced_subgraph(graph, cluster)
         lam2 = lambda2(sub)
         degenerate = _disconnected_at(sub, lam2)
-    outside = params.per_node[~np.isin(np.arange(graph.n), cluster.members)]
+    return lam2, degenerate, cluster_boundary(graph, cluster)
+
+
+def _cluster_terms(
+    problem: GTVMinProblem, params: StackedParams, cluster: ClusterSpec
+) -> tuple[float, bool, float, float, float]:
+    """(lambda2, degenerate, boundary, R, deviation sum) of one cluster.
+
+    The geometry (:func:`_cluster_geometry`) is computed once per problem
+    and cluster, memoized on the problem by member tuple (threads racing on
+    it compute the same value twice), so the bound report and the
+    certificate of one cluster share one eigensolve. R is
+    the largest parameter norm outside the cluster, zero when there is no
+    outside; the deviation sum is sum_{i in C} ||w_i - avg||^2."""
+    memo = problem._geometry_memo
+    if cluster.members not in memo:
+        memo[cluster.members] = _cluster_geometry(problem.graph, cluster)
+    lam2, degenerate, boundary = memo[cluster.members]
+    outside = params.per_node[~np.isin(np.arange(problem.n), cluster.members)]
     r_outside = float(np.max(np.linalg.norm(outside, axis=1))) if len(outside) else 0.0
-    boundary = cluster_boundary(graph, cluster)
     return lam2, degenerate, boundary, r_outside, deviations(params, cluster).sum_sq
 
 
@@ -278,9 +292,7 @@ def deviation_bound_report(
     with rhs = +inf instead of an error.
     """
     w_bar, epsilon = _require_cluster_data(problem, result, cluster, "deviation bound")
-    lam2, degenerate, boundary, r_outside, lhs = _cluster_terms(
-        problem.graph, result.params, cluster
-    )
+    lam2, degenerate, boundary, r_outside, lhs = _cluster_terms(problem, result.params, cluster)
     w_bar_norm_sq = float(w_bar @ w_bar)
     alpha = problem.alpha
 
@@ -328,7 +340,7 @@ def certificate_check(
     f_candidate = cluster_objective(problem, candidate, cluster)
 
     lam2, degenerate, boundary, r_outside, deviation_sum = _cluster_terms(
-        problem.graph, result.params, cluster
+        problem, result.params, cluster
     )
     candidate_upper = epsilon + 2.0 * problem.alpha * boundary * (
         float(w_bar @ w_bar) + r_outside**2

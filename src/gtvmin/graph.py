@@ -10,6 +10,9 @@ datasets).
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -260,6 +263,33 @@ def is_disconnected(graph: SimilarityGraph) -> bool:
     return graph.n >= 2 and _disconnected_at(graph, lambda2(graph))
 
 
+def _components(graph: SimilarityGraph) -> tuple[int, np.ndarray]:
+    """Connected components as (count, labels), labels numbered in order of
+    each component's smallest node, as ``scipy.sparse.csgraph`` numbers them.
+
+    Hook and shortcut (Shiloach and Vishkin, 1982) over the edge arrays,
+    repeated while an edge joins two trees: every root with an edge to a
+    smaller root points at the smallest such root, then pointers jump until
+    each node points at its root. A root is always its tree's smallest
+    node; hooking to the smallest root, not to any, keeps a star with a
+    large centre from taking one round per leaf."""
+    n = graph.n
+    parent = np.arange(n)
+    ii, jj, _ = graph.edge_arrays()
+    while ii.size:
+        pi, pj = parent[ii], parent[jj]
+        cross = pi != pj
+        ii, jj = ii[cross], jj[cross]
+        np.minimum.at(parent, np.maximum(pi[cross], pj[cross]), np.minimum(pi[cross], pj[cross]))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(n)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[parent]
+
+
 def _disconnected_at(graph: SimilarityGraph, lam2: float) -> bool:
     """The :func:`is_disconnected` test for a graph with at least two
     nodes whose ``lambda2`` is already known."""
@@ -388,20 +418,59 @@ def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
 def read_graph(path: str | Path) -> SimilarityGraph:
     """Parse the text format written by :func:`write_graph`.
 
-    Rejects self-loops, duplicate pairs, non-positive weights and
-    out-of-range indices.
+    Blank lines are skipped. Rejects self-loops, duplicate pairs,
+    non-positive weights and out-of-range indices; a malformed line is
+    named by its line number in the file.
     """
     path = Path(path)
     text = path.read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    parsed = _parse_graph_rows(text)
+    n, edges = parsed if parsed is not None else _scan_graph_lines(text, path)
+    try:
+        return SimilarityGraph(n, edges)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+_GRAPH_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+# str.splitlines and str.split read some control characters as line breaks
+# or spaces where np.loadtxt does not
+_CONTROL_CHAR = re.compile(r"[^\t\n -~]")
+
+
+def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
+    """(n, (E, 3) edge array) of a graph file's text by one np.loadtxt, or
+    None to leave it to :func:`_scan_graph_lines`. With no control
+    characters but tab and newline, the lines np.loadtxt reads are the
+    scan's, and its integer and float syntax are subsets of ``int``'s and
+    ``float``'s, so what it accepts the scan accepts, with the same values."""
+    if _CONTROL_CHAR.search(text):
+        return None
+    head, _, body = text.lstrip().partition("\n")
+    try:
+        n = int(head)
+        with warnings.catch_warnings():
+            # numpy < 2 parses '1.0' as an integer with a DeprecationWarning;
+            # no data at all is a UserWarning
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype=_GRAPH_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return n, np.column_stack([rows["i"], rows["j"], rows["w"]])
+
+
+def _scan_graph_lines(text: str, path: Path) -> tuple[int, list]:
+    """(n, edge triples) of a graph file's text, line by line; a
+    ValueError naming the file and the line at fault otherwise."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     try:
-        n = int(lines[0])
+        n = int(lines[0][1])
     except ValueError:
         raise ValueError(f"{path}: first line must be the node count") from None
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {line!r}")
@@ -409,7 +478,4 @@ def read_graph(path: str | Path) -> SimilarityGraph:
             edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed edge line {line!r}") from None
-    try:
-        return SimilarityGraph(n, edges)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return n, edges

@@ -7,17 +7,19 @@ over the similarity graph edges,
 
 which for quadratic losses is itself quadratic with Hessian
 2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). A problem
-stacks its quadratic losses once: the Gram tensor, moments and label energy
-feed the system operator, the gradients and both solvers; the samples,
-batched by sample count, feed the one exact evaluator of objective values.
+batches the samples of its quadratic losses by sample count once and
+computes from the batches, by batched matmul, the Gram tensor, moments and
+label energy that feed the system operator, the gradients and both
+solvers; the batches also feed the one exact evaluator of objective values.
 The graph is read through its cached edge arrays and sparse Laplacian. The
 exact solver never forms the (n d) x (n d) stationarity matrix: it
 applies it through the Gram stack and the sparse Laplacian inside
 block-Jacobi preconditioned conjugate gradients, after an exact singularity
 test on the pooled Gram matrix of each graph component, and accepts the
-result only through a residual gate.
+result only through a residual gate; it needs numpy and scipy.sparse only.
 The iterative solver runs synchronous gradient descent in which every node
-reads only its own loss gradient and its neighbors' parameters.
+reads only its own loss gradient and its neighbors' parameters; its step
+size takes Lanczos from scipy.sparse.linalg, imported on first use.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .data import (
     LocalDataset,
@@ -39,7 +41,7 @@ from .data import (
     quadratic_loss_gradient,
 )
 from .errors import DivergenceError, SingularSystemError
-from .graph import SimilarityGraph
+from .graph import SimilarityGraph, _components
 
 __all__ = [
     "LocalLoss",
@@ -99,15 +101,29 @@ class LocalLoss(ABC):
 
 
 class QuadraticLoss(LocalLoss):
-    """Mean squared residual (1/m) ||y - X w||^2 of one local dataset."""
+    """Mean squared residual (1/m) ||y - X w||^2 of one local dataset.
+
+    ``gram`` (1/m) X^T X, ``moment`` (1/m) X^T y and ``label_energy``
+    (1/m) y^T y are computed on first access. A :class:`GTVMinProblem` does
+    not read them: it computes the same values, bit for bit, for all its
+    nodes at once from the batched samples."""
 
     def __init__(self, dataset: LocalDataset):
         self.dataset = dataset
-        m = dataset.num_samples
-        # (1/m) X^T X and (1/m) X^T y, reused by the exact solver
-        self.gram = dataset.features.T @ dataset.features / m
-        self.moment = dataset.features.T @ dataset.labels / m
-        self.label_energy = float(dataset.labels @ dataset.labels) / m
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        x = self.dataset.features
+        return x.T @ x / self.dataset.num_samples
+
+    @cached_property
+    def moment(self) -> np.ndarray:
+        return self.dataset.features.T @ self.dataset.labels / self.dataset.num_samples
+
+    @cached_property
+    def label_energy(self) -> float:
+        y = self.dataset.labels
+        return float(y @ y) / self.dataset.num_samples
 
     def value(self, w: np.ndarray) -> float:
         return quadratic_loss(self.dataset, w)
@@ -170,7 +186,9 @@ class GTVMinProblem:
     """Per-node losses on a similarity graph plus the coupling strength.
 
     Immutable: ``losses`` is a tuple, which the problem stacks once, at
-    construction, when every loss is quadratic (see ``_stacked_losses``)."""
+    construction, when every loss is quadratic (see ``_stacked_losses``).
+    ``_geometry_memo`` holds the analysis's per-cluster graph quantities by
+    member tuple, so they are computed once per problem."""
 
     def __init__(
         self,
@@ -191,20 +209,9 @@ class GTVMinProblem:
         self.alpha = alpha
         self.d = int(d)
         self._stack = self._batches = None
+        self._geometry_memo = {}
         if all(isinstance(loss, QuadraticLoss) for loss in self.losses):
-            self._stack = (
-                np.stack([loss.gram for loss in self.losses]),
-                np.stack([loss.moment for loss in self.losses]),
-                float(sum(loss.label_energy for loss in self.losses)),
-            )
-            # the samples as (node indices, features, labels) per sample count
-            data = [loss.dataset for loss in self.losses]
-            counts = np.array([ds.num_samples for ds in data])
-            self._batches = []
-            for m in np.unique(counts):
-                idx = np.flatnonzero(counts == m)
-                x, y = zip(*((data[i].features, data[i].labels) for i in idx))
-                self._batches.append((idx, np.stack(x), np.stack(y)))
+            self._stack, self._batches = _stack_samples([loss.dataset for loss in self.losses])
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, alpha: float) -> "GTVMinProblem":
@@ -231,6 +238,33 @@ class GTVMinProblem:
                 f"params shape {params.per_node.shape} does not match "
                 f"problem shape ({self.n}, {self.d})"
             )
+
+
+def _stack_samples(data: Sequence[LocalDataset]):
+    """((gram, moment, energy), batches) of quadratic losses on ``data``.
+
+    The batches hold the samples by sample count as (node indices,
+    features (k, m, d), labels (k, m)); each batch's (1/m) x'x, x'y and y'y
+    come from one batched matmul whose every slice takes the BLAS call of
+    the per-node product (syrk, gemv, dot), so the stack equals the
+    :class:`QuadraticLoss` values bit for bit. The energy is summed in node
+    order."""
+    counts = np.array([ds.num_samples for ds in data])
+    dim = data[0].features.shape[1]
+    gram = np.empty((len(data), dim, dim))
+    moment = np.empty((len(data), dim))
+    energy = np.empty(len(data))
+    batches = []
+    for m in np.unique(counts):
+        idx = np.flatnonzero(counts == m)
+        x = np.stack([data[i].features for i in idx])
+        y = np.stack([data[i].labels for i in idx])
+        xt = x.transpose(0, 2, 1)
+        gram[idx] = xt @ x / m
+        moment[idx] = (xt @ y[:, :, None])[:, :, 0] / m
+        energy[idx] = (y[:, None, :] @ y[:, :, None])[:, 0, 0] / m
+        batches.append((idx, x, y))
+    return (gram, moment, float(sum(energy.tolist()))), batches
 
 
 @dataclass
@@ -330,14 +364,10 @@ def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
     singular, which happens iff some connected component of the graph has a
     singular pooled Gram matrix sum_{i in c} gram_i (with alpha = 0 or no
     edges, every node is its own component)."""
-    # imported here: scipy.sparse.csgraph adds about 1 MiB and 4 ms to
-    # importing the package, which only the exact solver needs
-    from scipy.sparse.csgraph import connected_components
-
     graph = problem.graph
     coupled = problem.alpha > 0.0 and graph.num_edges > 0
     if coupled:
-        count, labels = connected_components(graph._laplacian_csr(), directed=False)
+        count, labels = _components(graph)
         pooled = np.zeros((count, problem.d, problem.d))
         np.add.at(pooled, labels, gram)
     else:
@@ -469,6 +499,11 @@ def _step_size(problem: GTVMinProblem, stack) -> float:
     graph = problem.graph
     lap_lmax = 0.0
     if graph.n > 1 and graph.num_edges > 0:
+        # imported here: scipy.sparse.linalg loads scipy.linalg with it, about
+        # 10 MiB and a fifth of importing the package, which only the
+        # iterative solver needs
+        from scipy.sparse.linalg import eigsh
+
         # Lanczos to machine precision from a fixed start; ARPACK's default
         # start is random, and the constant vector is an eigenvector
         v0 = np.random.default_rng(0).standard_normal(graph.n)

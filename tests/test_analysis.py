@@ -360,7 +360,12 @@ def test_cluster_objective_of_one_node_at_alpha_zero_is_its_loss_bit_for_bit(los
         assert value == quadratic_loss(ds, params.vector(i))
 
 
-@pytest.mark.parametrize("check", [deviation_bound_report, certificate_check])
+def both_checks(problem, result, cluster):
+    deviation_bound_report(problem, result, cluster)
+    certificate_check(problem, result, cluster)
+
+
+@pytest.mark.parametrize("check", [deviation_bound_report, certificate_check, both_checks])
 def test_one_lambda2_eigensolve_per_cluster(monkeypatch, check):
     import gtvmin.analysis
     import gtvmin.graph
@@ -378,6 +383,14 @@ def test_one_lambda2_eigensolve_per_cluster(monkeypatch, check):
     for cluster in scen.clusters:
         calls.clear()
         check(problem, result, cluster)
+        assert calls == [cluster.size]
+    # the geometry is kept per problem, not per graph: a new problem on the
+    # same graph computes it again, once
+    again = GTVMinProblem(problem.losses, problem.graph, problem.alpha, problem.d)
+    for cluster in scen.clusters:
+        calls.clear()
+        check(again, result, cluster)
+        check(again, result, cluster)
         assert calls == [cluster.size]
 
 def test_deviation_sum_equals_disagreement_energy():

@@ -218,8 +218,13 @@ def test_missing_node_file_exits_3_naming_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("", "graph.txt: empty graph file"), ("6\n0 1 x\n", "graph.txt:2: malformed edge line")],
-    ids=["empty", "malformed-edge"],
+    [
+        ("", "graph.txt: empty graph file"),
+        ("6\n0 1 x\n", "graph.txt:2: malformed edge line"),
+        # blank lines count: the bad edge is on the file's fifth line
+        ("3\n0 1 1.0\n\n\n0 2 x\n", "graph.txt:5: malformed edge line"),
+    ],
+    ids=["empty", "malformed-edge", "blank-lines"],
 )
 def test_bad_graph_file_exits_1_naming_the_line(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path / "cfg.json")

@@ -297,6 +297,7 @@ def test_scenario_io_writes_without_savetxt_and_reads_from_handles(tmp_path, mon
     monkeypatch.setattr(np_module, "loadtxt", spy_loadtxt)
     scen = make_scenario(seed=4, sizes=(3, 2), d=2, m=5)
     load_scenario(save_scenario(scen, tmp_path / "scen"))
-    assert len(sources) == scen.n
+    # one parse per node file plus one of graph.txt's edge lines
+    assert len(sources) == scen.n + 1
     for source in sources:
         assert isinstance(source, io.TextIOBase)

@@ -328,6 +328,170 @@ def test_graph_file_rejects_bad_content(tmp_path):
         read_graph(path)
 
 
+def line_scan_graph(text: str):
+    """Reference parse of the graph format, one line at a time: the graph,
+    or the error message that read_graph must contain."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        return "empty graph file"
+    try:
+        n = int(lines[0][1])
+    except ValueError:
+        return "first line must be the node count"
+    edges = []
+    for k, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            return f":{k}: expected 'i j weight', got {line!r}"
+        try:
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError:
+            return f":{k}: malformed edge line {line!r}"
+    try:
+        return SimilarityGraph(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_read_graph_matches_line_scan(path):
+    expected = line_scan_graph(path.read_text(encoding="ascii"))
+    if isinstance(expected, SimilarityGraph):
+        got = read_graph(path)
+        assert got == expected
+        for a, b in zip(got.edge_arrays(), expected.edge_arrays()):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    else:
+        with pytest.raises(ValueError) as info:
+            read_graph(path)
+        assert expected in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("3\n0 1 1.0\n1 2 0.5\n", id="canonical"),
+        pytest.param("3\n0\t1\t1.0\n1 \t2  0.5 \n", id="tabs"),
+        pytest.param("\n\n 3 \n\n0 1 1.0\n\n  \n1 2 2\n\n", id="blank-lines"),
+        pytest.param("3\n# a comment\n0 1 1.0\n", id="comment"),
+        pytest.param("3\n# a b\n", id="comment-3-fields"),
+        pytest.param("3\n1.5 2 1.0\n", id="float-index"),
+        pytest.param("3\n1.0 2 1.0\n", id="float-integral-index"),
+        pytest.param("3\n0 1\n", id="2-fields"),
+        pytest.param("3\n0 1 1.0 2\n", id="4-fields"),
+        pytest.param("3\n0 1 1.0\n0 2\n", id="2-fields-later"),
+        pytest.param("3\n0 1 1_0\n1_0 2 1.0\n", id="underscores"),
+        pytest.param("3\n+0 002 1e-3\n", id="signs-and-zeros"),
+        pytest.param("3\n0 1 inf\n", id="inf-weight"),
+        pytest.param("3\n0 1 nan\n", id="nan-weight"),
+        pytest.param("3\n0 1 0x1p3\n", id="hex-float"),
+        pytest.param("3\n0 1\x0c2.0\n", id="form-feed"),
+        pytest.param("3\n0 1\x0b2.0\n", id="vertical-tab"),
+        pytest.param("3\n0 1\x1c2.0\n", id="file-separator"),
+        pytest.param("3\n0 1\x1f2.0\n", id="unit-separator"),
+        pytest.param("3\r\n0 1 1.0\r\n1 2 1.0\r", id="carriage-returns"),
+        pytest.param("3\n", id="no-edges"),
+        pytest.param("3", id="no-newline"),
+        pytest.param("x\n0 1 1.0\n", id="bad-count"),
+        pytest.param("3\n0 9 1.0\n", id="out-of-range"),
+        pytest.param("3\n99999999999999999999 1 1.0\n", id="int64-overflow"),
+    ],
+)
+def test_read_graph_accepts_and_refuses_as_the_line_scan(tmp_path, text):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert_read_graph_matches_line_scan(path)
+
+
+_GRAPH_FIELDS = st.sampled_from(
+    ["0", "1", "2", "3", "+1", "-1", "007", "1.5", "1.0", "1_0", "#", "x", "0.5", "-2.5",
+     "1e3", ".5", "5.", "inf", "nan", "1e400", "4.9e-324", "1_0.5"]
+)
+_GRAPH_SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t", "\x0c", "\x0b", "\x1c", "\x1f"])
+_GRAPH_LINES = st.builds(
+    lambda pad, fields, sep: pad + sep.join(fields),
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(_GRAPH_FIELDS, max_size=4),
+    _GRAPH_SEPARATORS,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["4", " 4", "+4", "4.0", "x", ""]), st.lists(_GRAPH_LINES, max_size=6))
+def test_read_graph_matches_line_scan_on_generated_files(tmp_path_factory, head, lines):
+    path = tmp_path_factory.mktemp("graph") / "graph.txt"
+    path.write_bytes(("\n".join([head, *lines]) + "\n").encode("ascii"))
+    assert_read_graph_matches_line_scan(path)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_written_graph_files_take_the_vectorised_parse(tmp_path, seed):
+    from gtvmin.graph import _parse_graph_rows
+
+    graph, _ = generate_planted_clusters(seed, [7, 5, 6], p_in=0.7, p_out=0.2)
+    path = tmp_path / "graph.txt"
+    write_graph(graph, path)
+    n, edges = _parse_graph_rows(path.read_text(encoding="ascii"))
+    assert SimilarityGraph(n, edges) == graph
+
+
+# -------------------------------------------------------- connected components
+
+def assert_components_match_csgraph(graph):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    from gtvmin.graph import _components
+
+    ii, jj, ww = graph.edge_arrays()
+    adjacency = coo_array((ww, (ii, jj)), shape=(graph.n, graph.n))
+    count, labels = connected_components(adjacency, directed=False)
+    got_count, got_labels = _components(graph)
+    assert got_count == count
+    np.testing.assert_array_equal(got_labels, labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+        )
+    )
+)
+def test_components_match_csgraph(case):
+    n, pairs = case
+    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+    assert_components_match_csgraph(SimilarityGraph(n, [(i, j, 1.0) for i, j in edges]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3000), st.integers(0, 4), st.integers(0, 10**6))
+def test_components_match_csgraph_on_shuffled_paths(n, cuts, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    keep = np.ones(max(n - 1, 0), dtype=bool)
+    if n > 1:
+        keep[rng.integers(0, n - 1, size=cuts)] = False
+    edges = np.column_stack([order[:-1][keep], order[1:][keep], np.ones(keep.sum())])
+    assert_components_match_csgraph(SimilarityGraph(n, edges))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        SimilarityGraph(1),
+        SimilarityGraph(5),
+        SimilarityGraph(6, [(4, 5, 1.0)]),
+        # a star whose centre is its largest node
+        SimilarityGraph(400, [(i, 399, 1.0) for i in range(399)]),
+    ],
+    ids=["single-node", "isolated-nodes", "isolated-and-edge", "star"],
+)
+def test_components_match_csgraph_on_corner_graphs(graph):
+    assert_components_match_csgraph(graph)
+
+
 # ------------------------------------------- cached arrays against definitions
 
 def random_weighted_graph(seed):
@@ -416,13 +580,36 @@ def test_embedding_edges_match_cdist_route_bit_for_bit(seed):
     assert dict(graph.edges) == expected
 
 
-def test_import_leaves_scipy_spatial_unloaded():
+def run_fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new Python process that imports
+    gtvmin from this source tree."""
     import gtvmin
 
     src = str(Path(gtvmin.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gtvmin; print('scipy.spatial' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse.linalg", "scipy.sparse.csgraph"])
+def test_import_leaves_scipy_module_unloaded(module):
+    assert run_fresh_interpreter(f"import sys, gtvmin; print({module!r} in sys.modules)") == "False"
+
+
+def test_solve_exact_leaves_scipy_sparse_linalg_unloaded_and_iterative_still_runs():
+    code = """
+import sys
+import gtvmin as g
+
+scen = g.generate_scenario(
+    rng_seed=5, cluster_sizes=[4, 3], d=2, m_per_node=6, noise_std=0.1, separation=2.0
+)
+problem = g.GTVMinProblem.from_scenario(scen, 1.0)
+g.solve_exact(problem)
+print([m for m in ("scipy.sparse.linalg", "scipy.sparse.csgraph") if m in sys.modules])
+result = g.solve_iterative(problem, max_iter=20, tol=0.0)
+print(result.iterations, "scipy.sparse.linalg" in sys.modules)
+"""
+    assert run_fresh_interpreter(code).splitlines() == ["[]", "20 True"]

@@ -263,6 +263,48 @@ def test_problem_losses_are_immutable_and_stacked_once():
     assert problem._stacked_losses() is problem._stacked_losses()
 
 
+def bits(a):
+    """The float64 bit patterns of ``a``, so that equality is bit equality."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stack_equals_per_node_products_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    # every sample count from 1 to 17 twice, in shuffled node order
+    counts = rng.permutation(np.repeat(np.arange(1, 18), 2))
+    datasets = [
+        LocalDataset(
+            features=rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4, size=d),
+            labels=rng.normal(size=m) * 10.0 ** rng.integers(-3, 4),
+        )
+        for m in counts
+    ]
+    n = len(datasets)
+    graph = SimilarityGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    gram, moment, energy = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.5, d)._stacked_losses()
+    for i, ds in enumerate(datasets):
+        x, y, m = ds.features, ds.labels, ds.num_samples
+        np.testing.assert_array_equal(bits(gram[i]), bits(x.T @ x / m))
+        np.testing.assert_array_equal(bits(moment[i]), bits(x.T @ y / m))
+    # Python's sum in node order: from 3.12 it is compensated and ndarray.sum
+    # is pairwise, so the two can differ in the last bits
+    per_node = [float(ds.labels @ ds.labels) / ds.num_samples for ds in datasets]
+    assert bits(energy) == bits(sum(per_node))
+
+
+def test_quadratic_loss_terms_are_computed_on_first_access_only():
+    _, problem = make_problem(seed=8, sizes=(3, 2), d=3)
+    assert all(not {"gram", "moment", "label_energy"} & vars(loss).keys() for loss in problem.losses)
+    gram, moment, _ = problem._stacked_losses()
+    for i, loss in enumerate(problem.losses):
+        np.testing.assert_array_equal(bits(loss.gram), bits(gram[i]))
+        np.testing.assert_array_equal(bits(loss.moment), bits(moment[i]))
+        assert loss.gram is loss.gram
+        y = loss.dataset.labels
+        assert bits(loss.label_energy) == bits(float(y @ y) / len(y))
+
+
 @pytest.mark.parametrize("alpha, ridge", [(0.0, 0.0), (0.8, 0.0), (2.5, 1e-3)])
 def test_assembled_system_matches_kronecker_route(alpha, ridge):
     from gtvmin.solver import _system_product
