@@ -33,7 +33,6 @@ from .errors import GTVMinError
 from .graph import GraphParams
 from .solver import (
     GTVMinProblem,
-    QuadraticLoss,
     _check_stopping,
     load_result,
     save_result,
@@ -231,9 +230,11 @@ def cmd_sweep(args) -> int:
     for ip, p_out in enumerate(p_outs):
         scen_dir = out_dir / f"scenario_{ip:02d}"
         scenario = _generate(cfg, scen_dir, p_out)
-        losses = [QuadraticLoss(ds) for ds in scenario.datasets]
+        # the loss stack, the Gram matrix and the cluster geometry do not
+        # depend on alpha: every alpha's problem shares this one's
+        base = GTVMinProblem.from_scenario(scenario, cfg.alpha_list[0])
         for ia, alpha in enumerate(cfg.alpha_list):
-            problem = GTVMinProblem(losses, scenario.graph, alpha, scenario.d)
+            problem = base._with_alpha(alpha)
             result = _solve(problem, cfg.solver, cfg.max_iter, cfg.tol)
             save_result(result, scen_dir / f"result_{ia:02d}.json")
             pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)

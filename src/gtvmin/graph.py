@@ -68,18 +68,26 @@ class SimilarityGraph:
             raise ValueError(f"node count must be >= 1, got {n}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        ii, jj, ww = np.asarray(edges, dtype=float).reshape(len(edges), 3).T
-        ii, jj = ii.astype(np.intp), jj.astype(np.intp)
+        try:
+            ii, jj, ww = np.asarray(edges, dtype=float).reshape(len(edges), 3).T
+        except OverflowError:
+            raise ValueError(f"edge endpoint out of range for n={n}: beyond the float range") from None
+        # endpoints are checked as floats, before any integer cast can wrap
+        # or truncate them
+        fractional = ~(np.isfinite(ii) & np.isfinite(jj)) | (ii != np.floor(ii)) | (jj != np.floor(jj))
         out_of_range = (np.minimum(ii, jj) < 0) | (np.maximum(ii, jj) >= n)
         bad_weight = ~np.isfinite(ww) | (ww <= 0.0)
         for bad, message in [
+            (fractional, "edge ({i}, {j}) needs integer endpoints"),
             (ii == jj, "self-loop on node {i}"),
             (out_of_range, "edge ({i}, {j}) out of range for n={n}"),
             (bad_weight, "edge ({i}, {j}) needs a positive finite weight, got {w}"),
         ]:
             if bad.any():
                 k = int(np.argmax(bad))
-                raise ValueError(message.format(i=ii[k], j=jj[k], w=ww[k], n=n))
+                i, j = (_as_given(edges[k][col]) for col in (0, 1))
+                raise ValueError(message.format(i=i, j=j, w=ww[k], n=n))
+        ii, jj = ii.astype(np.intp), jj.astype(np.intp)
         ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
         order = np.lexsort((jj, ii))
         ii, jj, ww = ii[order], jj[order], ww[order]
@@ -151,6 +159,12 @@ class SimilarityGraph:
 
     def __repr__(self) -> str:
         return f"SimilarityGraph(n={self._n}, edges={self.num_edges})"
+
+
+def _as_given(endpoint):
+    """An edge endpoint as a message shows it: the integer an integral
+    endpoint holds (a Python int with every digit), else the value."""
+    return int(endpoint) if float(endpoint).is_integer() else endpoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +469,11 @@ def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
             warnings.simplefilter("error")
             rows = np.loadtxt(io.StringIO(body), dtype=_GRAPH_ROW, comments=None, ndmin=1)
     except (ValueError, Warning):
+        return None
+    ends = np.concatenate([rows["i"], rows["j"]])
+    if ((ends < 0) | (ends >= n)).any():
+        # refused either way; the scan's Python ints name the endpoint with
+        # every digit, where a float column would round it beyond 2**53
         return None
     return n, np.column_stack([rows["i"], rows["j"], rows["w"]])
 

@@ -11,19 +11,26 @@ batches the samples of its quadratic losses by sample count once and
 computes from the batches, by batched matmul, the Gram tensor, moments and
 label energy that feed the system operator, the gradients and both
 solvers; the batches also feed the one exact evaluator of objective values.
-The graph is read through its cached edge arrays and sparse Laplacian. The
-exact solver never forms the (n d) x (n d) stationarity matrix: it
-applies it through the Gram stack and the sparse Laplacian inside
-block-Jacobi preconditioned conjugate gradients, after an exact singularity
-test on the pooled Gram matrix of each graph component, and accepts the
-result only through a residual gate; it needs numpy and scipy.sparse only.
-The iterative solver runs synchronous gradient descent in which every node
-reads only its own loss gradient and its neighbors' parameters; its step
-size takes Lanczos from scipy.sparse.linalg, imported on first use.
+The graph is read through its cached edge arrays and sparse Laplacian.
+Every stack of d x d blocks (the Gram tensor, the block-Jacobi inverses) is
+applied as one block-diagonal CSR matrix whose data is the stack's own
+buffer; the Gram stack's matrix is built once per problem, and the
+inverses' matrix borrows its index arrays. The exact solver never forms
+the (n d) x (n d) stationarity matrix: it applies it through the Gram
+matrix and the sparse Laplacian inside block-Jacobi preconditioned
+conjugate gradients, after an exact singularity test on the pooled Gram
+matrix of each graph component, and accepts the result only through a
+residual gate; it reports the conjugate-gradient rounds, summed over its
+refinement passes, as its iterations, and needs numpy and scipy.sparse
+only. The iterative solver runs synchronous gradient descent in which
+every node reads only its own loss gradient and its neighbors' parameters;
+its step size takes Lanczos from scipy.sparse.linalg, imported on first
+use, and is computed once per problem.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -32,6 +39,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .data import (
     LocalDataset,
@@ -186,9 +194,11 @@ class GTVMinProblem:
     """Per-node losses on a similarity graph plus the coupling strength.
 
     Immutable: ``losses`` is a tuple, which the problem stacks once, at
-    construction, when every loss is quadratic (see ``_stacked_losses``).
+    construction, when every loss is quadratic (see ``_stacked_losses``),
+    together with the Gram stack's block-diagonal matrix ``_gram_matrix``.
     ``_geometry_memo`` holds the analysis's per-cluster graph quantities by
-    member tuple, so they are computed once per problem."""
+    member tuple and ``_step`` the iterative step size (:func:`_step_size`),
+    so each is computed once per problem."""
 
     def __init__(
         self,
@@ -199,19 +209,17 @@ class GTVMinProblem:
     ):
         if len(losses) != graph.n:
             raise ValueError(f"{len(losses)} losses for a graph with {graph.n} nodes")
-        alpha = float(alpha)
-        if not np.isfinite(alpha) or alpha < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         if int(d) < 1:
             raise ValueError("parameter dimension must be >= 1")
         self.losses = tuple(losses)
         self.graph = graph
-        self.alpha = alpha
+        self.alpha = _check_alpha(alpha)
         self.d = int(d)
-        self._stack = self._batches = None
+        self._stack = self._batches = self._gram_matrix = self._step = None
         self._geometry_memo = {}
         if all(isinstance(loss, QuadraticLoss) for loss in self.losses):
             self._stack, self._batches = _stack_samples([loss.dataset for loss in self.losses])
+            self._gram_matrix = _block_diagonal(self._stack[0])
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, alpha: float) -> "GTVMinProblem":
@@ -221,6 +229,15 @@ class GTVMinProblem:
             alpha,
             scenario.d,
         )
+
+    def _with_alpha(self, alpha: float) -> "GTVMinProblem":
+        """This problem at another ``alpha``, sharing what does not depend
+        on it: the loss stack and batches, the Gram matrix and the cluster
+        geometry memo. The step size is computed again."""
+        other = copy.copy(self)
+        other.alpha = _check_alpha(alpha)
+        other._step = None
+        return other
 
     @property
     def n(self) -> int:
@@ -238,6 +255,28 @@ class GTVMinProblem:
                 f"params shape {params.per_node.shape} does not match "
                 f"problem shape ({self.n}, {self.d})"
             )
+
+
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not np.isfinite(alpha) or alpha < 0.0:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
+
+
+def _block_diagonal(blocks: np.ndarray, like: scipy.sparse.csr_array | None = None):
+    """The C-contiguous (n, d, d) stack ``blocks`` as the (n d) x (n d)
+    block-diagonal CSR matrix whose ``data`` is the stack's own buffer, so
+    that a product sums each block row's d terms in column order. ``like``,
+    an earlier result for a stack of the same shape, lends its index
+    arrays."""
+    n, d, _ = blocks.shape
+    if like is None:
+        indptr = np.arange(0, n * d * d + 1, d)
+        indices = np.broadcast_to(np.arange(n * d).reshape(n, 1, d), (n, d, d)).reshape(-1)
+    else:
+        indices, indptr = like.indices, like.indptr
+    return scipy.sparse.csr_array((blocks.reshape(-1), indices, indptr), shape=(n * d, n * d))
 
 
 def _stack_samples(data: Sequence[LocalDataset]):
@@ -272,7 +311,9 @@ class SolveResult:
     """Solver output: the parameters plus convergence diagnostics.
 
     ``residual`` is the linear-system residual for the exact solver and
-    the final full-gradient norm for the iterative one.
+    the final full-gradient norm for the iterative one. ``iterations``
+    counts gradient rounds for the iterative solver and conjugate-gradient
+    rounds, summed over the refinement passes, for the exact one.
     """
 
     params: StackedParams
@@ -329,29 +370,32 @@ def objective_gradient(problem: GTVMinProblem, params: StackedParams) -> np.ndar
     """Gradient of :func:`objective` as an (n, d) array: per-node loss
     gradients plus 2 alpha (L kron I) applied to the stacked parameters."""
     problem._check_params(params)
-    return _value_and_gradient(problem, params.per_node)[1]
+    return 2.0 * _value_and_half_gradient(problem, params.per_node)[1]
 
 
-def _value_and_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarray]:
-    """Objective value and gradient at the (n, d) array w: w' (M w - 2 q) +
-    energy and 2 (M w - q) with M w from :func:`_system_product` for stacked
-    losses, else :func:`_evaluate` and the per-node loss gradients."""
+def _value_and_half_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarray]:
+    """Objective value and half its gradient at the (n, d) array w: for
+    stacked losses g = M w - q, with M w from :func:`_system_product`, and
+    the value w' (g - q) + energy; else :func:`_evaluate` and half the sum
+    of the per-node loss gradients and 2 alpha L w. Halving is exact, so
+    2 g is the gradient bit for bit."""
     stack = problem._stacked_losses()
     if stack is not None:
-        gram, moment, energy = stack
-        mw = _system_product(problem, gram, 0.0, w)
-        return float(np.einsum("nd,nd->", w, mw - 2.0 * moment)) + energy, 2.0 * (mw - moment)
-    grad = np.array([loss.gradient(w[i]) for i, loss in enumerate(problem.losses)])
+        _, moment, energy = stack
+        g = _system_product(problem, 0.0, w)
+        g -= moment
+        return float(np.vdot(w, g - moment)) + energy, g
+    g = 0.5 * np.array([loss.gradient(w[i]) for i, loss in enumerate(problem.losses)])
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
         # row i of L reads only node i and its neighbors: the update is local
-        grad += 2.0 * problem.alpha * (problem.graph._laplacian_csr() @ w)
-    return _evaluate(problem, w, slice(None), slice(None)), grad
+        g += problem.alpha * (problem.graph._laplacian_csr() @ w)
+    return _evaluate(problem, w, slice(None), slice(None)), g
 
 
-def _system_product(problem: GTVMinProblem, gram: np.ndarray, ridge: float, w):
+def _system_product(problem: GTVMinProblem, ridge: float, w):
     """(Q + alpha (L kron I) + ridge I) applied to the (n, d) array w,
     without forming the matrix."""
-    out = np.einsum("nij,nj->ni", gram, w)
+    out = (problem._gram_matrix @ w.reshape(-1)).reshape(w.shape)
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
         out += problem.alpha * (problem.graph._laplacian_csr() @ w)
     if ridge:
@@ -388,8 +432,9 @@ def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
         )
 
 
-def _pcg(apply, rhs: np.ndarray, precondition, target: float) -> np.ndarray:
-    """Preconditioned conjugate gradients on apply(w) = rhs from w = 0.
+def _pcg(apply, rhs: np.ndarray, precondition, target: float) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients on apply(w) = rhs from w = 0;
+    returns the iterate and the number of updates it took.
 
     Stops at a recursive residual norm of ``target``, on stagnation, on
     breakdown of the recurrence (a non-positive or non-finite curvature or
@@ -401,7 +446,7 @@ def _pcg(apply, rhs: np.ndarray, precondition, target: float) -> np.ndarray:
     z = precondition(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
-    stagnant = 0
+    stagnant = rounds = 0
     # exact arithmetic terminates within rhs.size rounds; the rest is margin
     for _ in range(2 * rhs.size + 100):
         if np.linalg.norm(r) <= target or stagnant >= _PCG_STAGNANT_ROUNDS:
@@ -412,13 +457,14 @@ def _pcg(apply, rhs: np.ndarray, precondition, target: float) -> np.ndarray:
             break
         step = rz / curvature
         w += step * p
+        rounds += 1
         stagnant = stagnant + 1 if abs(step) * np.linalg.norm(p) < eps * np.linalg.norm(w) else 0
         r -= step * ap
         z = precondition(r)
         rz_next = float(np.vdot(r, z))
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return w
+    return w, rounds
 
 
 def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
@@ -426,10 +472,10 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     of quadratic losses to roundoff.
 
     The matrix is never formed: conjugate gradients apply it through the
-    Gram stack and the sparse Laplacian, preconditioned by the inverses of
+    Gram matrix and the sparse Laplacian, preconditioned by the inverses of
     its d x d diagonal blocks gram_i + (alpha deg_i + ridge) I, in up to
     three passes, each after the first refining the solution from its true
-    residual. With
+    residual; ``iterations`` counts the rounds of every pass run. With
     ``ridge`` = 0 the system is first tested for singularity: it is
     singular iff some connected component of the graph (every node on its
     own when alpha = 0) has a singular pooled Gram matrix, for instance
@@ -451,20 +497,24 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
         _check_nonsingular(problem, gram)
     shift = problem.alpha * problem.graph.weighted_degrees() + ridge
     inverse = np.linalg.inv(gram + shift[:, None, None] * np.eye(problem.d))
+    inverse_matrix = _block_diagonal(inverse, like=problem._gram_matrix)
 
     def apply(v):
-        return _system_product(problem, gram, ridge, v)
+        return _system_product(problem, ridge, v)
 
     def precondition(v):
-        return np.einsum("nij,nj->ni", inverse, v)
+        return (inverse_matrix @ v.reshape(-1)).reshape(v.shape)
 
     rhs_norm = float(np.linalg.norm(moment))
     w, r, residual = np.zeros_like(moment), moment, rhs_norm
+    rounds = 0
     # the recursive residual drifts from the true one by roundoff that grows
     # with the rounds taken; solving again for a correction from the true
     # residual (iterative refinement) removes the drift
     for _ in range(_PCG_PASSES):
-        candidate = w + _pcg(apply, r, precondition, _PCG_RTOL * rhs_norm)
+        correction, taken = _pcg(apply, r, precondition, _PCG_RTOL * rhs_norm)
+        rounds += taken
+        candidate = w + correction
         r_next = moment - apply(candidate)
         next_norm = float(np.linalg.norm(r_next))
         if not next_norm < residual:
@@ -482,15 +532,19 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     return SolveResult(
         params=params,
         objective_value=objective(problem, params),
-        iterations=0,
+        iterations=rounds,
         converged=True,
         residual=residual,
         alpha=problem.alpha,
     )
 
 
-def _step_size(problem: GTVMinProblem, stack) -> float:
-    """The fixed step 1/L, L = max_i smoothness_i + 2 alpha lambda_max(L)."""
+def _step_size(problem: GTVMinProblem) -> float:
+    """The fixed step 1/L, L = max_i smoothness_i + 2 alpha lambda_max(L),
+    computed on the first call and kept on the problem."""
+    if problem._step is not None:
+        return problem._step
+    stack = problem._stacked_losses()
     if stack is not None:
         top = np.linalg.eigvalsh(stack[0])[:, -1]
         smooth = float(2.0 * max(top.max(), 0.0))
@@ -512,7 +566,8 @@ def _step_size(problem: GTVMinProblem, stack) -> float:
         )
         lap_lmax = float(top[0])
     lipschitz = smooth + 2.0 * problem.alpha * lap_lmax
-    return 1.0 / lipschitz if lipschitz > 0.0 else 0.0
+    problem._step = 1.0 / lipschitz if lipschitz > 0.0 else 0.0
+    return problem._step
 
 
 def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedParams:
@@ -523,7 +578,7 @@ def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedPa
     its neighbors' current parameters.
     """
     grad = objective_gradient(problem, params)
-    return StackedParams(params.per_node - _step_size(problem, problem._stacked_losses()) * grad)
+    return StackedParams(params.per_node - _step_size(problem) * grad)
 
 
 def _check_stopping(max_iter: int, tol: float, names=("max_iter", "tol")) -> float:
@@ -556,14 +611,15 @@ def solve_iterative(
     """
     tol = _check_stopping(max_iter, tol)
 
-    step = _step_size(problem, problem._stacked_losses())
+    # the gradient is 2 g, and 2 step is exact: the update rounds as w - step * 2 g
+    double_step = 2.0 * _step_size(problem)
     w = np.zeros((problem.n, problem.d))
-    f_prev, grad = _value_and_gradient(problem, w)
+    f_prev, g = _value_and_half_gradient(problem, w)
     converged = False
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
-        w = w - step * grad
-        f_cur, grad = _value_and_gradient(problem, w)
+        w -= double_step * g
+        f_cur, g = _value_and_half_gradient(problem, w)
         if not np.isfinite(f_cur):
             raise DivergenceError(
                 f"objective became non-finite at iteration {iterations}"
@@ -580,7 +636,7 @@ def solve_iterative(
         objective_value=objective(problem, params),
         iterations=iterations,
         converged=converged,
-        residual=float(np.linalg.norm(grad)),
+        residual=2.0 * float(np.linalg.norm(g)),
         alpha=problem.alpha,
     )
 

@@ -170,7 +170,7 @@ def test_solve_residual_gate_exits_2_naming_the_residual(tmp_path, capsys, monke
     assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
     capsys.readouterr()
     # conjugate gradients that never move leave the full residual ||q||
-    monkeypatch.setattr(gtvmin.solver, "_pcg", lambda apply, rhs, *_: np.zeros_like(rhs))
+    monkeypatch.setattr(gtvmin.solver, "_pcg", lambda apply, rhs, *_: (np.zeros_like(rhs), 0))
     assert main(["solve", str(scen_dir), "--alpha", "1"]) == 2
     err = capsys.readouterr().err
     assert "numerically singular: residual" in err and "Traceback" not in err
@@ -402,6 +402,39 @@ def test_sweep_builds_each_scenario_losses_once(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
     # two scenarios of six nodes, whatever the number of alphas
     assert len(built) == 12
+
+
+def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
+    import scipy.sparse.linalg
+
+    import gtvmin.analysis
+    import gtvmin.solver
+
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(gtvmin.analysis, "lambda2")
+    counting(gtvmin.solver, "_stack_samples")
+    counting(gtvmin.solver, "_block_diagonal")
+    counting(scipy.sparse.linalg, "eigsh")
+    cfg = write_config(
+        tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 10.0], p_out_list=[0.1, 0.2], solver="iterative"
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    # two scenarios of two clusters: one stack, Gram matrix and eigensolve
+    # per scenario and cluster, whatever the number of alphas; the step
+    # size depends on alpha and is computed for each
+    assert calls.count("_stack_samples") == calls.count("_block_diagonal") == 2
+    assert calls.count("lambda2") == 4
+    assert calls.count("eigsh") == 6
 
 
 def test_usage_error_exits_1(capsys):

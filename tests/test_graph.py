@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,44 @@ def test_graph_rejects_self_loop_duplicate_and_bad_weight():
         SimilarityGraph(2, [(0, 1, -1.0)])
     with pytest.raises(ValueError):
         SimilarityGraph(2, [(0, 2, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        pytest.param([(0, 1.5, 1.0)], "edge (0, 1.5) needs integer endpoints", id="fractional"),
+        pytest.param(np.array([[0.5, 2.0, 1.0]]), "edge (0.5, 2) needs integer endpoints", id="fractional-array"),
+        pytest.param([(-0.25, 1, 1.0)], "edge (-0.25, 1) needs integer endpoints", id="fractional-negative"),
+        pytest.param([(float("nan"), 1, 1.0)], "edge (nan, 1) needs integer endpoints", id="nan"),
+        pytest.param([(0, float("inf"), 1.0)], "edge (0, inf) needs integer endpoints", id="inf"),
+        pytest.param(
+            [(99999999999999999999, 1, 1.0)],
+            "edge (99999999999999999999, 1) out of range for n=3",
+            id="beyond-int64",
+        ),
+        pytest.param([(0, -(2**63) - 1, 1.0)], f"edge (0, {-(2**63) - 1}) out of range", id="below-int64"),
+        pytest.param(np.array([[0.0, 1e20, 1.0]]), "edge (0, 100000000000000000000) out of range", id="beyond-int64-array"),
+        pytest.param([(10**400, 1, 1.0)], "beyond the float range", id="beyond-float"),
+    ],
+)
+def test_graph_checks_endpoints_before_the_integer_cast(edges, message):
+    # a cast would wrap or truncate these, with a RuntimeWarning for some
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            SimilarityGraph(3, edges)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("index", ["99999999999999999999", "9007199254740993"])
+def test_graph_file_endpoint_out_of_range_is_named_with_every_digit(tmp_path, index):
+    path = tmp_path / "graph.txt"
+    path.write_text(f"3\n0 1 1.0\n{index} 1 1.0\n", encoding="ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            read_graph(path)
+    assert str(info.value) == f"{path}: edge ({index}, 1) out of range for n=3"
 
 
 def test_cluster_spec_validation():

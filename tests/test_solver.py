@@ -150,14 +150,14 @@ def test_objective_matches_per_node_loop_with_unequal_sample_counts():
 
 @pytest.mark.parametrize("generic", [False, True])
 def test_value_and_gradient_value_is_the_objective(generic):
-    from gtvmin.solver import _value_and_gradient
+    from gtvmin.solver import _value_and_half_gradient
 
     scen, problem = make_problem(seed=27, alpha=1.3, d=3)
     if generic:
         losses = [_OpaqueLoss(ds) for ds in scen.datasets]
         problem = GTVMinProblem(losses, scen.graph, problem.alpha, scen.d)
     params = StackedParams(np.random.default_rng(27).normal(size=(scen.n, scen.d)))
-    value, _ = _value_and_gradient(problem, params.per_node)
+    value, _ = _value_and_half_gradient(problem, params.per_node)
     assert value == pytest.approx(objective(problem, params), rel=1e-12)
 
 
@@ -206,14 +206,52 @@ def test_solve_exact_large_alpha_reaches_pooled_solution():
         np.testing.assert_allclose(result.params.vector(i), pooled, atol=1e-3)
 
 
-def test_solve_exact_residual_contract():
-    scen, problem = make_problem(seed=8, alpha=2.0)
+def counted_exact_solve(monkeypatch, problem):
+    """(solve_exact's result, conjugate-gradient rounds, passes), counted
+    from outside: each round applies the matrix once, and each pass once
+    more for its true residual."""
+    import gtvmin.solver
+
+    calls = []
+    product, pcg = gtvmin.solver._system_product, gtvmin.solver._pcg
+
+    def counting_product(*args):
+        calls.append("product")
+        return product(*args)
+
+    def counting_pcg(*args):
+        calls.append("pass")
+        return pcg(*args)
+
+    monkeypatch.setattr(gtvmin.solver, "_system_product", counting_product)
+    monkeypatch.setattr(gtvmin.solver, "_pcg", counting_pcg)
     result = solve_exact(problem)
-    assert result.iterations == 0 and result.converged
+    passes = calls.count("pass")
+    return result, calls.count("product") - passes, passes
+
+
+def test_solve_exact_residual_contract(monkeypatch):
+    scen, problem = make_problem(seed=8, alpha=2.0)
+    result, rounds, _ = counted_exact_solve(monkeypatch, problem)
+    assert result.iterations == rounds > 0 and result.converged
     assert result.residual <= 1e-8 * np.linalg.norm(stacked_rhs(problem))
     assert result.objective_value == pytest.approx(
         objective(problem, result.params), rel=1e-10
     )
+
+
+def test_solve_exact_iterations_sum_the_rounds_of_every_pass(monkeypatch):
+    _, problem = make_problem(seed=6, alpha=1e6, p_out=0.4)
+    result, rounds, passes = counted_exact_solve(monkeypatch, problem)
+    assert passes == 3 and result.iterations == rounds
+
+
+@pytest.mark.parametrize("seed", [8, 10])
+def test_solve_exact_without_coupling_takes_one_round(monkeypatch, seed):
+    # with alpha = 0 the block-Jacobi preconditioner is the inverse matrix
+    _, problem = make_problem(seed=seed, alpha=0.0, d=3)
+    result, rounds, passes = counted_exact_solve(monkeypatch, problem)
+    assert result.iterations == rounds == passes == 1
 
 
 def test_solve_exact_singular_raises_and_ridge_recovers():
@@ -315,9 +353,8 @@ def test_assembled_system_matches_kronecker_route(alpha, ridge):
     edges = [(i, j, float(rng.uniform(0.1, 2.0))) for (i, j) in scen.graph.edges]
     problem = GTVMinProblem(problem.losses, SimilarityGraph(scen.n, edges), alpha, scen.d)
     n, d = scen.n, scen.d
-    gram = problem._stacked_losses()[0]
     # the matrix-free operator applied to the identity columns
-    columns = [_system_product(problem, gram, ridge, e.reshape(n, d)) for e in np.eye(n * d)]
+    columns = [_system_product(problem, ridge, e.reshape(n, d)) for e in np.eye(n * d)]
     mat = np.column_stack([col.reshape(-1) for col in columns])
     expected = dense_system(problem, ridge)
     assert np.max(np.abs(mat - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -423,9 +460,46 @@ def test_step_size_matches_dense_spectrum(sizes):
         smooth = max(loss.smoothness() for loss in problem.losses)
         lap_max = np.linalg.eigvalsh(laplacian(scen.graph))[-1]
         expected = 1.0 / (smooth + 2.0 * 1.7 * lap_max)
-        assert _step_size(problem, problem._stacked_losses()) == pytest.approx(
+        assert _step_size(problem) == pytest.approx(
             expected, rel=1e-13
         )
+
+
+def test_step_size_is_computed_once_per_problem(monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+    scen, problem = make_problem(seed=4, alpha=1.0)
+    first = solve_iterative(problem, max_iter=7, tol=0.0)
+    again = solve_iterative(problem, max_iter=7, tol=0.0)
+    params = StackedParams.zeros(scen.n, scen.d)
+    for _ in range(7):
+        params = synchronous_step(problem, params)
+    assert len(calls) == 1
+    # the solver's update w - (2 step) g rounds as the round's w - step (2 g)
+    np.testing.assert_array_equal(bits(first.params.per_node), bits(params.per_node))
+    np.testing.assert_array_equal(bits(again.params.per_node), bits(params.per_node))
+    # the step belongs to the problem, not to its graph or its losses
+    fresh = GTVMinProblem(problem.losses, problem.graph, problem.alpha, problem.d)
+    synchronous_step(fresh, params)
+    solve_iterative(fresh, max_iter=7, tol=0.0)
+    assert len(calls) == 2
+    # nor is it shared with the same problem at another alpha
+    other = problem._with_alpha(2.0)
+    assert other._stacked_losses() is problem._stacked_losses()
+    assert other._gram_matrix is problem._gram_matrix
+    assert other._geometry_memo is problem._geometry_memo
+    expected = solve_iterative(GTVMinProblem(problem.losses, problem.graph, 2.0, problem.d), max_iter=7, tol=0.0)
+    got = solve_iterative(other, max_iter=7, tol=0.0)
+    np.testing.assert_array_equal(bits(got.params.per_node), bits(expected.params.per_node))
+    assert problem.alpha == 1.0 and len(calls) == 4
 
 
 # ------------------------------------------------------------ solve_iterative
