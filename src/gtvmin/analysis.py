@@ -29,6 +29,7 @@ from .graph import (
     ClusterSpec,
     SimilarityGraph,
     _disconnected_at,
+    _member_mask,
     cluster_boundary,
     induced_subgraph,
     lambda2,
@@ -203,7 +204,7 @@ def tv_lower_bound_check(
         raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
     lam2 = _cluster_geometry(graph, cluster)[0]
     deviation_sum = deviations(params, cluster).sum_sq
-    inside = np.isin(np.arange(graph.n), cluster.members)
+    inside = _member_mask(graph.n, cluster)
     ii, jj, _ = graph.edge_arrays()
     lhs_tv = _edge_variation(graph, params.per_node, inside[ii] & inside[jj])
     rhs = lam2 * deviation_sum
@@ -219,7 +220,7 @@ def cluster_objective(
     with at least one endpoint in the cluster."""
     problem._check_params(params)
     cluster.check_against(problem.n)
-    inside = np.isin(np.arange(problem.n), cluster.members)
+    inside = _member_mask(problem.n, cluster)
     ii, jj, _ = problem.graph.edge_arrays()
     return _evaluate(problem, params.per_node, inside, inside[ii] | inside[jj])
 
@@ -275,7 +276,7 @@ def _cluster_terms(
     if cluster.members not in memo:
         memo[cluster.members] = _cluster_geometry(problem.graph, cluster)
     lam2, degenerate, boundary = memo[cluster.members]
-    outside = params.per_node[~np.isin(np.arange(problem.n), cluster.members)]
+    outside = params.per_node[~_member_mask(problem.n, cluster)]
     r_outside = float(np.max(np.linalg.norm(outside, axis=1))) if len(outside) else 0.0
     return lam2, degenerate, boundary, r_outside, deviations(params, cluster).sum_sq
 

@@ -43,9 +43,15 @@ __all__ = [
 # this instead of dividing by a numerically meaningless eigenvalue.
 DISCONNECTION_RTOL = 1e-9
 
-# rows per block of the k-nearest-neighbor search; bounds its memory to a
-# few (block x n) arrays instead of one n x n distance matrix
-_KNN_BLOCK_ROWS = 256
+# node pairs per block of the planted-cluster generator: each block of rows
+# of the upper triangle draws its own uniforms and maps only the pairs it
+# keeps back to their endpoints
+_PAIR_BLOCK = 1 << 16
+
+# distances per block of the k-nearest-neighbor search: a block holds
+# max(1, _KNN_BLOCK // n) rows, so its few (rows x n) temporaries stay at
+# about this many elements whatever n is
+_KNN_BLOCK = 1 << 16
 
 
 class SimilarityGraph:
@@ -330,9 +336,17 @@ def cluster_boundary(graph: SimilarityGraph, cluster: ClusterSpec) -> float:
     For a singleton cluster this is the node's weighted degree.
     """
     cluster.check_against(graph.n)
-    inside = np.isin(np.arange(graph.n), cluster.members)
+    inside = _member_mask(graph.n, cluster)
     ii, jj, ww = graph.edge_arrays()
     return float(ww[inside[ii] != inside[jj]].sum())
+
+
+def _member_mask(n: int, cluster: ClusterSpec) -> np.ndarray:
+    """Boolean mask of the cluster's members among n nodes; the caller has
+    run ``cluster.check_against(n)``."""
+    inside = np.zeros(n, dtype=bool)
+    inside[list(cluster.members)] = True
+    return inside
 
 
 def generate_planted_clusters(
@@ -348,24 +362,46 @@ def generate_planted_clusters(
     Each intra-cluster pair is independently connected with probability
     ``p_in`` and weight ``w_in``; pairs from different clusters with
     probability ``p_out`` and weight ``w_out``. Deterministic for a fixed
-    seed. Returns the graph together with one ClusterSpec per block
-    (reference parameters and epsilon left unset).
+    seed: pair (i, j), i < j, is kept iff its uniform draw is below its
+    probability, the draws following the pairs in row-major order. Returns
+    the graph together with one ClusterSpec per block (reference parameters
+    and epsilon left unset).
+
+    The upper triangle is walked in blocks of whole rows of about 2**16
+    pairs, each drawing its own uniforms; consecutive draws continue one
+    stream, so the graph is the one a single draw for all n(n-1)/2 pairs
+    gives. Memory is one block plus the edges; time is one draw per pair.
     """
     params = GraphParams(p_in=p_in, p_out=p_out, w_in=w_in, w_out=w_out)
     sizes = [int(s) for s in cluster_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError(f"cluster sizes must be positive, got {cluster_sizes}")
     n = sum(sizes)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
 
     rng = np.random.default_rng(rng_seed)
-    ii, jj = np.triu_indices(n, k=1)
-    u = rng.random(ii.size)
-    same = labels[ii] == labels[jj]
-    prob = np.where(same, params.p_in, params.p_out)
-    weight = np.where(same, params.w_in, params.w_out)
-    keep = u < prob
-    graph = SimilarityGraph(n, np.column_stack([ii[keep], jj[keep], weight[keep]]))
+    # row i of the upper triangle holds the pairs (i, j), i < j < n, in two
+    # runs: the intra-cluster ones, j < ends[i], then the inter-cluster ones
+    nodes = np.arange(n)
+    ends = np.repeat(np.cumsum(sizes), sizes)
+    run_lengths = np.column_stack([ends - nodes - 1, n - ends]).ravel()
+    run_probs = np.tile([params.p_in, params.p_out], n)
+    # pairs before row i in row-major order
+    row_starts = nodes * (2 * n - nodes - 1) // 2
+    parts = [np.empty((0, 3))]
+    first = 0
+    while first < n - 1:
+        # as many whole rows as fit in one block, at least one
+        start = row_starts[first]
+        stop = max(first + 1, int(np.searchsorted(row_starts, start + _PAIR_BLOCK, side="right")) - 1)
+        runs = slice(2 * first, 2 * stop)
+        prob = np.repeat(run_probs[runs], run_lengths[runs])
+        kept = start + np.flatnonzero(rng.random(prob.size) < prob)
+        ii = np.searchsorted(row_starts, kept, side="right") - 1
+        jj = kept - row_starts[ii] + ii + 1
+        weight = np.where(jj < ends[ii], params.w_in, params.w_out)
+        parts.append(np.column_stack([ii, jj, weight]))
+        first = stop
+    graph = SimilarityGraph(n, np.concatenate(parts))
 
     clusters = []
     start = 0
@@ -382,6 +418,11 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     kept if either endpoint selects the other (union rule, which guarantees
     minimum degree k). Edge weight is ``exp(-dist^2 / sigma^2)``; a
     ValueError naming ``sigma`` is raised when one underflows to zero.
+
+    Ties at the k-th smallest distance go to the smaller node index, as a
+    stable sort of the row would order them. Rows are searched in blocks of
+    about 2**16 distances, each taking its k nearest by partition, so
+    memory is one block plus the n k neighbours and the edges.
     """
     k = int(k)
     n = emb.n
@@ -394,18 +435,28 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     vectors = emb.vectors
     nearest = np.empty((n, k), dtype=np.intp)
     near_sq = np.empty((n, k))
-    for start in range(0, n, _KNN_BLOCK_ROWS):
-        block = slice(start, min(start + _KNN_BLOCK_ROWS, n))
+    rows = max(1, _KNN_BLOCK // n)
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        count = block.stop - start
         # the direct form sum_col (x - y)^2, summed column by column as
         # pairwise-distance routines do; |x|^2 + |y|^2 - 2 x.y cancels and
         # can reorder near-ties
-        sq = np.zeros((block.stop - start, n))
+        sq = np.zeros((count, n))
         for col in vectors.T:
-            sq += np.subtract.outer(col[block], col) ** 2
-        sq[np.arange(block.stop - start), np.arange(start, block.stop)] = np.inf
-        # stable sort: ties resolved toward the smaller index, deterministically
-        nearest[block] = np.argsort(sq, axis=1, kind="stable")[:, :k]
-        near_sq[block] = np.take_along_axis(sq, nearest[block], axis=1)
+            diff = np.subtract.outer(col[block], col)
+            diff *= diff
+            sq += diff
+        sq[np.arange(count), np.arange(start, block.stop)] = np.inf
+        # every distance below the k-th smallest, then the ties at it from
+        # the smallest index up: the first k of a stable sort, as a set
+        kth = np.partition(sq, k - 1, axis=1)[:, [k - 1]]
+        below = sq < kth
+        at = sq == kth
+        ties = k - below.sum(axis=1, keepdims=True)
+        take = below | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= ties))
+        nearest[block] = np.nonzero(take)[1].reshape(count, k)
+        near_sq[block] = sq[take].reshape(count, k)
     # a pair found from both ends has the same distance bit for bit
     src = np.repeat(np.arange(n), k)
     pairs = np.minimum(src, nearest.ravel()) * n + np.maximum(src, nearest.ravel())

@@ -176,6 +176,29 @@ def test_solve_residual_gate_exits_2_naming_the_residual(tmp_path, capsys, monke
     assert "numerically singular: residual" in err and "Traceback" not in err
 
 
+def test_large_alpha_refusal_names_the_residual_and_the_roundoff_floor(tmp_path, capsys):
+    # a connected 20-node graph whose pooled Gram is well conditioned: the
+    # gate refuses at alpha = 1e8 because the attainable residual grows
+    # with ||M||, and the message says so
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        seed=6,
+        cluster_sizes=[10, 10],
+        d=3,
+        m_per_node=10,
+        p_in=0.9,
+        p_out=0.4,
+    )
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1e8"]) == 2
+    err = capsys.readouterr().err
+    assert "numerically singular: residual" in err and "Traceback" not in err
+    assert "roundoff floor eps * ||M|| * ||w|| is about" in err and "(Gershgorin)" in err
+    assert not (scen_dir / "result.json").exists()
+
+
 def _corrupt_cell(path, value):
     rows = path.read_text().splitlines()
     cells = rows[0].split(",")

@@ -301,3 +301,40 @@ def test_scenario_io_writes_without_savetxt_and_reads_from_handles(tmp_path, mon
     assert len(sources) == scen.n + 1
     for source in sources:
         assert isinstance(source, io.TextIOBase)
+
+
+def _single_draw_planted_clusters(rng_seed, cluster_sizes, p_in, p_out, w_in, w_out):
+    """The planted model with every pair of np.triu_indices(n, 1) drawn by
+    one uniform draw, as an oracle for the generator's blocked draws."""
+    n = sum(cluster_sizes)
+    labels = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
+    ii, jj = np.triu_indices(n, k=1)
+    u = np.random.default_rng(rng_seed).random(ii.size)
+    same = labels[ii] == labels[jj]
+    keep = u < np.where(same, p_in, p_out)
+    weight = np.where(same, w_in, w_out)
+    graph = SimilarityGraph(n, np.column_stack([ii[keep], jj[keep], weight[keep]]))
+    starts = np.cumsum([0, *cluster_sizes])
+    return graph, [ClusterSpec(tuple(range(a, b))) for a, b in zip(starts, starts[1:])]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 11])
+@pytest.mark.parametrize("p_out", [0.01, 0.05, 0.1])
+def test_scenario_files_equal_those_of_the_single_draw_graph(tmp_path, monkeypatch, seed, p_out):
+    # the benchmark's sweep scenarios: 3 x 60 nodes, d = 3, m = 10, p_in 0.5
+    def scenario():
+        return make_scenario(
+            seed=seed,
+            sizes=(60, 60, 60),
+            d=3,
+            m=10,
+            graph_params=GraphParams(p_in=0.5, p_out=p_out),
+        )
+
+    blocked = save_scenario(scenario(), tmp_path / "blocked")
+    monkeypatch.setattr(gtvmin.data, "generate_planted_clusters", _single_draw_planted_clusters)
+    oracle = save_scenario(scenario(), tmp_path / "oracle")
+    names = sorted(p.name for p in oracle.iterdir())
+    assert names == sorted(p.name for p in blocked.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(blocked, oracle, names, shallow=False)
+    assert mismatch == [] and errors == []

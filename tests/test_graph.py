@@ -234,6 +234,68 @@ def test_planted_rejects_invalid_probabilities():
         generate_planted_clusters(0, [3, 0], p_in=0.5, p_out=0.1)
 
 
+def triu_planted_edges(seed, sizes, p_in, p_out, w_in=1.0, w_out=0.5):
+    """Edge arrays of the planted model drawn in one piece: every pair of
+    np.triu_indices(n, 1) at once, with one uniform draw for all of them."""
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    ii, jj = np.triu_indices(n, k=1)
+    u = np.random.default_rng(seed).random(ii.size)
+    same = labels[ii] == labels[jj]
+    keep = u < np.where(same, p_in, p_out)
+    weight = np.where(same, w_in, w_out)
+    return SimilarityGraph(n, np.column_stack([ii[keep], jj[keep], weight[keep]])).edge_arrays()
+
+
+def assert_same_edge_arrays(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+PLANTED_SIZES = [[1], [1, 1], [2], [3, 4], [7, 1, 12], [60, 60, 60], [400] * 4]
+
+
+@pytest.mark.parametrize("sizes", PLANTED_SIZES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize(
+    "p_in, p_out", [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.05), (0.02, 0.0004)]
+)
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_planted_edges_match_the_single_draw(seed, sizes, p_in, p_out):
+    # 4 x 400 nodes hold 1.28 million pairs, about twenty blocks
+    graph, _ = generate_planted_clusters(seed, sizes, p_in, p_out, 1.0, 0.5)
+    assert_same_edge_arrays(graph.edge_arrays(), triu_planted_edges(seed, sizes, p_in, p_out))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+@pytest.mark.parametrize("sizes", [[1], [2], [3, 4], [7, 1, 12], [30, 20]])
+def test_planted_edges_do_not_depend_on_the_block_size(monkeypatch, block, sizes):
+    # blocks down to one pair: a row longer than a block is a block alone
+    import gtvmin.graph
+
+    monkeypatch.setattr(gtvmin.graph, "_PAIR_BLOCK", block)
+    for seed, (p_in, p_out) in enumerate([(0.5, 0.05), (1.0, 1.0), (0.9, 0.4)]):
+        graph, _ = generate_planted_clusters(seed, sizes, p_in, p_out, 1.0, 0.5)
+        assert_same_edge_arrays(graph.edge_arrays(), triu_planted_edges(seed, sizes, p_in, p_out))
+
+
+def test_planted_generator_traces_one_block_plus_the_edges():
+    import tracemalloc
+
+    sizes = [750] * 4
+    p_in = 8 / 750
+    tracemalloc.start()
+    try:
+        graph, _ = generate_planted_clusters(1, sizes, p_in, p_in / 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4.5 million pairs drawn at once would trace about 180 MB; the
+    # graph holds its edge arrays, the degrees and copies made on the way
+    edge_bytes = graph.num_edges * 3 * 8
+    assert peak < 4 * 2**20 + 8 * edge_bytes
+
+
 # -------------------------------------------------------- embedding kNN graph
 
 def test_embedding_identical_vectors_unit_weight():
@@ -617,6 +679,59 @@ def test_embedding_edges_match_cdist_route_bit_for_bit(seed):
             expected[(min(i, j), max(i, j))] = float(np.exp(-sq[i, j] / sigma**2))
     graph = graph_from_embedding(Embedding(vectors), k, sigma)
     assert dict(graph.edges) == expected
+
+
+def stable_sort_knn_edges(vectors, k, sigma):
+    """Edge map of the union kNN graph, each row's neighbours taken as the
+    first k of a stable argsort of its squared distances."""
+    n = len(vectors)
+    sq = np.zeros((n, n))
+    for col in vectors.T:
+        sq += np.subtract.outer(col, col) ** 2
+    np.fill_diagonal(sq, np.inf)
+    expected = {}
+    for i in range(n):
+        for j in np.argsort(sq[i], kind="stable")[:k].tolist():
+            expected[(min(i, j), max(i, j))] = float(np.exp(-sq[i, j] / sigma**2))
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_embedding_ties_go_to_the_smaller_index_as_in_a_stable_sort(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+    # few distinct integer coordinates: most distances tie
+    vectors = rng.integers(0, 3, size=(n, d)).astype(float)
+    for k in sorted({1, int(rng.integers(1, n)), n - 1}):
+        graph = graph_from_embedding(Embedding(vectors), k, 4.0)
+        assert dict(graph.edges) == stable_sort_knn_edges(vectors, k, 4.0)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_embedding_edges_do_not_depend_on_the_block_size(monkeypatch, budget):
+    import gtvmin.graph
+
+    rng = np.random.default_rng(budget)
+    vectors = rng.integers(0, 2, size=(40, 2)).astype(float)
+    expected = {k: graph_from_embedding(Embedding(vectors), k, 4.0) for k in (1, 5, 39)}
+    monkeypatch.setattr(gtvmin.graph, "_KNN_BLOCK", budget)
+    for k, graph in expected.items():
+        assert graph_from_embedding(Embedding(vectors), k, 4.0) == graph
+
+
+def test_embedding_graph_traces_one_block_plus_the_neighbours():
+    import tracemalloc
+
+    n, k = 3000, 5
+    embedding = Embedding(np.random.default_rng(0).normal(size=(n, 2)))
+    tracemalloc.start()
+    try:
+        graph_from_embedding(embedding, k, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of 256 full rows, each sorted whole, traced 12 MiB at this size
+    assert peak < 4 * 2**20 + 64 * n * k
 
 
 def run_fresh_interpreter(code: str) -> str:

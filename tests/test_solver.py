@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,33 @@ def test_solve_exact_without_coupling_takes_one_round(monkeypatch, seed):
     _, problem = make_problem(seed=seed, alpha=0.0, d=3)
     result, rounds, passes = counted_exact_solve(monkeypatch, problem)
     assert result.iterations == rounds == passes == 1
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_residual_refusal_names_a_gershgorin_bound_and_the_roundoff_floor(monkeypatch, ridge):
+    import gtvmin.solver
+
+    _, problem = make_problem(seed=6, alpha=3.0, d=3)
+    w = solve_exact(problem, ridge=ridge).params.flat
+    # with no slack at all the gate refuses the solve it just accepted
+    monkeypatch.setattr(gtvmin.solver, "_RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SingularSystemError) as info:
+        solve_exact(problem, ridge=ridge)
+    message = str(info.value)
+    bound = float(re.search(r"\|\|M\|\| <= (\S+) \(Gershgorin\)", message).group(1))
+    floor = float(re.search(r"\|\|w\|\| is about (\S+),", message).group(1))
+    assert np.linalg.eigvalsh(dense_system(problem, ridge))[-1] <= bound
+    assert floor == pytest.approx(np.finfo(float).eps * bound * np.linalg.norm(w), rel=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(30, 3), (180, 3), (600, 5)])
+def test_pcg_norm_has_the_bits_of_numpy_norm(shape):
+    from gtvmin.solver import _norm
+
+    rng = np.random.default_rng(shape[0])
+    for scale in (1e-150, 1.0, 1e150):
+        x = scale * rng.standard_normal(shape)
+        assert _norm(x) == float(np.linalg.norm(x))
 
 
 def test_solve_exact_singular_raises_and_ridge_recovers():
