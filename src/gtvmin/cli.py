@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from pathlib import Path
 from .analysis import bound_report_rows, save_report, write_reports_csv
 from .data import (
     _json_field,
+    _read_json,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -108,7 +108,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text(encoding="ascii"))
+        raw = _read_json(Path(path))
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: a config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}

@@ -10,9 +10,11 @@ clustering error.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -53,6 +55,7 @@ def _is_real(value) -> bool:
 # the JSON value kinds that input files are checked against, by description
 _KINDS = {
     "an integer": _is_int,
+    "a positive integer": lambda v: _is_int(v) and v >= 1,
     "a finite number": _is_real,
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
@@ -63,15 +66,28 @@ _KINDS = {
 
 
 def _json_field(payload: dict, key: str, kind: str, source, optional: bool = False):
-    """``payload[key]``, checked to be present (``payload`` must be a dict)
-    and of the given kind (or None, when ``optional``); a ValueError naming
+    """``payload[key]``, checked to be present in the dict ``payload`` and
+    of the given kind (or None, when ``optional``); a ValueError naming
     ``source`` and the key otherwise."""
-    if not isinstance(payload, dict) or key not in payload:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: must be a JSON object, got {reprlib.repr(payload)}")
+    if key not in payload:
         raise ValueError(f"{source}: missing key {key!r}")
     value = payload[key]
     if not (_KINDS[kind](value) or (optional and value is None)):
         raise ValueError(f"{source}: key {key!r} must be {kind}, got {value!r}")
     return value
+
+
+def _read_json(path: Path):
+    """The JSON document in the ASCII file ``path``; a ValueError that
+    starts with the path when the file does not decode or parse."""
+    try:
+        return json.loads(path.read_text(encoding="ascii"))
+    # a decode error, a syntax error and an integer beyond int's digit limit
+    # are ValueErrors; nesting beyond the parser's depth is a RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +235,15 @@ def generate_scenario(
 
     datasets: list[LocalDataset] = []
     clusters: list[ClusterSpec] = []
+    md = m_per_node * d
     for cluster, center in zip(bare_clusters, centers):
+        # the stream of two draws per node: row k holds node k's features, then
+        # its noise, rounded as normal(0, noise_std, m) rounds loc + scale * z
+        z = rng.standard_normal((cluster.size, md + m_per_node))
+        features = z[:, :md].reshape(cluster.size, m_per_node, d)
+        noises = 0.0 + noise_std * z[:, md:]
         epsilon = 0.0
-        for _node in cluster.members:
-            x = rng.standard_normal((m_per_node, d))
-            noise = rng.normal(0.0, noise_std, m_per_node)
+        for x, noise in zip(features, noises):
             y = x @ center + noise
             datasets.append(LocalDataset(features=x, labels=y))
             epsilon += float(noise @ noise) / m_per_node
@@ -303,16 +323,17 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
 def load_scenario(directory: str | Path) -> Scenario:
     """Read back a directory written by :func:`save_scenario`.
 
-    Each node file is opened once, as ASCII text, and the handle is parsed
-    by ``np.loadtxt(delimiter=",", ndmin=2)``. A file that does not parse,
-    has other than d + 1 columns or holds a non-finite entry raises a
-    ValueError that starts with its path; a missing file raises OSError.
+    Each node file is read once, as ASCII text, and parsed from a text
+    handle by ``np.loadtxt(delimiter=",", ndmin=2)``. A file that does not
+    decode or parse, holds no samples, has other than d + 1 columns or
+    holds a non-finite entry raises a ValueError that starts with its path,
+    as do a meta.json or graph.txt at fault; a missing file raises OSError.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="ascii"))
+    meta = _read_json(meta_path)
     graph = read_graph(directory / "graph.txt")
-    d = _json_field(meta, "d", "an integer", meta_path)
+    d = _json_field(meta, "d", "a positive integer", meta_path)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):
         source = f"{meta_path}: clusters[{k}]"
@@ -331,7 +352,11 @@ def load_scenario(directory: str | Path) -> Scenario:
         path = directory / f"node_{i}.csv"
         try:
             with open(path, encoding="ascii") as fh:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+                text = fh.read()
+            # np.loadtxt would warn on stderr before returning no rows
+            if not text.strip():
+                raise ValueError("no samples")
+            table = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
             if table.shape[1] != d + 1:
                 raise ValueError(f"{table.shape[1]} columns, expected {d + 1}")
             datasets.append(LocalDataset(features=table[:, :d], labels=table[:, d]))

@@ -19,7 +19,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "DISCONNECTION_RTOL",
@@ -143,10 +142,12 @@ class SimilarityGraph:
     def total_weight(self) -> float:
         return float(self._ww.sum())
 
-    def _laplacian_csr(self) -> scipy.sparse.csr_array:
-        """Sparse Laplacian, built on first use and kept. The dense route
-        (:func:`laplacian`) stays the cheaper one for small graphs."""
+    def _laplacian_csr(self):
+        """Sparse Laplacian, built (importing scipy.sparse) on first use and
+        kept. The dense route (:func:`laplacian`) stays the cheaper one for small graphs."""
         if self._csr is None:
+            import scipy.sparse
+
             nodes = np.arange(self._n)
             rows = np.concatenate([self._ii, self._jj, nodes])
             cols = np.concatenate([self._jj, self._ii, nodes])
@@ -488,7 +489,10 @@ def read_graph(path: str | Path) -> SimilarityGraph:
     named by its line number in the file.
     """
     path = Path(path)
-    text = path.read_text(encoding="ascii")
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     parsed = _parse_graph_rows(text)
     n, edges = parsed if parsed is not None else _scan_graph_lines(text, path)
     try:

@@ -14,15 +14,16 @@ solvers; the batches also feed the one exact evaluator of objective values.
 The graph is read through its cached edge arrays and sparse Laplacian.
 Every stack of d x d blocks (the Gram tensor, the block-Jacobi inverses) is
 applied as one block-diagonal CSR matrix whose data is the stack's own
-buffer; the Gram stack's matrix is built once per problem, and the
-inverses' matrix borrows its index arrays. The exact solver never forms
-the (n d) x (n d) stationarity matrix: it applies it through the Gram
-matrix and the sparse Laplacian inside block-Jacobi preconditioned
-conjugate gradients, after an exact singularity test on the pooled Gram
-matrix of each graph component, and accepts the result only through a
-residual gate; it reports the conjugate-gradient rounds, summed over its
-refinement passes, as its iterations, and needs numpy and scipy.sparse
-only. The iterative solver runs synchronous gradient descent in which
+buffer; the Gram stack's matrix is built on a problem's first product,
+which imports scipy.sparse (building a problem and analysing a result load
+no scipy module), and the inverses' matrix borrows its index arrays. The
+exact solver never forms the (n d) x (n d) stationarity matrix: it applies
+it through the Gram matrix and the sparse Laplacian inside block-Jacobi
+preconditioned conjugate gradients, after an exact singularity test on the
+pooled Gram matrix of each graph component, and accepts the result only
+through a residual gate; it reports the conjugate-gradient rounds, summed
+over its refinement passes, as its iterations, and needs numpy and
+scipy.sparse only. The iterative solver runs synchronous gradient descent in which
 every node reads only its own loss gradient and its neighbors' parameters;
 its step size takes Lanczos from scipy.sparse.linalg, imported on first
 use, and is computed once per problem.
@@ -40,12 +41,12 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .data import (
     LocalDataset,
     Scenario,
     _json_field,
+    _read_json,
     quadratic_loss,
     quadratic_loss_gradient,
 )
@@ -194,9 +195,9 @@ class StackedParams:
 class GTVMinProblem:
     """Per-node losses on a similarity graph plus the coupling strength.
 
-    Immutable: ``losses`` is a tuple, which the problem stacks once, at
-    construction, when every loss is quadratic (see ``_stacked_losses``),
-    together with the Gram stack's block-diagonal matrix ``_gram_matrix``.
+    Immutable: ``losses`` is a tuple, stacked once, at construction, when
+    every loss is quadratic (see ``_stacked_losses``); the Gram stack's
+    block-diagonal matrix ``_gram_matrix`` is built on the first product.
     ``_geometry_memo`` holds the analysis's per-cluster graph quantities by
     member tuple and ``_step`` the iterative step size (:func:`_step_size`),
     so each is computed once per problem."""
@@ -216,11 +217,10 @@ class GTVMinProblem:
         self.graph = graph
         self.alpha = _check_alpha(alpha)
         self.d = int(d)
-        self._stack = self._batches = self._gram_matrix = self._step = None
-        self._geometry_memo = {}
+        self._stack = self._batches = self._step = None
+        self._geometry_memo, self._gram_memo = {}, {}
         if all(isinstance(loss, QuadraticLoss) for loss in self.losses):
             self._stack, self._batches = _stack_samples([loss.dataset for loss in self.losses])
-            self._gram_matrix = _block_diagonal(self._stack[0])
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, alpha: float) -> "GTVMinProblem":
@@ -233,8 +233,8 @@ class GTVMinProblem:
 
     def _with_alpha(self, alpha: float) -> "GTVMinProblem":
         """This problem at another ``alpha``, sharing what does not depend
-        on it: the loss stack and batches, the Gram matrix and the cluster
-        geometry memo. The step size is computed again."""
+        on it: the loss stack and batches and the memos of the Gram matrix
+        and the cluster geometry. The step size is computed again."""
         other = copy.copy(self)
         other.alpha = _check_alpha(alpha)
         other._step = None
@@ -243,6 +243,14 @@ class GTVMinProblem:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def _gram_matrix(self):
+        """The Gram stack's block-diagonal matrix, kept in a memo that
+        ``_with_alpha`` copies share."""
+        if not self._gram_memo:
+            self._gram_memo["matrix"] = _block_diagonal(self._stack[0])
+        return self._gram_memo["matrix"]
 
     def _stacked_losses(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         """The losses as one stack (gram, moment, energy) such that their sum
@@ -265,12 +273,14 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
-def _block_diagonal(blocks: np.ndarray, like: scipy.sparse.csr_array | None = None):
+def _block_diagonal(blocks: np.ndarray, like=None):
     """The C-contiguous (n, d, d) stack ``blocks`` as the (n d) x (n d)
     block-diagonal CSR matrix whose ``data`` is the stack's own buffer, so
     that a product sums each block row's d terms in column order. ``like``,
     an earlier result for a stack of the same shape, lends its index
     arrays."""
+    import scipy.sparse
+
     n, d, _ = blocks.shape
     if like is None:
         indptr = np.arange(0, n * d * d + 1, d)
@@ -675,7 +685,7 @@ def save_result(result: SolveResult, path: str | Path) -> None:
 
 def load_result(path: str | Path) -> SolveResult:
     path = Path(path)
-    payload = json.loads(path.read_text(encoding="ascii"))
+    payload = _read_json(path)
 
     def field(key, kind):
         return _json_field(payload, key, kind, path)

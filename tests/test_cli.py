@@ -377,6 +377,69 @@ def test_sweep_reproducible_bytes(tmp_path, solver):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.write_text('{"n": 6,'),
+        lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
+        lambda p: p.write_text("[" * 100000),
+        lambda p: p.write_text("1" * 5000),
+    ],
+    ids=["syntax", "non-ascii", "nesting", "digits"],
+)
+@pytest.mark.parametrize("name", ["meta.json", "graph.txt", "res.json", "cfg.json"])
+def test_file_that_does_not_decode_or_parse_exits_1_naming_it(tmp_path, capsys, name, corrupt):
+    scen_dir, res = solved_dir(tmp_path)
+    path = {"meta.json": scen_dir / "meta.json", "graph.txt": scen_dir / "graph.txt"}.get(name, tmp_path / name)
+    corrupt(path)
+    capsys.readouterr()
+    if name == "cfg.json":
+        argv = ["generate", "--config", str(path), "--out", str(tmp_path / "again")]
+    else:
+        argv = ["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "reports")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_meta_dimension_below_1_is_refused_as_its_key(tmp_path, capsys, d):
+    scen_dir, _ = solved_dir(tmp_path)
+    meta = json.loads((scen_dir / "meta.json").read_text())
+    meta["d"] = d
+    (scen_dir / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{scen_dir / 'meta.json'}: key 'd' must be a positive integer, got {d}" in err
+
+
+@pytest.mark.parametrize("entry", [5, [1, 2], "cluster", None])
+def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
+    scen_dir, _ = solved_dir(tmp_path)
+    meta = json.loads((scen_dir / "meta.json").read_text())
+    meta["clusters"][1] = entry
+    (scen_dir / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{scen_dir / 'meta.json'}: clusters[1]: must be a JSON object, got {entry!r}" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_node_file_without_samples_says_so_without_a_warning(tmp_path, capsys, text):
+    import warnings
+
+    scen_dir, _ = solved_dir(tmp_path)
+    (scen_dir / "node_4.csv").write_text(text)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {scen_dir / 'node_4.csv'}: no samples\n"
+
+
 # ------------------------------------------------------------- selftest, misc
 
 def test_selftest_quick_passes(capsys):

@@ -338,3 +338,40 @@ def test_scenario_files_equal_those_of_the_single_draw_graph(tmp_path, monkeypat
     assert names == sorted(p.name for p in blocked.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(blocked, oracle, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+def _per_node_draw_samples(rng_seed, cluster_sizes, d, m, noise_std, separation):
+    """(features, labels) per node and epsilon per cluster drawn as two RNG
+    calls per node, standard_normal((m, d)) then normal(0, noise_std, m),
+    as an oracle for the generator's one draw per cluster."""
+    rng = np.random.default_rng(rng_seed)
+    rng.integers(0, 2**63 - 1)  # the graph's seed
+    centers = gtvmin.data._draw_separated_centers(rng, len(cluster_sizes), d, separation)
+    samples, epsilons = [], []
+    for size, center in zip(cluster_sizes, centers):
+        epsilon = 0.0
+        for _ in range(size):
+            x = rng.standard_normal((m, d))
+            noise = rng.normal(0.0, noise_std, m)
+            samples.append((x, x @ center + noise))
+            epsilon += float(noise @ noise) / m
+        epsilons.append(epsilon)
+    return samples, epsilons
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("m", [1, 10])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_scenario_samples_have_the_bits_of_per_node_draws(d, m, noise):
+    # unequal sizes, single-node clusters among them; d = 1 separates two
+    # centers at most
+    for seed, sizes in enumerate([(1,), (5, 1), (1, 4)] + ([(2, 1, 6)] if d > 1 else [])):
+        scen = make_scenario(seed=seed, sizes=sizes, d=d, m=m, noise=noise)
+        samples, epsilons = _per_node_draw_samples(seed, sizes, d, m, noise, 2.0)
+        assert len(scen.datasets) == len(samples)
+        for ds, (x, y) in zip(scen.datasets, samples):
+            # int64 views tell -0.0 from 0.0
+            np.testing.assert_array_equal(ds.features.view(np.int64), x.view(np.int64))
+            np.testing.assert_array_equal(ds.labels.view(np.int64), y.view(np.int64))
+        got = np.array([c.epsilon for c in scen.clusters])
+        np.testing.assert_array_equal(got.view(np.int64), np.array(epsilons).view(np.int64))

@@ -747,7 +747,9 @@ def run_fresh_interpreter(code: str) -> str:
     return out.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse.linalg", "scipy.sparse.csgraph"])
+@pytest.mark.parametrize(
+    "module", ["scipy.spatial", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy", "scipy.sparse"]
+)
 def test_import_leaves_scipy_module_unloaded(module):
     assert run_fresh_interpreter(f"import sys, gtvmin; print({module!r} in sys.modules)") == "False"
 
@@ -767,3 +769,30 @@ result = g.solve_iterative(problem, max_iter=20, tol=0.0)
 print(result.iterations, "scipy.sparse.linalg" in sys.modules)
 """
     assert run_fresh_interpreter(code).splitlines() == ["[]", "20 True"]
+
+
+def test_generate_and_analyze_load_no_scipy_and_solve_exact_loads_only_scipy_sparse(tmp_path):
+    from gtvmin.cli import main
+
+    config = tmp_path / "cfg.json"
+    config.write_text('{"seed": 3, "cluster_sizes": [4, 3], "d": 2, "m_per_node": 6}')
+    solved = tmp_path / "solved"
+    assert main(["generate", "--config", str(config), "--out", str(solved)]) == 0
+    assert main(["solve", str(solved), "--alpha", "1", "--out", str(tmp_path / "result.json")]) == 0
+    code = f"""
+import contextlib, io, sys
+import gtvmin.cli
+from gtvmin import GTVMinProblem, load_scenario, solve_exact
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    generated = gtvmin.cli.main(["generate", "--config", {str(config)!r}, "--out", {str(tmp_path / "fresh")!r}])
+    analyzed = gtvmin.cli.main(["analyze", {str(solved)!r}, {str(tmp_path / "result.json")!r}, "--out", {str(tmp_path / "reports")!r}])
+print(generated, analyzed, loaded())
+solve_exact(GTVMinProblem.from_scenario(load_scenario({str(tmp_path / "fresh")!r}), 1.0))
+print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
+"""
+    assert run_fresh_interpreter(code).splitlines() == ["0 0 []", "True False"]
+    assert (tmp_path / "reports" / "reports.csv").exists()
