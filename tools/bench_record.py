@@ -2,7 +2,7 @@
 
     python3 tools/bench_record.py --workload NAME \
         --parent DIR --parent-commit SHA --change DIR --change-commit SHA \
-        [--seconds S] [--out BENCH_NAME.json]
+        [--out BENCH_NAME.json]
 
 Each DIR holds the run records that ``perfbench/run.py --trace 0`` writes
 to ``.perfbench/runs/`` of the checkout it ran in, one per seed. Records
@@ -53,7 +53,7 @@ def side(runs: dict[int, dict], seeds: list[int], commit: str) -> dict:
     }
 
 
-def reduce(workload: str, parent: dict, change: dict, commits: tuple[str, str], bench: dict, seconds: float) -> dict:
+def reduce(workload: str, parent: dict, change: dict, commits: tuple[str, str], bench: dict) -> dict:
     seeds = sorted(set(parent) & set(change))
     if len(seeds) < 2:
         raise ValueError(f"{workload}: {len(seeds)} seed(s) run on both sides, need at least 2")
@@ -76,7 +76,7 @@ def reduce(workload: str, parent: dict, change: dict, commits: tuple[str, str], 
         }
     return {
         "workload": workload,
-        "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {bench['run_seconds']} --trace 0",
         "seeds": seeds,
         "parent": side(parent, seeds, commits[0]),
         "change": side(change, seeds, commits[1]),
@@ -91,11 +91,9 @@ def main(argv) -> int:
     p.add_argument("--parent-commit", required=True)
     p.add_argument("--change", type=Path, required=True, help="run records of the change")
     p.add_argument("--change-commit", required=True)
-    p.add_argument("--seconds", type=float, help="the runs' --seconds (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--out", type=Path, help="default: BENCH_<workload>.json at the repository root")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     try:
         record = reduce(
             args.workload,
@@ -103,7 +101,6 @@ def main(argv) -> int:
             load_runs(args.change, args.workload),
             (args.parent_commit, args.change_commit),
             bench,
-            seconds,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
