@@ -18,13 +18,13 @@ chain of inequalities that makes the bound checkable step by step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .data import _write_json
 from .graph import (
     ClusterSpec,
     SimilarityGraph,
@@ -376,10 +376,7 @@ def report_to_dict(report: BoundReport | CertificateRecord) -> dict:
 
 def save_report(report: BoundReport | CertificateRecord, path: str | Path) -> None:
     """JSON serialization; infinities appear as JSON 'Infinity' literals."""
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="ascii",
-    )
+    _write_json(path, report_to_dict(report))
 
 
 def bound_report_row(report: BoundReport, seed, n: int, d: int) -> dict:

@@ -46,7 +46,8 @@ __all__ = ["ExperimentConfig", "main", "entrypoint"]
 
 # the JSON kind of each config key (p_out_list may also be null)
 _CONFIG_KINDS = {
-    "an integer": ("seed", "d", "m_per_node", "max_iter"),
+    "an integer": ("seed", "max_iter"),
+    "a positive integer": ("d", "m_per_node"),
     "a finite number": ("noise_std", "separation", "p_in", "p_out", "w_in", "w_out", "tol"),
     "a string": ("solver", "out_dir"),
     "a list of integers": ("cluster_sizes",),
@@ -198,7 +199,12 @@ def cmd_analyze(args) -> int:
     if args.cluster == "all":
         indices = range(len(scenario.clusters))
     else:
-        idx = int(args.cluster)
+        try:
+            idx = int(args.cluster)
+        except ValueError:
+            raise ValueError(
+                f"--cluster must be a cluster index or 'all', got {args.cluster!r}"
+            ) from None
         if not (0 <= idx < len(scenario.clusters)):
             raise ValueError(
                 f"cluster index {idx} out of range (scenario has "

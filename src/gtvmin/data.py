@@ -90,6 +90,11 @@ def _read_json(path: Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` to ``path`` as indented, key-sorted ASCII JSON."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalDataset:
     """Feature matrix (m x d) and label vector (length m) of one node."""
@@ -308,9 +313,7 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
         ],
         "generator": scenario.generator,
     }
-    (directory / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    _write_json(directory / "meta.json", meta)
     row = ",".join(["%.17g"] * (scenario.d + 1)) + "\n"
     for i, ds in enumerate(scenario.datasets):
         cells = np.column_stack([ds.features, ds.labels]).ravel().tolist()
@@ -353,8 +356,9 @@ def load_scenario(directory: str | Path) -> Scenario:
         try:
             with open(path, encoding="ascii") as fh:
                 text = fh.read()
-            # np.loadtxt would warn on stderr before returning no rows
-            if not text.strip():
+            # np.loadtxt would warn on stderr before returning no rows; it
+            # skips blank lines and everything after a '#'
+            if not any(line.partition("#")[0].strip() for line in text.splitlines()):
                 raise ValueError("no samples")
             table = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
             if table.shape[1] != d + 1:

@@ -255,10 +255,13 @@ class GraphParams:
 
 
 def laplacian(graph: SimilarityGraph) -> np.ndarray:
-    """Dense graph Laplacian: weighted degrees on the diagonal, minus the
-    adjacency off it. Symmetric, positive semidefinite, zero row sums."""
-    a = graph.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    """Dense graph Laplacian: the cached weighted degrees on the diagonal,
+    minus each edge weight off it, entry for entry the sparse Laplacian.
+    Symmetric, positive semidefinite, zero row sums."""
+    ii, jj, ww = graph.edge_arrays()
+    lap = np.diag(graph.weighted_degrees())
+    lap[ii, jj] = lap[jj, ii] = -ww
+    return lap
 
 
 def lambda2(graph: SimilarityGraph) -> float:

@@ -32,11 +32,9 @@ use, and is computed once per problem.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -47,6 +45,7 @@ from .data import (
     Scenario,
     _json_field,
     _read_json,
+    _write_json,
     quadratic_loss,
     quadratic_loss_gradient,
 )
@@ -113,27 +112,12 @@ class LocalLoss(ABC):
 class QuadraticLoss(LocalLoss):
     """Mean squared residual (1/m) ||y - X w||^2 of one local dataset.
 
-    ``gram`` (1/m) X^T X, ``moment`` (1/m) X^T y and ``label_energy``
-    (1/m) y^T y are computed on first access. A :class:`GTVMinProblem` does
-    not read them: it computes the same values, bit for bit, for all its
+    It keeps no Gram matrix, moment or label energy: a
+    :class:`GTVMinProblem` of quadratic losses computes those for all its
     nodes at once from the batched samples."""
 
     def __init__(self, dataset: LocalDataset):
         self.dataset = dataset
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        x = self.dataset.features
-        return x.T @ x / self.dataset.num_samples
-
-    @cached_property
-    def moment(self) -> np.ndarray:
-        return self.dataset.features.T @ self.dataset.labels / self.dataset.num_samples
-
-    @cached_property
-    def label_energy(self) -> float:
-        y = self.dataset.labels
-        return float(y @ y) / self.dataset.num_samples
 
     def value(self, w: np.ndarray) -> float:
         return quadratic_loss(self.dataset, w)
@@ -142,7 +126,8 @@ class QuadraticLoss(LocalLoss):
         return quadratic_loss_gradient(self.dataset, w)
 
     def smoothness(self) -> float:
-        return float(2.0 * max(np.linalg.eigvalsh(self.gram)[-1], 0.0))
+        x = self.dataset.features
+        return float(2.0 * max(np.linalg.eigvalsh(x.T @ x / self.dataset.num_samples)[-1], 0.0))
 
 
 class StackedParams:
@@ -195,9 +180,11 @@ class StackedParams:
 class GTVMinProblem:
     """Per-node losses on a similarity graph plus the coupling strength.
 
-    Immutable: ``losses`` is a tuple, stacked once, at construction, when
-    every loss is quadratic (see ``_stacked_losses``); the Gram stack's
-    block-diagonal matrix ``_gram_matrix`` is built on the first product.
+    Immutable: ``losses`` is a tuple. When every loss is quadratic they are
+    stacked once, at construction, as ``_stack`` = (gram, moment, energy),
+    whose sum is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy (None
+    otherwise); the Gram stack's block-diagonal matrix ``_gram_matrix`` is
+    built on the first product.
     ``_geometry_memo`` holds the analysis's per-cluster graph quantities by
     member tuple and ``_step`` the iterative step size (:func:`_step_size`),
     so each is computed once per problem."""
@@ -251,12 +238,6 @@ class GTVMinProblem:
         if not self._gram_memo:
             self._gram_memo["matrix"] = _block_diagonal(self._stack[0])
         return self._gram_memo["matrix"]
-
-    def _stacked_losses(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """The losses as one stack (gram, moment, energy) such that their sum
-        is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy, or None when
-        some loss is not quadratic. Built once, by the constructor."""
-        return self._stack
 
     def _check_params(self, params: StackedParams) -> None:
         if params.n != self.n or params.d != self.d:
@@ -390,9 +371,8 @@ def _value_and_half_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarr
     the value w' (g - q) + energy; else :func:`_evaluate` and half the sum
     of the per-node loss gradients and 2 alpha L w. Halving is exact, so
     2 g is the gradient bit for bit."""
-    stack = problem._stacked_losses()
-    if stack is not None:
-        _, moment, energy = stack
+    if problem._stack is not None:
+        _, moment, energy = problem._stack
         g = _system_product(problem, 0.0, w)
         g -= moment
         return float(np.vdot(w, g - moment)) + energy, g
@@ -434,12 +414,14 @@ def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
         c = int(np.argmax(singular))
         members = np.flatnonzero(labels == c)
         alone = "" if coupled else "; with alpha = 0 or no edges every node is its own component"
+        remedy = "call solve_exact(..., ridge=...) with ridge > 0 to regularize explicitly"
+        if problem.alpha == 0.0 and graph.num_edges > 0:
+            remedy = f"pass alpha > 0 to couple the nodes along the graph edges, or {remedy}"
         raise SingularSystemError(
             f"stationarity matrix Q + alpha*(L kron I) is singular: the graph "
             f"component of {members.size} node(s) starting at node {members[0]} "
             f"has a singular pooled Gram matrix (smallest eigenvalue "
-            f"{vals[c, 0]:.3e}, largest {vals[c, -1]:.3e}){alone}. "
-            f"Pass ridge > 0 to regularize explicitly"
+            f"{vals[c, 0]:.3e}, largest {vals[c, -1]:.3e}){alone}. Remedy: {remedy}"
         )
 
 
@@ -503,13 +485,12 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     raised otherwise. ``ridge`` > 0 opts into an explicit diagonal shift
     instead of any silent pseudo-inverse.
     """
-    stack = problem._stacked_losses()
-    if stack is None:
+    if problem._stack is None:
         raise TypeError("solve_exact requires quadratic losses on every node")
     ridge = float(ridge)
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    gram, moment, _ = stack
+    gram, moment, _ = problem._stack
     if ridge == 0.0:
         _check_nonsingular(problem, gram)
     shift = problem.alpha * problem.graph.weighted_degrees() + ridge
@@ -569,9 +550,8 @@ def _step_size(problem: GTVMinProblem) -> float:
     computed on the first call and kept on the problem."""
     if problem._step is not None:
         return problem._step
-    stack = problem._stacked_losses()
-    if stack is not None:
-        top = np.linalg.eigvalsh(stack[0])[:, -1]
+    if problem._stack is not None:
+        top = np.linalg.eigvalsh(problem._stack[0])[:, -1]
         smooth = float(2.0 * max(top.max(), 0.0))
     else:
         smooth = max(loss.smoothness() for loss in problem.losses)
@@ -678,9 +658,7 @@ def save_result(result: SolveResult, path: str | Path) -> None:
         "residual": result.residual,
         "alpha": result.alpha,
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    _write_json(path, payload)
 
 
 def load_result(path: str | Path) -> SolveResult:

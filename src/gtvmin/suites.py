@@ -260,7 +260,7 @@ def cross_solver_suite(
             np.max(np.abs(exact.params.per_node - iterative.params.per_node))
         )
         max_linf = max(max_linf, linf)
-        q_norm = float(np.linalg.norm(problem._stacked_losses()[1]))
+        q_norm = float(np.linalg.norm(problem._stack[1]))
         max_ratio = max(max_ratio, exact.residual / q_norm if q_norm > 0 else 0.0)
     return CrossSolverSuiteResult(
         num_scenarios=produced,

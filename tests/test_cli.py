@@ -130,6 +130,19 @@ def test_solve_singular_system_exits_2_naming_the_component(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_singular_system_refusal_names_the_remedies_a_caller_has(tmp_path, capsys):
+    # the CLI has no ridge flag: coupling the nodes is its remedy, the ridge
+    # the library's
+    cfg = write_config(tmp_path / "cfg.json", d=3, m_per_node=1)
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(scen_dir), "--alpha", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "alpha > 0" in err and "solve_exact(..., ridge=...)" in err
+    assert "Pass ridge" not in err
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_solve_non_finite_tol_exits_1_naming_tol(tmp_path, capsys, tol):
     cfg = write_config(tmp_path / "cfg.json")
@@ -289,6 +302,14 @@ def test_analyze_single_cluster_selection(tmp_path):
     assert main(["analyze", str(scen_dir), str(res), "--cluster", "7", "--out", str(out)]) == 1
 
 
+def test_analyze_cluster_that_is_not_an_index_names_the_flag(tmp_path, capsys):
+    scen_dir, res = solved_dir(tmp_path)
+    capsys.readouterr()
+    assert main(["analyze", str(scen_dir), str(res), "--cluster", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --cluster must be a cluster index or 'all', got 'abc'\n"
+
+
 def test_analyze_degenerate_cluster_is_flagged_not_fatal(tmp_path):
     scen_dir, res = solved_dir(tmp_path, p_in=0.0, p_out=0.0, cluster_sizes=[2, 2])
     out = tmp_path / "reports"
@@ -426,7 +447,11 @@ def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
     assert f"{scen_dir / 'meta.json'}: clusters[1]: must be a JSON object, got {entry!r}" in err
 
 
-@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "# nothing\n", "# a\n\n# b\n"],
+    ids=["empty", "blank-lines", "comment", "comments-and-blank"],
+)
 def test_node_file_without_samples_says_so_without_a_warning(tmp_path, capsys, text):
     import warnings
 
@@ -541,6 +566,30 @@ def test_config_validation():
         ExperimentConfig(p_out_list=[]).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(p_in=0.5, p_out=0.7).validate()
+
+
+@pytest.mark.parametrize("key", ["d", "m_per_node"])
+def test_config_dimension_below_1_is_refused_as_its_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "cfg.json", **{key: 0})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: config: key {key!r} must be a positive integer, got 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_empty_cluster_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", cluster_sizes=[0])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: cluster_sizes must be positive\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_alpha_flag_overrides_alpha_list(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 5.0])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--alpha", "2"]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 2 and all(float(row["alpha"]) == 2.0 for row in rows)
+    assert sorted(p.name for p in (out / "scenario_00").glob("result_*.json")) == ["result_00.json"]
 
 
 def _drop_key(path, key):

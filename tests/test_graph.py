@@ -642,6 +642,16 @@ def test_sparse_laplacian_matches_dense_route(seed):
     assert np.max(np.abs(graph._laplacian_csr() @ w - lap @ w)) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_dense_laplacian_is_the_sparse_one_bit_for_bit(seed):
+    # Gaussian kNN weights, whose degree sums round differently in every order
+    rng = np.random.default_rng(900 + seed)
+    graph = graph_from_embedding(Embedding(rng.normal(size=(40, 3))), k=4, sigma=1.5)
+    dense = laplacian(graph)
+    np.testing.assert_array_equal(dense.view(np.int64), graph._laplacian_csr().toarray().view(np.int64))
+    assert lambda2(graph) == float(max(np.linalg.eigvalsh(graph._laplacian_csr().toarray())[1], 0.0))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_boundary_and_induced_subgraph_match_definitions(seed):

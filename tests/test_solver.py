@@ -52,7 +52,9 @@ def kron_quadratic_form(graph, params):
 
 
 def stacked_rhs(problem):
-    return np.concatenate([loss.moment for loss in problem.losses])
+    """Oracle route for the right-hand side: the per-node X'y/m."""
+    datasets = [loss.dataset for loss in problem.losses]
+    return np.concatenate([ds.features.T @ ds.labels / ds.num_samples for ds in datasets])
 
 
 def dense_system(problem, ridge=0.0):
@@ -61,7 +63,8 @@ def dense_system(problem, ridge=0.0):
     n, d = problem.n, problem.d
     mat = np.zeros((n * d, n * d))
     for i, loss in enumerate(problem.losses):
-        mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = loss.gram
+        x = loss.dataset.features
+        mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = x.T @ x / loss.dataset.num_samples
     lap = laplacian(problem.graph)
     return mat + problem.alpha * np.kron(lap, np.eye(d)) + ridge * np.eye(n * d)
 
@@ -326,7 +329,10 @@ def test_problem_losses_are_immutable_and_stacked_once():
     scen, problem = make_problem()
     with pytest.raises(TypeError):
         problem.losses[0] = _OpaqueLoss(scen.datasets[0])
-    assert problem._stacked_losses() is problem._stacked_losses()
+    stack = problem._stack
+    objective(problem, StackedParams.zeros(problem.n, problem.d))
+    solve_exact(problem)
+    assert problem._stack is stack
 
 
 def bits(a):
@@ -348,7 +354,7 @@ def test_stack_equals_per_node_products_bit_for_bit(d):
     ]
     n = len(datasets)
     graph = SimilarityGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-    gram, moment, energy = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.5, d)._stacked_losses()
+    gram, moment, energy = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.5, d)._stack
     for i, ds in enumerate(datasets):
         x, y, m = ds.features, ds.labels, ds.num_samples
         np.testing.assert_array_equal(bits(gram[i]), bits(x.T @ x / m))
@@ -357,18 +363,6 @@ def test_stack_equals_per_node_products_bit_for_bit(d):
     # is pairwise, so the two can differ in the last bits
     per_node = [float(ds.labels @ ds.labels) / ds.num_samples for ds in datasets]
     assert bits(energy) == bits(sum(per_node))
-
-
-def test_quadratic_loss_terms_are_computed_on_first_access_only():
-    _, problem = make_problem(seed=8, sizes=(3, 2), d=3)
-    assert all(not {"gram", "moment", "label_energy"} & vars(loss).keys() for loss in problem.losses)
-    gram, moment, _ = problem._stacked_losses()
-    for i, loss in enumerate(problem.losses):
-        np.testing.assert_array_equal(bits(loss.gram), bits(gram[i]))
-        np.testing.assert_array_equal(bits(loss.moment), bits(moment[i]))
-        assert loss.gram is loss.gram
-        y = loss.dataset.labels
-        assert bits(loss.label_energy) == bits(float(y @ y) / len(y))
 
 
 @pytest.mark.parametrize("alpha, ridge", [(0.0, 0.0), (0.8, 0.0), (2.5, 1e-3)])
@@ -386,7 +380,7 @@ def test_assembled_system_matches_kronecker_route(alpha, ridge):
     mat = np.column_stack([col.reshape(-1) for col in columns])
     expected = dense_system(problem, ridge)
     assert np.max(np.abs(mat - expected)) <= 1e-14 * np.max(np.abs(expected))
-    np.testing.assert_array_equal(problem._stacked_losses()[1].reshape(-1), stacked_rhs(problem))
+    np.testing.assert_array_equal(problem._stack[1].reshape(-1), stacked_rhs(problem))
 
 
 def assert_matches_dense_oracle(problem, ridge=0.0):
@@ -521,7 +515,7 @@ def test_step_size_is_computed_once_per_problem(monkeypatch):
     assert len(calls) == 2
     # nor is it shared with the same problem at another alpha
     other = problem._with_alpha(2.0)
-    assert other._stacked_losses() is problem._stacked_losses()
+    assert other._stack is problem._stack
     assert other._gram_matrix is problem._gram_matrix
     assert other._geometry_memo is problem._geometry_memo
     expected = solve_iterative(GTVMinProblem(problem.losses, problem.graph, 2.0, problem.d), max_iter=7, tol=0.0)
