@@ -60,8 +60,8 @@ class SimilarityGraph:
     canonicalized to ``(min(i, j), max(i, j))``; self-loops, duplicate
     pairs and non-positive weights are rejected. The graph is
     stored once, as edge arrays in canonical sorted order plus the weighted
-    degrees; every other view (the edge map, the dense adjacency, the
-    sparse Laplacian) is derived from them. Instances are immutable after
+    degrees; every other view (the edge map, the dense adjacency, both
+    Laplacians) is derived from them. Instances are immutable after
     construction and safe to share across threads.
     """
 
