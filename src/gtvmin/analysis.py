@@ -179,16 +179,14 @@ def project_consensus(delta: np.ndarray, d: int) -> np.ndarray:
     """Orthogonal projection onto the consensus subspace (stacked vectors
     whose d-blocks are all equal): replicate the block average."""
     blocks = _blocks(delta, d)
-    avg = blocks.mean(axis=0)
-    return np.tile(avg, blocks.shape[0])
+    return np.tile(blocks.mean(axis=0), blocks.shape[0])
 
 
 def project_disagreement(delta: np.ndarray, d: int) -> np.ndarray:
     """Complementary projection: the stacked block deviations from the block
     average. Together with :func:`project_consensus` this is an orthogonal
     decomposition of the input."""
-    blocks = _blocks(delta, d)
-    return np.asarray(delta, dtype=float) - np.tile(blocks.mean(axis=0), blocks.shape[0])
+    return np.asarray(delta, dtype=float) - project_consensus(delta, d)
 
 
 def tv_lower_bound_check(
@@ -225,27 +223,6 @@ def cluster_objective(
     return _evaluate(problem, params.per_node, inside, inside[ii] | inside[jj])
 
 
-def _require_cluster_data(
-    problem: GTVMinProblem, result: SolveResult, cluster: ClusterSpec, name: str
-) -> tuple[np.ndarray, float]:
-    """The cluster's reference vector and error budget, after the checks
-    that the deviation bound and its certificate chain share."""
-    if cluster.reference_params is None or cluster.epsilon is None:
-        raise ValueError(
-            "cluster must carry reference parameters and a clustering-error budget"
-        )
-    if problem.alpha <= 0.0:
-        raise ValueError(f"the {name} needs alpha > 0")
-    problem._check_params(result.params)
-    cluster.check_against(problem.n)
-    w_bar = cluster.reference_params
-    if w_bar.shape != (problem.d,):
-        raise ValueError(
-            f"reference parameters have shape {w_bar.shape}, expected ({problem.d},)"
-        )
-    return w_bar, float(cluster.epsilon)
-
-
 def _cluster_geometry(graph: SimilarityGraph, cluster: ClusterSpec) -> tuple[float, bool, float]:
     """(lambda2, degenerate, boundary) of one cluster.
 
@@ -262,23 +239,44 @@ def _cluster_geometry(graph: SimilarityGraph, cluster: ClusterSpec) -> tuple[flo
 
 
 def _cluster_terms(
-    problem: GTVMinProblem, params: StackedParams, cluster: ClusterSpec
-) -> tuple[float, bool, float, float, float]:
-    """(lambda2, degenerate, boundary, R, deviation sum) of one cluster.
-
-    The geometry (:func:`_cluster_geometry`) is computed once per problem
-    and cluster, memoized on the problem by member tuple (threads racing on
-    it compute the same value twice), so the bound report and the
-    certificate of one cluster share one eigensolve. R is
-    the largest parameter norm outside the cluster, zero when there is no
-    outside; the deviation sum is sum_{i in C} ||w_i - avg||^2."""
+    problem: GTVMinProblem, result: SolveResult, cluster: ClusterSpec, name: str
+) -> tuple[np.ndarray, float, bool, float, float, float, float]:
+    """(wbar, lambda2, degenerate, boundary, R, deviation sum, upper) of one
+    cluster, after the checks that the bound report and the certificate
+    (``name``) share. R is the largest parameter norm outside the cluster
+    (zero without an outside), the deviation sum is sum_{i in C} ||w_i -
+    avg||^2, and upper = epsilon + 2 alpha bd (||wbar||^2 + R^2) bounds the
+    candidate's value and is the deviation bound's numerator. The geometry
+    (:func:`_cluster_geometry`) is memoized on the problem by member tuple
+    (threads racing on it compute it twice): both share one eigensolve."""
+    if cluster.reference_params is None or cluster.epsilon is None:
+        raise ValueError(
+            "cluster must carry reference parameters and a clustering-error budget"
+        )
+    if problem.alpha <= 0.0:
+        raise ValueError(f"the {name} needs alpha > 0")
+    problem._check_params(result.params)
+    cluster.check_against(problem.n)
+    w_bar = cluster.reference_params
+    if w_bar.shape != (problem.d,):
+        raise ValueError(
+            f"reference parameters have shape {w_bar.shape}, expected ({problem.d},)"
+        )
     memo = problem._geometry_memo
     if cluster.members not in memo:
         memo[cluster.members] = _cluster_geometry(problem.graph, cluster)
     lam2, degenerate, boundary = memo[cluster.members]
-    outside = params.per_node[~_member_mask(problem.n, cluster)]
+    outside = result.params.per_node[~_member_mask(problem.n, cluster)]
     r_outside = float(np.max(np.linalg.norm(outside, axis=1))) if len(outside) else 0.0
-    return lam2, degenerate, boundary, r_outside, deviations(params, cluster).sum_sq
+    upper = cluster.epsilon + 2.0 * problem.alpha * boundary * (
+        float(w_bar @ w_bar) + r_outside**2
+    )
+    deviation_sum = deviations(result.params, cluster).sum_sq
+    return w_bar, lam2, degenerate, boundary, r_outside, deviation_sum, upper
+
+
+def _tolerated(slack: float, scale: float) -> bool:
+    return slack >= -_SLACK_RTOL * max(1.0, scale)
 
 
 def deviation_bound_report(
@@ -292,31 +290,23 @@ def deviation_bound_report(
     disconnected (or singleton) cluster subgraph yields a degenerate report
     with rhs = +inf instead of an error.
     """
-    w_bar, epsilon = _require_cluster_data(problem, result, cluster, "deviation bound")
-    lam2, degenerate, boundary, r_outside, lhs = _cluster_terms(problem, result.params, cluster)
-    w_bar_norm_sq = float(w_bar @ w_bar)
-    alpha = problem.alpha
-
-    if degenerate:
-        rhs = float("inf")
-        satisfied = True
-        slack = float("inf")
-    else:
-        rhs = (epsilon + alpha * boundary * 2.0 * (w_bar_norm_sq + r_outside**2)) / (
-            alpha * lam2
-        )
-        satisfied = lhs <= rhs + _SLACK_RTOL * max(1.0, rhs)
+    w_bar, lam2, degenerate, boundary, r_outside, lhs, upper = _cluster_terms(
+        problem, result, cluster, "deviation bound"
+    )
+    rhs = slack = float("inf")
+    if not degenerate:
+        rhs = upper / (problem.alpha * lam2)
         slack = rhs - lhs
     return BoundReport(
         lhs=float(lhs),
         lambda2=float(lam2),
         boundary=float(boundary),
-        epsilon=epsilon,
+        epsilon=cluster.epsilon,
         r_outside=r_outside,
-        w_bar_norm_sq=w_bar_norm_sq,
-        alpha=alpha,
+        w_bar_norm_sq=float(w_bar @ w_bar),
+        alpha=problem.alpha,
         rhs=rhs,
-        satisfied=bool(satisfied),
+        satisfied=bool(degenerate or lhs <= rhs + _SLACK_RTOL * max(1.0, rhs)),
         slack=slack,
         degenerate=degenerate,
     )
@@ -333,28 +323,22 @@ def certificate_check(
     form bounds. All three slacks should be non-negative up to numerical
     tolerance whenever the result is an (approximate) minimizer.
     """
-    w_bar, epsilon = _require_cluster_data(problem, result, cluster, "certificate chain")
-    members = list(cluster.members)
+    w_bar, lam2, degenerate, _, _, deviation_sum, candidate_upper = _cluster_terms(
+        problem, result, cluster, "certificate chain"
+    )
     f_solution = cluster_objective(problem, result.params, cluster)
     candidate = result.params.copy()
-    candidate.per_node[members] = w_bar
+    candidate.per_node[list(cluster.members)] = w_bar
     f_candidate = cluster_objective(problem, candidate, cluster)
-
-    lam2, degenerate, boundary, r_outside, deviation_sum = _cluster_terms(
-        problem, result.params, cluster
-    )
-    candidate_upper = epsilon + 2.0 * problem.alpha * boundary * (
-        float(w_bar @ w_bar) + r_outside**2
-    )
     solution_lower = problem.alpha * lam2 * deviation_sum
 
     candidate_slack = candidate_upper - f_candidate
     spectral_slack = f_solution - solution_lower
     optimality_slack = f_candidate - f_solution
     holds = (
-        candidate_slack >= -_SLACK_RTOL * max(1.0, candidate_upper)
-        and spectral_slack >= -_SLACK_RTOL * max(1.0, solution_lower)
-        and optimality_slack >= -_SLACK_RTOL * max(1.0, abs(f_candidate))
+        _tolerated(candidate_slack, candidate_upper)
+        and _tolerated(spectral_slack, solution_lower)
+        and _tolerated(optimality_slack, abs(f_candidate))
     )
     return CertificateRecord(
         f_candidate=float(f_candidate),
@@ -403,11 +387,8 @@ def bound_report_rows(
 ) -> list[tuple[BoundReport, dict]]:
     """The deviation bound report of each cluster, in order, paired with
     its CSV row."""
-    pairs = []
-    for cluster in clusters:
-        report = deviation_bound_report(problem, result, cluster)
-        pairs.append((report, bound_report_row(report, seed, problem.n, problem.d)))
-    return pairs
+    reports = [deviation_bound_report(problem, result, cluster) for cluster in clusters]
+    return [(report, bound_report_row(report, seed, problem.n, problem.d)) for report in reports]
 
 
 def _format_cell(value) -> str:
@@ -422,6 +403,5 @@ def write_reports_csv(path: str | Path, rows: Iterable[dict]) -> None:
     """Fixed-column CSV with '.' decimals and 17 significant digits, one
     row per (scenario, cluster, alpha)."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[col]) for col in CSV_COLUMNS))
+    lines += [",".join(_format_cell(row[col]) for col in CSV_COLUMNS) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

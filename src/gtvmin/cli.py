@@ -9,8 +9,8 @@ randomized verification suites).
 
 Configuration is a single JSON document; every flag mirrors a config key
 and overrides it. All artifacts regenerate byte-identically from
-(config, seed). Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 I/O error.
+(config, seed). Exit codes: 0 success, 1 validation error (also an input
+too large to allocate), 2 numerical failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
 
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except GTVMinError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

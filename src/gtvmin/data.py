@@ -159,8 +159,14 @@ class Scenario:
         if any(ds.dim != self.d for ds in self.datasets):
             raise ValueError("all datasets must share the scenario dimension")
         covered = set()
-        for cluster in self.clusters:
-            cluster.check_against(self.graph.n)
+        for k, cluster in enumerate(self.clusters):
+            ref = cluster.reference_params
+            try:
+                cluster.check_against(self.graph.n)
+                if ref is not None and ref.shape != (self.d,):
+                    raise ValueError(f"reference_params has length {ref.size}, not d = {self.d}")
+            except ValueError as exc:
+                raise ValueError(f"clusters[{k}]: {exc}") from None
             covered.update(cluster.members)
         if covered != set(range(self.graph.n)):
             raise ValueError("every node must belong to at least one cluster")
@@ -330,12 +336,18 @@ def load_scenario(directory: str | Path) -> Scenario:
     handle by ``np.loadtxt(delimiter=",", ndmin=2)``. A file that does not
     decode or parse, holds no samples, has other than d + 1 columns or
     holds a non-finite entry raises a ValueError that starts with its path,
-    as do a meta.json or graph.txt at fault; a missing file raises OSError.
+    as do a meta.json or graph.txt at fault (a meta.json whose ``n`` is not
+    graph.txt's node count, or whose clusters do not fit the scenario, is at
+    fault; ``clusters[k]`` names the cluster); a missing file raises OSError.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = _read_json(meta_path)
-    graph = read_graph(directory / "graph.txt")
+    graph_path = directory / "graph.txt"
+    graph = read_graph(graph_path)
+    n = _json_field(meta, "n", "a positive integer", meta_path)
+    if n != graph.n:
+        raise ValueError(f"{meta_path}: key 'n' is {n}, but {graph_path} has {graph.n} nodes")
     d = _json_field(meta, "d", "a positive integer", meta_path)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):
@@ -343,13 +355,12 @@ def load_scenario(directory: str | Path) -> Scenario:
         ref = _json_field(
             entry, "reference_params", "a list of finite numbers", source, optional=True
         )
-        clusters.append(
-            ClusterSpec(
-                members=tuple(_json_field(entry, "members", "a list of integers", source)),
-                reference_params=None if ref is None else np.asarray(ref, dtype=float),
-                epsilon=_json_field(entry, "epsilon", "a finite number", source, optional=True),
-            )
-        )
+        members = tuple(_json_field(entry, "members", "a list of integers", source))
+        epsilon = _json_field(entry, "epsilon", "a finite number", source, optional=True)
+        try:
+            clusters.append(ClusterSpec(members=members, reference_params=ref, epsilon=epsilon))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     datasets = []
     for i in range(graph.n):
         path = directory / f"node_{i}.csv"
@@ -366,11 +377,14 @@ def load_scenario(directory: str | Path) -> Scenario:
             datasets.append(LocalDataset(features=table[:, :d], labels=table[:, d]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    return Scenario(
-        datasets=datasets,
-        graph=graph,
-        clusters=clusters,
-        d=d,
-        rng_seed=meta.get("seed"),
-        generator=meta.get("generator"),
-    )
+    try:
+        return Scenario(
+            datasets=datasets,
+            graph=graph,
+            clusters=clusters,
+            d=d,
+            rng_seed=meta.get("seed"),
+            generator=meta.get("generator"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None

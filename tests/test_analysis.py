@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,48 @@ def test_report_requires_alpha_and_cluster_data():
     zero_alpha = GTVMinProblem.from_scenario(scen, 0.0)
     with pytest.raises(ValueError):
         deviation_bound_report(zero_alpha, result, scen.clusters[0])
+
+
+@pytest.mark.parametrize("check", [deviation_bound_report, certificate_check])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("bare", "clustering-error budget"),
+        ("alpha-0", "needs alpha > 0"),
+        ("wbar-length", "reference parameters have shape (3,), expected (2,)"),
+    ],
+)
+def test_report_and_certificate_refuse_alike(check, case, message):
+    scen, problem, result = solved_scenario(seed=8)
+    cluster = scen.clusters[0]
+    if case == "bare":
+        cluster = ClusterSpec(members=cluster.members)
+    elif case == "alpha-0":
+        problem = GTVMinProblem.from_scenario(scen, 0.0)
+    else:
+        cluster = ClusterSpec(
+            members=cluster.members, reference_params=np.zeros(3), epsilon=cluster.epsilon
+        )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(problem, result, cluster)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+def test_report_and_certificate_read_one_set_of_terms(seed, alpha):
+    scen, problem, result = solved_scenario(seed=seed, alpha=alpha, sizes=(5, 4, 3), noise=0.3)
+    checked = 0
+    for cluster in scen.clusters:
+        report = deviation_bound_report(problem, result, cluster)
+        cert = certificate_check(problem, result, cluster)
+        assert report.degenerate == cert.degenerate
+        if report.degenerate:
+            continue
+        checked += 1
+        assert report.rhs == cert.candidate_upper / (report.alpha * report.lambda2)
+        assert report.lhs == cert.deviation_sum
+        assert cert.solution_lower == report.alpha * report.lambda2 * report.lhs
+    assert checked >= 1
 
 
 def test_report_degenerate_disconnected_cluster():

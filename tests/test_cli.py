@@ -446,6 +446,46 @@ def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
 
 
 @pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda meta: meta["clusters"][1].update(members=[5, 6, 7, 8, 99]),
+            "clusters[1]: cluster members (5, 6, 7, 8, 99) exceed node count 10",
+        ),
+        (
+            lambda meta: meta["clusters"][1].update(members=[5, 6, 7, 8]),
+            "every node must belong to at least one cluster",
+        ),
+        (
+            lambda meta: meta["clusters"][0].update(members=[0, 1, 2, 3, 4, 4]),
+            "clusters[0]: cluster members must be distinct",
+        ),
+        (lambda meta: meta.update(n=7), "key 'n' is 7, but"),
+        (lambda meta: meta.update(n=0), "key 'n' must be a positive integer, got 0"),
+        (
+            lambda meta: meta["clusters"][0].update(reference_params=[1.0]),
+            "clusters[0]: reference_params has length 1, not d = 2",
+        ),
+    ],
+    ids=["member-out-of-range", "node-uncovered", "duplicate-members", "n-7", "n-0", "reference-length"],
+)
+def test_scenario_refusal_from_meta_names_meta_json(tmp_path, capsys, mutate, message):
+    cfg = write_config(tmp_path / "cfg.json", cluster_sizes=[5, 5])
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    meta_path = scen_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    mutate(meta)
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    res = tmp_path / "res.json"
+    assert main(["solve", str(scen_dir), "--alpha", "1", "--out", str(res)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: ") and message in err
+    assert not res.exists()
+
+
+@pytest.mark.parametrize(
     "text",
     ["", "\n\n", "# nothing\n", "# a\n\n# b\n"],
     ids=["empty", "blank-lines", "comment", "comments-and-blank"],
@@ -476,6 +516,31 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"seed": 1, "bogus": True}))
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_unknown_key_names_its_file(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", bogus=1)
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_file(path)
+    assert str(info.value) == f"{path}: unknown config keys: ['bogus']"
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: unknown config keys: ['bogus']\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_out_of_memory_exits_1_with_a_message(tmp_path, capsys, monkeypatch):
+    import gtvmin.cli
+
+    # a real allocation of this size would depend on the host's overcommit setting
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000, 1)"
+
+    def refuse(**_):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(gtvmin.cli, "generate_scenario", refuse)
+    cfg = write_config(tmp_path / "cfg.json", cluster_sizes=[100000000000])
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "scen")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 def test_config_not_a_json_object_rejected(tmp_path, capsys):
