@@ -6,112 +6,13 @@ cluster-wise deviations are certified against a closed-form spectral
 bound.
 """
 
-from .analysis import (
-    BoundReport,
-    CertificateRecord,
-    DeviationVector,
-    TVBoundCheck,
-    certificate_check,
-    cluster_average,
-    cluster_objective,
-    deviation_bound_report,
-    deviations,
-    project_consensus,
-    project_disagreement,
-    tv_lower_bound_check,
-)
-from .data import (
-    LocalDataset,
-    Scenario,
-    clustering_error,
-    generate_scenario,
-    load_scenario,
-    quadratic_loss,
-    quadratic_loss_gradient,
-    save_scenario,
-)
-from .errors import DivergenceError, GTVMinError, SingularSystemError
-from .graph import (
-    ClusterSpec,
-    Embedding,
-    GraphParams,
-    SimilarityGraph,
-    cluster_boundary,
-    generate_planted_clusters,
-    graph_from_embedding,
-    induced_subgraph,
-    is_disconnected,
-    lambda2,
-    laplacian,
-    read_graph,
-    write_graph,
-)
-from .solver import (
-    GTVMinProblem,
-    LocalLoss,
-    QuadraticLoss,
-    SolveResult,
-    StackedParams,
-    load_result,
-    objective,
-    objective_gradient,
-    save_result,
-    solve_exact,
-    solve_iterative,
-    synchronous_step,
-    total_variation,
-)
+from . import analysis, data, errors, graph, solver
+from .analysis import *
+from .data import *
+from .errors import *
+from .graph import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CertificateRecord",
-    "ClusterSpec",
-    "DeviationVector",
-    "DivergenceError",
-    "Embedding",
-    "GTVMinError",
-    "GTVMinProblem",
-    "GraphParams",
-    "LocalDataset",
-    "LocalLoss",
-    "QuadraticLoss",
-    "Scenario",
-    "SimilarityGraph",
-    "SingularSystemError",
-    "SolveResult",
-    "StackedParams",
-    "TVBoundCheck",
-    "certificate_check",
-    "cluster_average",
-    "cluster_boundary",
-    "cluster_objective",
-    "clustering_error",
-    "deviation_bound_report",
-    "deviations",
-    "generate_planted_clusters",
-    "generate_scenario",
-    "graph_from_embedding",
-    "induced_subgraph",
-    "is_disconnected",
-    "lambda2",
-    "laplacian",
-    "load_result",
-    "load_scenario",
-    "objective",
-    "objective_gradient",
-    "project_consensus",
-    "project_disagreement",
-    "quadratic_loss",
-    "quadratic_loss_gradient",
-    "read_graph",
-    "save_result",
-    "save_scenario",
-    "solve_exact",
-    "solve_iterative",
-    "synchronous_step",
-    "total_variation",
-    "tv_lower_bound_check",
-    "write_graph",
-]
+__all__ = analysis.__all__ + data.__all__ + errors.__all__ + graph.__all__ + solver.__all__

@@ -18,6 +18,7 @@ chain of inequalities that makes the bound checkable step by step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable
@@ -246,7 +247,8 @@ def _cluster_terms(
     (``name``) share. R is the largest parameter norm outside the cluster
     (zero without an outside), the deviation sum is sum_{i in C} ||w_i -
     avg||^2, and upper = epsilon + 2 alpha bd (||wbar||^2 + R^2) bounds the
-    candidate's value and is the deviation bound's numerator. The geometry
+    candidate's value and is the deviation bound's numerator; a ValueError
+    naming the cluster is raised when a term overflows. The geometry
     (:func:`_cluster_geometry`) is memoized on the problem by member tuple
     (threads racing on it compute it twice): both share one eigensolve."""
     if cluster.reference_params is None or cluster.epsilon is None:
@@ -266,13 +268,20 @@ def _cluster_terms(
     if cluster.members not in memo:
         memo[cluster.members] = _cluster_geometry(problem.graph, cluster)
     lam2, degenerate, boundary = memo[cluster.members]
-    outside = result.params.per_node[~_member_mask(problem.n, cluster)]
-    r_outside = float(np.max(np.linalg.norm(outside, axis=1))) if len(outside) else 0.0
-    upper = cluster.epsilon + 2.0 * problem.alpha * boundary * (
-        float(w_bar @ w_bar) + r_outside**2
-    )
-    deviation_sum = deviations(result.params, cluster).sum_sq
-    return w_bar, lam2, degenerate, boundary, r_outside, deviation_sum, upper
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        outside = result.params.per_node[~_member_mask(problem.n, cluster)]
+        # numpy scalars: a square that overflows reads inf, where a float's raises
+        r_outside = np.max(np.linalg.norm(outside, axis=1)) if len(outside) else 0.0
+        w_bar_sq, r_sq = w_bar @ w_bar, r_outside**2
+        upper = float(cluster.epsilon + 2.0 * problem.alpha * boundary * (w_bar_sq + r_sq))
+        deviation_sum = deviations(result.params, cluster).sum_sq
+    if not all(map(math.isfinite, (w_bar_sq, r_sq, upper, deviation_sum))):
+        raise ValueError(
+            f"the {name} of cluster {cluster.members} overflows: ||wbar||^2 = {w_bar_sq:g}, "
+            f"R^2 = {r_sq:g}, 2 alpha bd = {2.0 * problem.alpha * boundary:g}, "
+            f"deviation sum {deviation_sum:g}"
+        )
+    return w_bar, lam2, degenerate, boundary, float(r_outside), deviation_sum, upper
 
 
 def _tolerated(slack: float, scale: float) -> bool:
@@ -364,22 +373,12 @@ def save_report(report: BoundReport | CertificateRecord, path: str | Path) -> No
 
 
 def bound_report_row(report: BoundReport, seed, n: int, d: int) -> dict:
-    """Flatten a report into one CSV row keyed by the scenario metadata."""
-    return {
-        "seed": seed,
-        "n": n,
-        "d": d,
-        "alpha": report.alpha,
-        "lambda2": report.lambda2,
-        "boundary": report.boundary,
-        "epsilon": report.epsilon,
-        "R": report.r_outside,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "satisfied": report.satisfied,
-        "degenerate": report.degenerate,
-    }
+    """Flatten a report into one CSV row: the scenario's seed, n and d, then
+    each further column's report field of the same name (R is r_outside)."""
+    row = dict(zip(CSV_COLUMNS, (seed, n, d)))
+    for col in CSV_COLUMNS[len(row):]:
+        row[col] = getattr(report, "r_outside" if col == "R" else col)
+    return row
 
 
 def bound_report_rows(

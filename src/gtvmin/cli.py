@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +47,8 @@ __all__ = ["ExperimentConfig", "main", "entrypoint"]
 
 # the JSON kind of each config key (p_out_list may also be null)
 _CONFIG_KINDS = {
-    "an integer": ("seed", "max_iter"),
+    "an integer": ("max_iter",),
+    "a non-negative integer": ("seed",),
     "a positive integer": ("d", "m_per_node"),
     "a finite number": ("noise_std", "separation", "p_in", "p_out", "w_in", "w_out", "tol"),
     "a string": ("solver", "out_dir"),
@@ -83,8 +85,9 @@ class ExperimentConfig:
                 _json_field(values, key, kind, "config", optional=key == "p_out_list")
         if not self.alpha_list:
             raise ValueError("alpha_list must not be empty")
-        if any(a < 0 for a in self.alpha_list):
-            raise ValueError("alpha_list entries must be >= 0")
+        if any(a <= 0 for a in self.alpha_list):
+            # every sweep row's deviation bound needs alpha > 0
+            raise ValueError("alpha_list entries must be > 0")
         if self.solver not in ("exact", "iterative"):
             raise ValueError(f"solver must be 'exact' or 'iterative', got {self.solver!r}")
         if self.max_iter < 1 or self.tol <= 0:
@@ -95,9 +98,34 @@ class ExperimentConfig:
             raise ValueError("p_out_list, when given, must not be empty")
         # graph probabilities validated by GraphParams
         self.graph_params()
-        if self.p_out_list is not None:
-            for p in self.p_out_list:
-                GraphParams(p_in=self.p_in, p_out=p, w_in=self.w_in, w_out=self.w_out)
+        for k, p in enumerate(self.p_out_list or []):
+            try:
+                self.graph_params(p)
+            except ValueError as exc:
+                raise ValueError(f"p_out_list[{k}]: {exc}") from None
+        self._check_size()
+
+    def _check_size(self) -> None:
+        """Refuse a scenario that would not fit in physical memory: its
+        samples, sum |C| m (d + 1) values, plus the planted graph's expected
+        edges, three values each, at 8 bytes a value."""
+        memory = _physical_memory()
+        if memory is None:
+            return
+        n = sum(self.cluster_sizes)
+        need = 8 * n * self.m_per_node * (self.d + 1)
+        if need <= memory:  # n is small enough for floats now
+            inside = sum(s * (s - 1) // 2 for s in self.cluster_sizes)
+            p_out = max(self.p_out_list or [self.p_out])
+            need += 24 * (self.p_in * inside + p_out * (n * (n - 1) // 2 - inside))
+        if need > memory:
+            from decimal import Decimal  # formats an int of any size
+
+            raise ValueError(
+                f"config: cluster_sizes, m_per_node, d, p_in and p_out ask for about "
+                f"{Decimal(need) / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+                f"of physical memory"
+            )
 
     def graph_params(self, p_out: float | None = None) -> GraphParams:
         return GraphParams(
@@ -117,6 +145,14 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         return cls(**raw)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, where the platform reports them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -240,10 +276,14 @@ def cmd_sweep(args) -> int:
         # depend on alpha: every alpha's problem shares this one's
         base = GTVMinProblem.from_scenario(scenario, cfg.alpha_list[0])
         for ia, alpha in enumerate(cfg.alpha_list):
-            problem = base._with_alpha(alpha)
-            result = _solve(problem, cfg.solver, cfg.max_iter, cfg.tol)
-            save_result(result, scen_dir / f"result_{ia:02d}.json")
-            pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)
+            try:
+                problem = base._with_alpha(alpha)
+                result = _solve(problem, cfg.solver, cfg.max_iter, cfg.tol)
+                save_result(result, scen_dir / f"result_{ia:02d}.json")
+                pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)
+            except (ValueError, GTVMinError) as exc:
+                # name the config's run that failed
+                raise type(exc)(f"config: alpha_list[{ia}] = {alpha:g} in {scen_dir.name}: {exc}") from None
             rows += [row for _, row in pairs]
     csv_path = out_dir / "sweep.csv"
     write_reports_csv(csv_path, rows)

@@ -55,6 +55,7 @@ def _is_real(value) -> bool:
 # the JSON value kinds that input files are checked against, by description
 _KINDS = {
     "an integer": _is_int,
+    "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "a positive integer": lambda v: _is_int(v) and v >= 1,
     "a finite number": _is_real,
     "true or false": lambda v: isinstance(v, bool),
@@ -180,6 +181,8 @@ def _draw_separated_centers(rng, k: int, d: int, separation: float) -> np.ndarra
     """Cluster centers on a sphere of radius separation/2 * sqrt(d), redrawn
     until all pairwise distances reach the separation (bounded retries)."""
     radius = 0.5 * separation * np.sqrt(d)
+    if not np.isfinite(radius):
+        raise ValueError(f"separation {separation:g} overflows the center radius in dimension {d}")
     # tiny relative slack so the exactly-antipodal d=1 case survives roundoff
     min_dist = separation * (1.0 - 1e-12)
     for _ in range(_CENTER_RETRIES):
@@ -220,6 +223,9 @@ def generate_scenario(
     ``noise_std``. The recorded per-cluster epsilon is the exact noise
     energy sum_{i in C} (1/m_i) ||noise_i||^2, so the clustering assumption
     holds with equality. The graph comes from the planted-cluster model.
+    A ``noise_std`` or ``separation`` whose samples overflow (a noise
+    energy, center radius or label energy that is not finite) raises a
+    ValueError naming it.
     Pure function of its arguments: same inputs give bit-identical output.
     """
     sizes = [int(s) for s in cluster_sizes]
@@ -242,25 +248,33 @@ def generate_scenario(
     graph, bare_clusters = generate_planted_clusters(
         graph_seed, sizes, params.p_in, params.p_out, params.w_in, params.w_out
     )
-    centers = _draw_separated_centers(rng, len(sizes), d, separation)
-
     datasets: list[LocalDataset] = []
     clusters: list[ClusterSpec] = []
     md = m_per_node * d
-    for cluster, center in zip(bare_clusters, centers):
-        # the stream of two draws per node: row k holds node k's features, then
-        # its noise, rounded as normal(0, noise_std, m) rounds loc + scale * z
-        z = rng.standard_normal((cluster.size, md + m_per_node))
-        features = z[:, :md].reshape(cluster.size, m_per_node, d)
-        noises = 0.0 + noise_std * z[:, md:]
-        epsilon = 0.0
-        for x, noise in zip(features, noises):
-            y = x @ center + noise
-            datasets.append(LocalDataset(features=x, labels=y))
-            epsilon += float(noise @ noise) / m_per_node
-        clusters.append(
-            ClusterSpec(members=cluster.members, reference_params=center, epsilon=epsilon)
-        )
+    # samples that overflow are refused below, by the key at fault, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = _draw_separated_centers(rng, len(sizes), d, separation)
+        for cluster, center in zip(bare_clusters, centers):
+            # the stream of two draws per node: row k holds node k's features, then
+            # its noise, rounded as normal(0, noise_std, m) rounds loc + scale * z
+            z = rng.standard_normal((cluster.size, md + m_per_node))
+            features = z[:, :md].reshape(cluster.size, m_per_node, d)
+            noises = 0.0 + noise_std * z[:, md:]
+            epsilon = 0.0
+            for i, x, noise in zip(cluster.members, features, noises):
+                y = x @ center + noise
+                epsilon += float(noise @ noise) / m_per_node
+                if not math.isfinite(epsilon):
+                    raise ValueError(f"noise_std {noise_std:g} overflows the noise energy at node {i}")
+                if not math.isfinite(float(y @ y)):
+                    raise ValueError(
+                        f"separation {separation:g} with noise_std {noise_std:g} "
+                        f"overflows the label energy of node {i}"
+                    )
+                datasets.append(LocalDataset(features=x, labels=y))
+            clusters.append(
+                ClusterSpec(members=cluster.members, reference_params=center, epsilon=epsilon)
+            )
 
     generator = {
         "cluster_sizes": sizes,

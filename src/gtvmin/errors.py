@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GTVMinError", "SingularSystemError", "DivergenceError"]
+
 
 class GTVMinError(Exception):
     """Base class for solver and analysis failures."""

@@ -58,7 +58,8 @@ class SimilarityGraph:
 
     Edges are ``(i, j, weight)`` triples, or an (E, 3) array of them,
     canonicalized to ``(min(i, j), max(i, j))``; self-loops, duplicate
-    pairs and non-positive weights are rejected. The graph is
+    pairs, non-positive weights and weighted degrees that overflow are
+    rejected. The graph is
     stored once, as edge arrays in canonical sorted order plus the weighted
     degrees; every other view (the edge map, the dense adjacency, both
     Laplacians) is derived from them. Instances are immutable after
@@ -100,7 +101,11 @@ class SimilarityGraph:
         if dup.any():
             k = int(np.argmax(dup))
             raise ValueError(f"duplicate edge {(int(ii[k]), int(jj[k]))}")
-        degrees = np.bincount(ii, ww, n) + np.bincount(jj, ww, n)
+        with np.errstate(over="ignore"):  # refused just below
+            degrees = np.bincount(ii, ww, n) + np.bincount(jj, ww, n)
+        if not np.isfinite(degrees).all():
+            k = int(np.argmin(np.isfinite(degrees)))
+            raise ValueError(f"node {k} has a weighted degree that is not finite")
         for arr in (ii, jj, ww, degrees):
             arr.flags.writeable = False
         self._n, self._ii, self._jj, self._ww, self._degrees = n, ii, jj, ww, degrees
@@ -251,7 +256,9 @@ class GraphParams:
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}"
             )
         if self.w_in <= 0.0 or self.w_out <= 0.0:
-            raise ValueError("edge weights must be positive")
+            raise ValueError(
+                f"edge weights must be positive, got w_in={self.w_in}, w_out={self.w_out}"
+            )
 
 
 def laplacian(graph: SimilarityGraph) -> np.ndarray:
@@ -405,7 +412,10 @@ def generate_planted_clusters(
         weight = np.where(jj < ends[ii], params.w_in, params.w_out)
         parts.append(np.column_stack([ii, jj, weight]))
         first = stop
-    graph = SimilarityGraph(n, np.concatenate(parts))
+    try:
+        graph = SimilarityGraph(n, np.concatenate(parts))
+    except ValueError as exc:  # the edges are valid; only a degree can overflow
+        raise ValueError(f"edge weights w_in={params.w_in:g}, w_out={params.w_out:g}: {exc}") from None
 
     clusters = []
     start = 0

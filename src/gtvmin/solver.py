@@ -254,6 +254,19 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
+def _check_coupling(problem: GTVMinProblem) -> None:
+    """Refuse an alpha whose coupling overflows: 4 alpha deg_i bounds the
+    Laplacian's share, 2 alpha lambda_max(L), of the system's norm and of
+    the gradient's Lipschitz constant, so it must be finite at every node."""
+    degrees = problem.graph.weighted_degrees()
+    i = int(np.argmax(degrees))
+    if not math.isfinite(4.0 * problem.alpha * float(degrees[i])):
+        raise ValueError(
+            f"alpha {problem.alpha:g} overflows the coupling: 4 * alpha * the "
+            f"weighted degree {degrees[i]:g} of node {i} is not finite"
+        )
+
+
 def _block_diagonal(blocks: np.ndarray, like=None):
     """The C-contiguous (n, d, d) stack ``blocks`` as the (n d) x (n d)
     block-diagonal CSR matrix whose ``data`` is the stack's own buffer, so
@@ -279,22 +292,29 @@ def _stack_samples(data: Sequence[LocalDataset]):
     come from one batched matmul whose every slice takes the BLAS call of
     the per-node product (syrk, gemv, dot), so the stack equals the
     :class:`QuadraticLoss` values bit for bit. The energy is summed in node
-    order."""
+    order. Samples whose products overflow raise a ValueError naming the
+    first node at which the stack, or the running energy sum, is not
+    finite."""
     counts = np.array([ds.num_samples for ds in data])
     dim = data[0].features.shape[1]
     gram = np.empty((len(data), dim, dim))
     moment = np.empty((len(data), dim))
     energy = np.empty(len(data))
     batches = []
-    for m in np.unique(counts):
-        idx = np.flatnonzero(counts == m)
-        x = np.stack([data[i].features for i in idx])
-        y = np.stack([data[i].labels for i in idx])
-        xt = x.transpose(0, 2, 1)
-        gram[idx] = xt @ x / m
-        moment[idx] = (xt @ y[:, :, None])[:, :, 0] / m
-        energy[idx] = (y[:, None, :] @ y[:, :, None])[:, 0, 0] / m
-        batches.append((idx, x, y))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for m in np.unique(counts):
+            idx = np.flatnonzero(counts == m)
+            x = np.stack([data[i].features for i in idx])
+            y = np.stack([data[i].labels for i in idx])
+            xt = x.transpose(0, 2, 1)
+            gram[idx] = xt @ x / m
+            moment[idx] = (xt @ y[:, :, None])[:, :, 0] / m
+            energy[idx] = (y[:, None, :] @ y[:, :, None])[:, 0, 0] / m
+            batches.append((idx, x, y))
+        finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
+        finite &= np.isfinite(np.cumsum(energy))
+    if not finite.all():
+        raise ValueError(f"the quadratic loss terms overflow at node {int(np.argmin(finite))}")
     return (gram, moment, float(sum(energy.tolist()))), batches
 
 
@@ -490,6 +510,7 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     ridge = float(ridge)
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
+    _check_coupling(problem)
     gram, moment, _ = problem._stack
     if ridge == 0.0:
         _check_nonsingular(problem, gram)
@@ -550,6 +571,7 @@ def _step_size(problem: GTVMinProblem) -> float:
     computed on the first call and kept on the problem."""
     if problem._step is not None:
         return problem._step
+    _check_coupling(problem)
     if problem._stack is not None:
         top = np.linalg.eigvalsh(problem._stack[0])[:, -1]
         smooth = float(2.0 * max(top.max(), 0.0))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import bound_report_rows, certificate_check, tv_lower_bound_check
+from .analysis import certificate_check, deviation_bound_report, tv_lower_bound_check
 from .data import Scenario, generate_scenario
 from .graph import (
     ClusterSpec,
@@ -75,11 +75,9 @@ def random_scenario(index: int, base_seed: int = 77000) -> tuple[Scenario, float
 
 @dataclass
 class BoundSuiteResult:
-    rows: list[dict]
     num_reports: int
     num_degenerate: int
     num_violations: int
-    worst_slack: float
 
     @property
     def ok(self) -> bool:
@@ -90,32 +88,16 @@ def bound_suite(num_scenarios: int = 100, base_seed: int = 77000) -> BoundSuiteR
     """Solve ``num_scenarios`` random scenarios exactly and evaluate the
     deviation bound on every cluster; a violation is a non-degenerate
     report with ``satisfied`` false."""
-    rows: list[dict] = []
-    num_reports = 0
-    num_degenerate = 0
-    num_violations = 0
-    worst_slack = float("inf")
+    reports = []
     for index in range(num_scenarios):
         scenario, alpha = random_scenario(index, base_seed)
         problem = GTVMinProblem.from_scenario(scenario, alpha)
         result = solve_exact(problem)
-        for report, row in bound_report_rows(
-            problem, result, scenario.clusters, scenario.rng_seed
-        ):
-            rows.append(row)
-            num_reports += 1
-            if report.degenerate:
-                num_degenerate += 1
-                continue
-            worst_slack = min(worst_slack, report.slack)
-            if not report.satisfied:
-                num_violations += 1
+        reports += [deviation_bound_report(problem, result, c) for c in scenario.clusters]
     return BoundSuiteResult(
-        rows=rows,
-        num_reports=num_reports,
-        num_degenerate=num_degenerate,
-        num_violations=num_violations,
-        worst_slack=worst_slack,
+        num_reports=len(reports),
+        num_degenerate=sum(r.degenerate for r in reports),
+        num_violations=sum(not (r.degenerate or r.satisfied) for r in reports),
     )
 
 

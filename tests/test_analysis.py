@@ -499,3 +499,67 @@ def test_csv_columns_and_formatting(tmp_path):
     assert cells[CSV_COLUMNS.index("satisfied")] in ("true", "false")
     # floats round-trip exactly through the 17-significant-digit format
     assert float(cells[CSV_COLUMNS.index("rhs")]) == rows[0]["rhs"]
+
+
+# --------------------------------------------------------------- declarations
+
+# the package's public names before it re-exported its modules' __all__
+_NAMES_BEFORE = """
+    BoundReport CertificateRecord ClusterSpec DeviationVector DivergenceError
+    Embedding GTVMinError GTVMinProblem GraphParams LocalDataset LocalLoss
+    QuadraticLoss Scenario SimilarityGraph SingularSystemError SolveResult
+    StackedParams TVBoundCheck certificate_check cluster_average
+    cluster_boundary cluster_objective clustering_error deviation_bound_report
+    deviations generate_planted_clusters generate_scenario graph_from_embedding
+    induced_subgraph is_disconnected lambda2 laplacian load_result
+    load_scenario objective objective_gradient project_consensus
+    project_disagreement quadratic_loss quadratic_loss_gradient read_graph
+    save_result save_scenario solve_exact solve_iterative synchronous_step
+    total_variation tv_lower_bound_check write_graph
+""".split()
+
+
+def test_package_exports_each_public_name_once():
+    import gtvmin
+    from gtvmin import analysis, data, errors, graph, solver
+
+    modules = [analysis, data, errors, graph, solver]
+    assert gtvmin.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(gtvmin.__all__)) == len(gtvmin.__all__) == 56
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gtvmin, name) is getattr(module, name)
+    assert len(_NAMES_BEFORE) == 49 and set(_NAMES_BEFORE) <= set(gtvmin.__all__)
+    added = set(gtvmin.__all__) - set(_NAMES_BEFORE)
+    assert added == {
+        "CSV_COLUMNS", "bound_report_row", "bound_report_rows", "report_to_dict",
+        "save_report", "write_reports_csv", "DISCONNECTION_RTOL",
+    }
+
+
+def test_bound_report_row_reads_every_column_off_the_report():
+    scen, problem, result = solved_scenario(seed=17, sizes=(4, 3, 1))
+    for cluster in scen.clusters:
+        report = deviation_bound_report(problem, result, cluster)
+        row = bound_report_row(report, scen.rng_seed, scen.n, scen.d)
+        assert list(row) == CSV_COLUMNS
+        assert (row["seed"], row["n"], row["d"]) == (scen.rng_seed, scen.n, scen.d)
+        assert row["R"] == report.r_outside
+        for col in CSV_COLUMNS[3:]:
+            if col != "R":
+                assert row[col] == getattr(report, col)
+
+
+@pytest.mark.parametrize("p_out", [0.0, 0.5], ids=["no-boundary", "boundary"])
+def test_bound_terms_that_overflow_are_refused_naming_the_cluster(p_out):
+    import warnings
+
+    scen, problem, result = solved_scenario(seed=18, p_out=p_out)
+    cluster = scen.clusters[1]
+    huge = ClusterSpec(cluster.members, np.full(scen.d, 1e200), cluster.epsilon)
+    for check, name in [(deviation_bound_report, "deviation bound"), (certificate_check, "certificate chain")]:
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError) as info:
+            warnings.simplefilter("always")
+            check(problem, result, huge)
+        assert caught == []
+        assert str(info.value).startswith(f"the {name} of cluster {cluster.members} overflows")

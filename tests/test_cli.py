@@ -1,5 +1,7 @@
+import dataclasses
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -538,7 +540,8 @@ def test_out_of_memory_exits_1_with_a_message(tmp_path, capsys, monkeypatch):
         raise MemoryError(message)
 
     monkeypatch.setattr(gtvmin.cli, "generate_scenario", refuse)
-    cfg = write_config(tmp_path / "cfg.json", cluster_sizes=[100000000000])
+    # a config that passes the size rule, which refuses [100000000000] first
+    cfg = write_config(tmp_path / "cfg.json")
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "scen")]) == 1
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
@@ -684,3 +687,175 @@ def test_bad_input_exits_1_naming_the_key(tmp_path, capsys, case, key):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert source in err and repr(key) in err
+
+
+# ------------------------------------------------- overflow, refusals, sizes
+
+def _quiet_main(argv):
+    """main(argv) and the warnings it raised, each turned into a record."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, caught
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"separation": 1e308},
+            "separation 1e+308 with noise_std 0.1 overflows the label energy of node 0",
+        ),
+        (
+            {"separation": 1e308, "d": 16},
+            "separation 1e+308 overflows the center radius in dimension 16",
+        ),
+        ({"noise_std": 1e308}, "noise_std 1e+308 overflows the noise energy at node 0"),
+        (
+            {"alpha_list": [1e308]},
+            "config: alpha_list[0] = 1e+308 in scenario_00: alpha 1e+308 overflows the "
+            "coupling: 4 * alpha * the weighted degree 1 of node 0 is not finite",
+        ),
+        (
+            {"w_in": 1e308},
+            "config: alpha_list[0] = 1 in scenario_00: alpha 1 overflows the coupling: "
+            "4 * alpha * the weighted degree 1e+308 of node 0 is not finite",
+        ),
+    ],
+    ids=["separation", "separation-radius", "noise_std", "alpha_list", "w_in"],
+)
+def test_sweep_input_that_overflows_is_refused_by_name(tmp_path, capsys, overrides, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3, "cluster_sizes": [2, 2], "d": 1, "m_per_node": 5, **overrides}))
+    code, caught = _quiet_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list((tmp_path / "out").glob("sweep.csv"))
+
+
+def _last_cells(text, sep, value):
+    """``text`` with the last ``sep``-separated cell of each line that has
+    more than one set to ``value``."""
+    lines = text.splitlines()
+    return "".join((ln.rsplit(sep, 1)[0] + sep + value if sep in ln else ln) + "\n" for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "file, sep, value, message",
+    [
+        ("node_2.csv", ",", "1e200", "the quadratic loss terms overflow at node 2"),
+        ("graph.txt", " ", "1e308", "{scen}/graph.txt: node 0 has a weighted degree that is not finite"),
+    ],
+    ids=["loss-terms", "degree"],
+)
+def test_scenario_that_overflows_is_refused_naming_the_node(tmp_path, capsys, file, sep, value, message):
+    cfg = write_config(tmp_path / "cfg.json")
+    scen = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen)]) == 0
+    path = scen / file
+    path.write_text(_last_cells(path.read_text(), sep, value))
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen), "--alpha", "1", "--out", str(tmp_path / "res.json")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == f"error: {message.format(scen=scen)}\n"
+    assert not (tmp_path / "res.json").exists()
+
+
+def test_analyze_bound_terms_that_overflow_are_refused_naming_the_cluster(tmp_path, capsys):
+    scen_dir, res = solved_dir(tmp_path)
+    meta = json.loads((scen_dir / "meta.json").read_text())
+    meta["clusters"][1]["reference_params"] = [1e200, 1e200]
+    (scen_dir / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: the deviation bound of cluster (3, 4, 5) overflows: ")
+    assert err.count("\n") == 1 and "nan" not in err
+    assert not (tmp_path / "out" / "reports.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"seed": -1}, "config: key 'seed' must be a non-negative integer, got -1"),
+        ({"alpha_list": [1.0, 0.0]}, "alpha_list entries must be > 0"),
+        ({"alpha_list": [-1.0]}, "alpha_list entries must be > 0"),
+        ({"w_in": 0}, "edge weights must be positive, got w_in=0, w_out=1.0"),
+        ({"w_out": -1}, "edge weights must be positive, got w_in=1.0, w_out=-1"),
+        (
+            {"p_out_list": [0.1, -0.5]},
+            "p_out_list[1]: need 0 <= p_out <= p_in <= 1, got p_in=1.0, p_out=-0.5",
+        ),
+    ],
+    ids=["seed", "alpha-zero", "alpha-negative", "w_in", "w_out", "p_out_list"],
+)
+def test_config_is_refused_by_key_before_anything_is_written(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"cluster_sizes": [2**70]}, {"d": 2**40}, {"m_per_node": 2**60}, {"cluster_sizes": [10**11]}],
+    ids=["cluster_sizes-2**70", "d-2**40", "m_per_node-2**60", "cluster_sizes-1e11"],
+)
+def test_config_beyond_physical_memory_is_refused_naming_the_keys(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: config: cluster_sizes, m_per_node, d, p_in and p_out ask for about \S+ GiB, "
+        r"more than the \S+ GiB of physical memory\n",
+        err,
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_rule_counts_samples_and_expected_edges(monkeypatch):
+    import gtvmin.cli
+
+    # 1000 nodes of 8 samples of 2 + 1 values: 192000 bytes; 2 clusters of 500
+    # at p_in 0.5 and p_out 0.1 expect 124750 + 25000 edges, 24 bytes each
+    cfg = ExperimentConfig(cluster_sizes=[500, 500], d=2, m_per_node=8, p_in=0.5, p_out=0.1)
+    need = 192000 + 24 * (0.5 * 249500 + 0.1 * 250000)
+    for memory, refused in [(None, False), (need, False), (need - 1, True), (191999, True)]:
+        monkeypatch.setattr(gtvmin.cli, "_physical_memory", lambda: memory)
+        if refused:
+            with pytest.raises(ValueError, match="of physical memory$"):
+                cfg.validate()
+        else:
+            cfg.validate()
+    # the largest p_out of p_out_list counts
+    monkeypatch.setattr(gtvmin.cli, "_physical_memory", lambda: need)
+    ExperimentConfig(cluster_sizes=[500, 500], d=2, m_per_node=8, p_in=0.5, p_out_list=[0.1]).validate()
+    with pytest.raises(ValueError, match="of physical memory$"):
+        ExperimentConfig(cluster_sizes=[500, 500], d=2, m_per_node=8, p_in=0.5, p_out_list=[0.1, 0.2]).validate()
+
+
+@pytest.mark.parametrize("value", [0, -1, 1e308, 2**70], ids=["0", "-1", "1e308", "2**70"])
+@pytest.mark.parametrize("key", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_config_fuzz_table(tmp_path, capsys, key, value):
+    import warnings
+
+    kind = int if "int" in key.type else float if "float" in key.type else str
+    cell = str(tmp_path / str(value)) if key.name == "out_dir" else kind(value)
+    # write_config's base holds [3, 3] nodes
+    cfg = write_config(tmp_path / "cfg.json", **{key.name: [cell] if key.type.startswith("list") else cell})
+    argv = ["sweep", "--config", str(cfg)]
+    if key.name != "out_dir":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+        assert re.search(rf"\b{key.name}\b", err) or "config" in err
+    else:
+        assert "nan" not in next(tmp_path.rglob("sweep.csv")).read_text()

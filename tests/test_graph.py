@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gtvmin import (
     ClusterSpec,
     Embedding,
+    GraphParams,
     SimilarityGraph,
     cluster_boundary,
     generate_planted_clusters,
@@ -350,6 +351,25 @@ def test_graph_rejects_self_loop_duplicate_and_bad_weight():
         SimilarityGraph(2, [(0, 1, -1.0)])
     with pytest.raises(ValueError):
         SimilarityGraph(2, [(0, 2, 1.0)])
+
+
+def test_weighted_degree_that_overflows_is_refused_naming_the_node():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"^node 1 has a weighted degree that is not finite$"):
+            SimilarityGraph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        with pytest.raises(ValueError, match=r"^edge weights w_in=1e\+308, w_out=1: node 0 has"):
+            generate_planted_clusters(0, [3], p_in=1.0, p_out=0.0, w_in=1e308)
+    assert caught == []
+    # one edge of the largest weight keeps every degree finite
+    assert SimilarityGraph(2, [(0, 1, 1e308)]).weighted_degrees().tolist() == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (1.0, -1.0)])
+def test_graph_params_refusal_names_both_weights(weights):
+    w_in, w_out = weights
+    with pytest.raises(ValueError, match=rf"^edge weights must be positive, got w_in={w_in}, w_out={w_out}$"):
+        GraphParams(w_in=w_in, w_out=w_out)
 
 
 @pytest.mark.parametrize(

@@ -695,3 +695,41 @@ def test_result_json_roundtrip(tmp_path):
     assert loaded.converged == result.converged
     assert loaded.residual == result.residual
     assert loaded.alpha == result.alpha
+
+
+# ------------------------------------------------------------------ overflow
+
+@pytest.mark.parametrize(
+    "labels, node",
+    [([1.0, 1.0, 1e200], 2), ([1.2e154, 1.2e154, 1.0], 1)],
+    ids=["node-energy", "running-energy-sum"],
+)
+def test_loss_terms_that_overflow_are_refused_naming_the_node(labels, node):
+    import warnings
+
+    datasets = [LocalDataset(np.ones((1, 1)), np.array([y])) for y in labels]
+    graph = SimilarityGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=rf"^the quadratic loss terms overflow at node {node}$"):
+            GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 1.0, 1)
+    assert caught == []
+
+
+def test_alpha_whose_coupling_overflows_is_refused_by_both_solvers():
+    import warnings
+
+    _, problem = make_problem(alpha=1e308)
+    degrees = problem.graph.weighted_degrees()
+    node = int(np.argmax(degrees))
+    message = (
+        f"alpha 1e+308 overflows the coupling: 4 * alpha * the weighted degree "
+        f"{degrees[node]:g} of node {node} is not finite"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for solve in (solve_exact, solve_iterative):
+            with pytest.raises(ValueError) as info:
+                solve(problem)
+            assert str(info.value) == message
+    assert caught == []
