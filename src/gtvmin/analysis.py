@@ -207,7 +207,7 @@ def tv_lower_bound_check(
     ii, jj, _ = graph.edge_arrays()
     lhs_tv = _edge_variation(graph, params.per_node, inside[ii] & inside[jj])
     rhs = lam2 * deviation_sum
-    holds = lhs_tv >= rhs - _SLACK_RTOL * max(1.0, rhs)
+    holds = _tolerated(lhs_tv - rhs, rhs)
     return TVBoundCheck(lhs_tv=float(lhs_tv), rhs=float(rhs), holds=bool(holds))
 
 
@@ -315,7 +315,7 @@ def deviation_bound_report(
         w_bar_norm_sq=float(w_bar @ w_bar),
         alpha=problem.alpha,
         rhs=rhs,
-        satisfied=bool(degenerate or lhs <= rhs + _SLACK_RTOL * max(1.0, rhs)),
+        satisfied=bool(degenerate or _tolerated(slack, rhs)),
         slack=slack,
         degenerate=degenerate,
     )

@@ -56,6 +56,12 @@ _CONFIG_KINDS = {
     "a list of finite numbers": ("alpha_list", "p_out_list"),
 }
 
+# each solver's run on a problem, given max_iter and tol (read by iterative only)
+_SOLVERS = {
+    "exact": lambda problem, max_iter, tol: solve_exact(problem),
+    "iterative": lambda problem, max_iter, tol: solve_iterative(problem, max_iter, tol),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -88,8 +94,9 @@ class ExperimentConfig:
         if any(a <= 0 for a in self.alpha_list):
             # every sweep row's deviation bound needs alpha > 0
             raise ValueError("alpha_list entries must be > 0")
-        if self.solver not in ("exact", "iterative"):
-            raise ValueError(f"solver must be 'exact' or 'iterative', got {self.solver!r}")
+        if self.solver not in _SOLVERS:
+            names = " or ".join(map(repr, _SOLVERS))
+            raise ValueError(f"solver must be {names}, got {self.solver!r}")
         if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("solver parameters max_iter and tol must be positive")
         if not self.cluster_sizes or any(s < 1 for s in self.cluster_sizes):
@@ -178,8 +185,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _generate(cfg: ExperimentConfig, out_dir: Path, p_out: float | None = None):
-    scenario = generate_scenario(
+def _generate(cfg: ExperimentConfig, p_out: float | None = None):
+    return generate_scenario(
         rng_seed=cfg.seed,
         cluster_sizes=cfg.cluster_sizes,
         d=cfg.d,
@@ -188,20 +195,12 @@ def _generate(cfg: ExperimentConfig, out_dir: Path, p_out: float | None = None):
         separation=cfg.separation,
         graph_params=cfg.graph_params(p_out),
     )
-    save_scenario(scenario, out_dir)
-    return scenario
-
-
-def _solve(problem: GTVMinProblem, solver: str, max_iter: int, tol: float):
-    if solver == "iterative":
-        return solve_iterative(problem, max_iter=max_iter, tol=tol)
-    return solve_exact(problem)
 
 
 def cmd_generate(args) -> int:
     cfg = _config_from_args(args)
     out_dir = Path(cfg.out_dir)
-    _generate(cfg, out_dir)
+    save_scenario(_generate(cfg), out_dir)
     print(f"scenario written to {out_dir}")
     return 0
 
@@ -213,8 +212,8 @@ def cmd_solve(args) -> int:
     _check_stopping(max_iter, tol, ("--max-iter", "--tol"))
     scenario = load_scenario(args.scenario)
     alpha = args.alpha
-    solver = args.solver or "exact"
-    result = _solve(GTVMinProblem.from_scenario(scenario, alpha), solver, max_iter, tol)
+    solver = args.solver or ExperimentConfig.solver
+    result = _SOLVERS[solver](GTVMinProblem.from_scenario(scenario, alpha), max_iter, tol)
     out_path = Path(args.out) if args.out else Path(args.scenario) / "result.json"
     save_result(result, out_path)
     print(
@@ -271,14 +270,15 @@ def cmd_sweep(args) -> int:
     rows = []
     for ip, p_out in enumerate(p_outs):
         scen_dir = out_dir / f"scenario_{ip:02d}"
-        scenario = _generate(cfg, scen_dir, p_out)
+        scenario = _generate(cfg, p_out)
+        save_scenario(scenario, scen_dir)
         # the loss stack, the Gram matrix and the cluster geometry do not
         # depend on alpha: every alpha's problem shares this one's
         base = GTVMinProblem.from_scenario(scenario, cfg.alpha_list[0])
         for ia, alpha in enumerate(cfg.alpha_list):
             try:
                 problem = base._with_alpha(alpha)
-                result = _solve(problem, cfg.solver, cfg.max_iter, cfg.tol)
+                result = _SOLVERS[cfg.solver](problem, cfg.max_iter, cfg.tol)
                 save_result(result, scen_dir / f"result_{ia:02d}.json")
                 pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)
             except (ValueError, GTVMinError) as exc:
@@ -292,39 +292,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    quick = args.quick
-    checks = [
-        (
-            "deviation bound suite",
-            bound_suite(20 if quick else 100),
-            lambda r: f"{r.num_reports} reports, {r.num_degenerate} degenerate, "
-            f"{r.num_violations} violations",
-        ),
-        (
-            "spectral lower-bound suite",
-            spectral_suite(20 if quick else 100),
-            lambda r: f"{r.num_checks} checks, {r.num_violations} violations, "
-            f"complete-cluster mismatch {r.max_complete_mismatch:.3e}",
-        ),
-        (
-            "certificate chain suite",
-            certificate_suite(10 if quick else 50),
-            lambda r: f"{r.num_records} records, min slacks "
-            f"({r.min_candidate_slack:.3e}, {r.min_spectral_slack:.3e}, "
-            f"{r.min_optimality_slack:.3e})",
-        ),
-        (
-            "solver cross-validation suite",
-            cross_solver_suite(5 if quick else 20),
-            lambda r: f"{r.num_scenarios} scenarios, max linf {r.max_linf:.3e}, "
-            f"max residual ratio {r.max_residual_ratio:.3e}",
-        ),
+    # (name, suite, --quick size, summary); a full run takes each suite's default size
+    suites = [
+        ("deviation bound suite", bound_suite, 20,
+         "{0.num_reports} reports, {0.num_degenerate} degenerate, {0.num_violations} violations"),
+        ("spectral lower-bound suite", spectral_suite, 20,
+         "{0.num_checks} checks, {0.num_violations} violations, "
+         "complete-cluster mismatch {0.max_complete_mismatch:.3e}"),
+        ("certificate chain suite", certificate_suite, 10,
+         "{0.num_records} records, min slacks ({0.min_candidate_slack:.3e}, "
+         "{0.min_spectral_slack:.3e}, {0.min_optimality_slack:.3e})"),
+        ("solver cross-validation suite", cross_solver_suite, 5,
+         "{0.num_scenarios} scenarios, max linf {0.max_linf:.3e}, "
+         "max residual ratio {0.max_residual_ratio:.3e}"),
     ]
     all_ok = True
-    for name, outcome, describe in checks:
+    for name, suite, quick_size, summary in suites:
+        outcome = suite(quick_size) if args.quick else suite()
         status = "PASS" if outcome.ok else "FAIL"
         all_ok &= outcome.ok
-        print(f"[{status}] {name}: {describe(outcome)}")
+        print(f"[{status}] {name}: {summary.format(outcome)}")
     return 0 if all_ok else 2
 
 
@@ -346,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p, alpha_help, alpha_required=False):
         p.add_argument("--alpha", type=float, required=alpha_required, help=alpha_help)
-        p.add_argument("--solver", choices=["exact", "iterative"])
+        p.add_argument("--solver", choices=list(_SOLVERS))
         p.add_argument("--max-iter", dest="max_iter", type=int)
         p.add_argument("--tol", type=float)
 

@@ -10,6 +10,7 @@ clustering error.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -124,20 +125,23 @@ class LocalDataset:
         return self.features.shape[1]
 
 
-def quadratic_loss(ds: LocalDataset, w: np.ndarray) -> float:
-    """Mean squared residual (1/m) * ||y - X w||^2. Zero at an exact fit."""
+def _parameter_vector(ds: LocalDataset, w) -> np.ndarray:
+    """``w`` as a float vector of the dataset's dimension."""
     w = np.asarray(w, dtype=float)
     if w.shape != (ds.dim,):
         raise ValueError(f"parameter vector must have shape ({ds.dim},), got {w.shape}")
-    r = ds.labels - ds.features @ w
+    return w
+
+
+def quadratic_loss(ds: LocalDataset, w: np.ndarray) -> float:
+    """Mean squared residual (1/m) * ||y - X w||^2. Zero at an exact fit."""
+    r = ds.labels - ds.features @ _parameter_vector(ds, w)
     return float(r @ r) / ds.num_samples
 
 
 def quadratic_loss_gradient(ds: LocalDataset, w: np.ndarray) -> np.ndarray:
     """Gradient (2/m) * X^T (X w - y) of :func:`quadratic_loss`."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (ds.dim,):
-        raise ValueError(f"parameter vector must have shape ({ds.dim},), got {w.shape}")
+    w = _parameter_vector(ds, w)
     return (2.0 / ds.num_samples) * (ds.features.T @ (ds.features @ w - ds.labels))
 
 
@@ -281,10 +285,7 @@ def generate_scenario(
         "m_per_node": m_per_node,
         "noise_std": noise_std,
         "separation": separation,
-        "p_in": params.p_in,
-        "p_out": params.p_out,
-        "w_in": params.w_in,
-        "w_out": params.w_out,
+        **dataclasses.asdict(params),
     }
     return Scenario(
         datasets=datasets,

@@ -16,7 +16,7 @@ Every stack of d x d blocks (the Gram tensor, the block-Jacobi inverses) is
 applied as one block-diagonal CSR matrix whose data is the stack's own
 buffer; the Gram stack's matrix is built on a problem's first product,
 which imports scipy.sparse (building a problem and analysing a result load
-no scipy module), and the inverses' matrix borrows its index arrays. The
+no scipy module), and the inverses' matrix on each exact solve. The
 exact solver never forms the (n d) x (n d) stationarity matrix: it applies
 it through the Gram matrix and the sparse Laplacian inside block-Jacobi
 preconditioned conjugate gradients, after an exact singularity test on the
@@ -267,20 +267,15 @@ def _check_coupling(problem: GTVMinProblem) -> None:
         )
 
 
-def _block_diagonal(blocks: np.ndarray, like=None):
+def _block_diagonal(blocks: np.ndarray):
     """The C-contiguous (n, d, d) stack ``blocks`` as the (n d) x (n d)
     block-diagonal CSR matrix whose ``data`` is the stack's own buffer, so
-    that a product sums each block row's d terms in column order. ``like``,
-    an earlier result for a stack of the same shape, lends its index
-    arrays."""
+    that a product sums each block row's d terms in column order."""
     import scipy.sparse
 
     n, d, _ = blocks.shape
-    if like is None:
-        indptr = np.arange(0, n * d * d + 1, d)
-        indices = np.broadcast_to(np.arange(n * d).reshape(n, 1, d), (n, d, d)).reshape(-1)
-    else:
-        indices, indptr = like.indices, like.indptr
+    indptr = np.arange(0, n * d * d + 1, d)
+    indices = np.broadcast_to(np.arange(n * d).reshape(n, 1, d), (n, d, d)).reshape(-1)
     return scipy.sparse.csr_array((blocks.reshape(-1), indices, indptr), shape=(n * d, n * d))
 
 
@@ -334,6 +329,13 @@ class SolveResult:
     converged: bool
     residual: float
     alpha: float
+
+
+def _result(problem: GTVMinProblem, w: np.ndarray, iterations: int, converged: bool, residual):
+    """The :class:`SolveResult` of either solver at the (n, d) array w."""
+    params = StackedParams(w)
+    objective_value = objective(problem, params)
+    return SolveResult(params, objective_value, iterations, converged, residual, problem.alpha)
 
 
 def total_variation(graph: SimilarityGraph, params: StackedParams) -> float:
@@ -421,12 +423,9 @@ def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
     edges, every node is its own component)."""
     graph = problem.graph
     coupled = problem.alpha > 0.0 and graph.num_edges > 0
-    if coupled:
-        count, labels = _components(graph)
-        pooled = np.zeros((count, problem.d, problem.d))
-        np.add.at(pooled, labels, gram)
-    else:
-        labels, pooled = np.arange(graph.n), gram
+    count, labels = _components(graph) if coupled else (graph.n, np.arange(graph.n))
+    pooled = np.zeros((count, problem.d, problem.d))
+    np.add.at(pooled, labels, gram)
     vals = np.linalg.eigvalsh(pooled)
     eps = np.finfo(float).eps
     singular = vals[:, 0] <= _SINGULAR_EPS_MULTIPLE * problem.d * eps * vals[:, -1]
@@ -516,7 +515,7 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
         _check_nonsingular(problem, gram)
     shift = problem.alpha * problem.graph.weighted_degrees() + ridge
     inverse = np.linalg.inv(gram + shift[:, None, None] * np.eye(problem.d))
-    inverse_matrix = _block_diagonal(inverse, like=problem._gram_matrix)
+    inverse_matrix = _block_diagonal(inverse)
 
     def apply(v):
         return _system_product(problem, ridge, v)
@@ -555,15 +554,7 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
             f"the roundoff floor eps * ||M|| * ||w|| is about {floor:.3e}, "
             f"with ||M|| <= {norm_bound:.3e} (Gershgorin)"
         )
-    params = StackedParams(w)
-    return SolveResult(
-        params=params,
-        objective_value=objective(problem, params),
-        iterations=rounds,
-        converged=True,
-        residual=residual,
-        alpha=problem.alpha,
-    )
+    return _result(problem, w, rounds, True, residual)
 
 
 def _step_size(problem: GTVMinProblem) -> float:
@@ -657,30 +648,25 @@ def solve_iterative(
             break
         f_prev = f_cur
 
-    params = StackedParams(w)
-    return SolveResult(
-        params=params,
-        objective_value=objective(problem, params),
-        iterations=iterations,
-        converged=converged,
-        residual=2.0 * float(np.linalg.norm(g)),
-        alpha=problem.alpha,
-    )
+    return _result(problem, w, iterations, converged, 2.0 * float(np.linalg.norm(g)))
+
+
+# each scalar key of a result file: the SolveResult field it holds, its JSON kind
+# and its conversion on loading; n, d and params hold the parameters
+_RESULT_KEYS = {
+    "objective": ("objective_value", "a finite number", float),
+    "iterations": ("iterations", "an integer", int),
+    "converged": ("converged", "true or false", bool),
+    "residual": ("residual", "a finite number", float),
+    "alpha": ("alpha", "a finite number", float),
+}
 
 
 def save_result(result: SolveResult, path: str | Path) -> None:
     """JSON serialization: flattened parameters plus diagnostics."""
-    payload = {
-        "n": result.params.n,
-        "d": result.params.d,
-        "params": result.params.flat.tolist(),
-        "objective": result.objective_value,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "residual": result.residual,
-        "alpha": result.alpha,
-    }
-    _write_json(path, payload)
+    payload = {key: getattr(result, name) for key, (name, _, _) in _RESULT_KEYS.items()}
+    params = result.params
+    _write_json(path, {**payload, "n": params.n, "d": params.d, "params": params.flat.tolist()})
 
 
 def load_result(path: str | Path) -> SolveResult:
@@ -692,11 +678,5 @@ def load_result(path: str | Path) -> SolveResult:
 
     flat = np.asarray(field("params", "a list of finite numbers"), dtype=float)
     params = StackedParams.from_flat(flat, field("n", "an integer"), field("d", "an integer"))
-    return SolveResult(
-        params=params,
-        objective_value=float(field("objective", "a finite number")),
-        iterations=field("iterations", "an integer"),
-        converged=field("converged", "true or false"),
-        residual=float(field("residual", "a finite number")),
-        alpha=float(field("alpha", "a finite number")),
-    )
+    values = {name: cast(field(key, kind)) for key, (name, kind, cast) in _RESULT_KEYS.items()}
+    return SolveResult(params=params, **values)

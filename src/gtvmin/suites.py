@@ -7,6 +7,7 @@ parameters are derived from a base seed plus the scenario index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,14 @@ def random_scenario(index: int, base_seed: int = 77000) -> tuple[Scenario, float
     return scenario, alpha
 
 
+def _solved(num_scenarios: int, base_seed: int):
+    """(scenario, problem, exact result) of each of the first random scenarios."""
+    for index in range(num_scenarios):
+        scenario, alpha = random_scenario(index, base_seed)
+        problem = GTVMinProblem.from_scenario(scenario, alpha)
+        yield scenario, problem, solve_exact(problem)
+
+
 @dataclass
 class BoundSuiteResult:
     num_reports: int
@@ -89,10 +98,7 @@ def bound_suite(num_scenarios: int = 100, base_seed: int = 77000) -> BoundSuiteR
     deviation bound on every cluster; a violation is a non-degenerate
     report with ``satisfied`` false."""
     reports = []
-    for index in range(num_scenarios):
-        scenario, alpha = random_scenario(index, base_seed)
-        problem = GTVMinProblem.from_scenario(scenario, alpha)
-        result = solve_exact(problem)
+    for scenario, problem, result in _solved(num_scenarios, base_seed):
         reports += [deviation_bound_report(problem, result, c) for c in scenario.clusters]
     return BoundSuiteResult(
         num_reports=len(reports),
@@ -164,36 +170,22 @@ class CertificateSuiteResult:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.min_candidate_slack >= -1e-9
-            and self.min_spectral_slack >= -1e-9
-            and self.min_optimality_slack >= -1e-9
-        )
+        slacks = (self.min_candidate_slack, self.min_spectral_slack, self.min_optimality_slack)
+        return all(slack >= -1e-9 for slack in slacks)
 
 
 def certificate_suite(
     num_scenarios: int = 50, base_seed: int = 66000
 ) -> CertificateSuiteResult:
     """Evaluate the certificate chain on random scenarios solved exactly."""
-    min_candidate = float("inf")
-    min_spectral = float("inf")
-    min_optimality = float("inf")
-    num_records = 0
-    for index in range(num_scenarios):
-        scenario, alpha = random_scenario(index, base_seed)
-        problem = GTVMinProblem.from_scenario(scenario, alpha)
-        result = solve_exact(problem)
-        for cluster in scenario.clusters:
-            record = certificate_check(problem, result, cluster)
-            num_records += 1
-            min_candidate = min(min_candidate, record.candidate_slack)
-            min_spectral = min(min_spectral, record.spectral_slack)
-            min_optimality = min(min_optimality, record.optimality_slack)
+    records = []
+    for scenario, problem, result in _solved(num_scenarios, base_seed):
+        records += [certificate_check(problem, result, c) for c in scenario.clusters]
     return CertificateSuiteResult(
-        num_records=num_records,
-        min_candidate_slack=min_candidate,
-        min_spectral_slack=min_spectral,
-        min_optimality_slack=min_optimality,
+        num_records=len(records),
+        min_candidate_slack=min((r.candidate_slack for r in records), default=math.inf),
+        min_spectral_slack=min((r.spectral_slack for r in records), default=math.inf),
+        min_optimality_slack=min((r.optimality_slack for r in records), default=math.inf),
     )
 
 
