@@ -253,7 +253,8 @@ def _cluster_terms(
     (threads racing on it compute it twice): both share one eigensolve."""
     if cluster.reference_params is None or cluster.epsilon is None:
         raise ValueError(
-            "cluster must carry reference parameters and a clustering-error budget"
+            f"cluster {cluster.members} must carry reference parameters and a "
+            f"clustering-error budget"
         )
     if problem.alpha <= 0.0:
         raise ValueError(f"the {name} needs alpha > 0")
@@ -304,7 +305,13 @@ def deviation_bound_report(
     )
     rhs = slack = float("inf")
     if not degenerate:
-        rhs = upper / (problem.alpha * lam2)
+        denominator = problem.alpha * lam2
+        rhs = upper / denominator if denominator > 0.0 else rhs
+        if not math.isfinite(rhs):
+            raise ValueError(
+                f"the deviation bound of cluster {cluster.members} overflows: "
+                f"{upper:g} / (alpha {problem.alpha:g} * lambda2 {lam2:g}) is not finite"
+            )
         slack = rhs - lhs
     return BoundReport(
         lhs=float(lhs),

@@ -34,6 +34,7 @@ from .errors import GTVMinError
 from .graph import GraphParams
 from .solver import (
     GTVMinProblem,
+    _check_coupling,
     _check_stopping,
     load_result,
     save_result,
@@ -228,8 +229,8 @@ def cmd_analyze(args) -> int:
     result = load_result(args.result)
     if result.params.n != scenario.n or result.params.d != scenario.d:
         raise ValueError(
-            f"result shape ({result.params.n}, {result.params.d}) does not match "
-            f"scenario shape ({scenario.n}, {scenario.d})"
+            f"{args.result}: result shape ({result.params.n}, {result.params.d}) does not "
+            f"match scenario shape ({scenario.n}, {scenario.d}) of {args.scenario}"
         )
     if args.cluster == "all":
         indices = range(len(scenario.clusters))
@@ -247,6 +248,12 @@ def cmd_analyze(args) -> int:
             )
         indices = [idx]
     problem = GTVMinProblem.from_scenario(scenario, result.alpha)
+    try:
+        if problem.alpha == 0.0:
+            raise ValueError("the deviation bound needs alpha > 0")
+        _check_coupling(problem)
+    except ValueError as exc:
+        raise ValueError(f"{args.result}: key 'alpha': {exc}") from None
     pairs = bound_report_rows(
         problem, result, [scenario.clusters[idx] for idx in indices], scenario.rng_seed
     )
@@ -271,20 +278,24 @@ def cmd_sweep(args) -> int:
     for ip, p_out in enumerate(p_outs):
         scen_dir = out_dir / f"scenario_{ip:02d}"
         scenario = _generate(cfg, p_out)
-        save_scenario(scenario, scen_dir)
         # the loss stack, the Gram matrix and the cluster geometry do not
         # depend on alpha: every alpha's problem shares this one's
         base = GTVMinProblem.from_scenario(scenario, cfg.alpha_list[0])
+        results = []
         for ia, alpha in enumerate(cfg.alpha_list):
             try:
                 problem = base._with_alpha(alpha)
                 result = _SOLVERS[cfg.solver](problem, cfg.max_iter, cfg.tol)
-                save_result(result, scen_dir / f"result_{ia:02d}.json")
                 pairs = bound_report_rows(problem, result, scenario.clusters, scenario.rng_seed)
             except (ValueError, GTVMinError) as exc:
                 # name the config's run that failed
                 raise type(exc)(f"config: alpha_list[{ia}] = {alpha:g} in {scen_dir.name}: {exc}") from None
+            results.append(result)
             rows += [row for _, row in pairs]
+        # a scenario is written only once every alpha's run has succeeded
+        save_scenario(scenario, scen_dir)
+        for ia, result in enumerate(results):
+            save_result(result, scen_dir / f"result_{ia:02d}.json")
     csv_path = out_dir / "sweep.csv"
     write_reports_csv(csv_path, rows)
     print(f"{len(rows)} rows -> {csv_path}")

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -50,7 +51,10 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    """A finite float, or an integer that converts to one."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 # the JSON value kinds that input files are checked against, by description
@@ -59,6 +63,7 @@ _KINDS = {
     "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "a positive integer": lambda v: _is_int(v) and v >= 1,
     "a finite number": _is_real,
+    "a non-negative number": lambda v: _is_real(v) and v >= 0,
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
@@ -352,8 +357,9 @@ def load_scenario(directory: str | Path) -> Scenario:
     decode or parse, holds no samples, has other than d + 1 columns or
     holds a non-finite entry raises a ValueError that starts with its path,
     as do a meta.json or graph.txt at fault (a meta.json whose ``n`` is not
-    graph.txt's node count, or whose clusters do not fit the scenario, is at
-    fault; ``clusters[k]`` names the cluster); a missing file raises OSError.
+    graph.txt's node count, whose ``seed`` is neither a non-negative integer
+    nor null, or whose clusters do not fit the scenario, is at fault;
+    ``clusters[k]`` names the cluster); a missing file raises OSError.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -364,6 +370,7 @@ def load_scenario(directory: str | Path) -> Scenario:
     if n != graph.n:
         raise ValueError(f"{meta_path}: key 'n' is {n}, but {graph_path} has {graph.n} nodes")
     d = _json_field(meta, "d", "a positive integer", meta_path)
+    seed = _json_field(meta, "seed", "a non-negative integer", meta_path, optional=True)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):
         source = f"{meta_path}: clusters[{k}]"
@@ -398,7 +405,7 @@ def load_scenario(directory: str | Path) -> Scenario:
             graph=graph,
             clusters=clusters,
             d=d,
-            rng_seed=meta.get("seed"),
+            rng_seed=seed,
             generator=meta.get("generator"),
         )
     except ValueError as exc:

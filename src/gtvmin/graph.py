@@ -72,6 +72,8 @@ class SimilarityGraph:
         n = int(n)
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
+        if n > np.iinfo(np.intp).max:
+            raise ValueError(f"node count {n} exceeds the largest array index")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         try:
@@ -510,7 +512,8 @@ def read_graph(path: str | Path) -> SimilarityGraph:
     n, edges = parsed if parsed is not None else _scan_graph_lines(text, path)
     try:
         return SimilarityGraph(n, edges)
-    except ValueError as exc:
+    # a node count too large to allocate is the file's fault too
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -655,10 +655,10 @@ def solve_iterative(
 # and its conversion on loading; n, d and params hold the parameters
 _RESULT_KEYS = {
     "objective": ("objective_value", "a finite number", float),
-    "iterations": ("iterations", "an integer", int),
+    "iterations": ("iterations", "a non-negative integer", int),
     "converged": ("converged", "true or false", bool),
     "residual": ("residual", "a finite number", float),
-    "alpha": ("alpha", "a finite number", float),
+    "alpha": ("alpha", "a non-negative number", float),
 }
 
 
@@ -670,6 +670,9 @@ def save_result(result: SolveResult, path: str | Path) -> None:
 
 
 def load_result(path: str | Path) -> SolveResult:
+    """Read back a file written by :func:`save_result`. A key that is
+    missing or not of its kind (``n`` and ``d`` positive integers, ``params``
+    n * d finite numbers) raises a ValueError that starts with the path."""
     path = Path(path)
     payload = _read_json(path)
 
@@ -677,6 +680,10 @@ def load_result(path: str | Path) -> SolveResult:
         return _json_field(payload, key, kind, path)
 
     flat = np.asarray(field("params", "a list of finite numbers"), dtype=float)
-    params = StackedParams.from_flat(flat, field("n", "an integer"), field("d", "an integer"))
+    n, d = field("n", "a positive integer"), field("d", "a positive integer")
+    try:
+        params = StackedParams.from_flat(flat, n, d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key 'params': {exc}") from None
     values = {name: cast(field(key, kind)) for key, (name, kind, cast) in _RESULT_KEYS.items()}
     return SolveResult(params=params, **values)

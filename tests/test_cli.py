@@ -2,9 +2,12 @@ import dataclasses
 import filecmp
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtvmin import load_result, load_scenario
 from gtvmin.analysis import CSV_COLUMNS
@@ -468,8 +471,14 @@ def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
             lambda meta: meta["clusters"][0].update(reference_params=[1.0]),
             "clusters[0]: reference_params has length 1, not d = 2",
         ),
+        (lambda meta: meta.update(seed="abc"), "key 'seed' must be a non-negative integer, got 'abc'"),
+        (lambda meta: meta.update(seed=1.5), "key 'seed' must be a non-negative integer, got 1.5"),
+        (lambda meta: meta.update(seed=-1), "key 'seed' must be a non-negative integer, got -1"),
     ],
-    ids=["member-out-of-range", "node-uncovered", "duplicate-members", "n-7", "n-0", "reference-length"],
+    ids=[
+        "member-out-of-range", "node-uncovered", "duplicate-members", "n-7", "n-0", "reference-length",
+        "seed-str", "seed-float", "seed-negative",
+    ],
 )
 def test_scenario_refusal_from_meta_names_meta_json(tmp_path, capsys, mutate, message):
     cfg = write_config(tmp_path / "cfg.json", cluster_sizes=[5, 5])
@@ -859,3 +868,216 @@ def test_config_fuzz_table(tmp_path, capsys, key, value):
         assert re.search(rf"\b{key.name}\b", err) or "config" in err
     else:
         assert "nan" not in next(tmp_path.rglob("sweep.csv")).read_text()
+
+
+@pytest.mark.parametrize(
+    "key", ["noise_std", "separation", "p_in", "p_out", "w_in", "w_out", "tol", "alpha_list", "p_out_list"]
+)
+def test_config_number_beyond_the_float_range_is_refused_by_its_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "cfg.json", **{key: [10**400] if key.endswith("_list") else 10**400})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: key '{key}' must be a ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------- bound overflow, result files, sweep order
+
+def test_bound_whose_rhs_overflows_is_refused_naming_cluster_alpha_and_lambda2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", noise_std=1e150, alpha_list=[1e-9])
+    code, caught = _quiet_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == (
+        "error: config: alpha_list[0] = 1e-09 in scenario_00: the deviation bound of cluster "
+        "(0, 1, 2) overflows: 3.52238e+300 / (alpha 1e-09 * lambda2 3) is not finite\n"
+    )
+    # a finite right-hand side still passes
+    cfg = write_config(tmp_path / "cfg.json", noise_std=1e140, alpha_list=[1e-9])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "finite")]) == 0
+    rows = read_csv(tmp_path / "finite" / "sweep.csv")
+    assert all(np.isfinite(float(row["rhs"])) and row["satisfied"] == "true" for row in rows)
+
+
+def test_analyze_alpha_that_overflows_the_coupling_is_refused_naming_result_alpha(tmp_path, capsys):
+    # p_out = 0: every cluster has boundary 0, where 2 alpha bd read nan
+    scen_dir, res = solved_dir(tmp_path, p_out=0.0)
+    payload = json.loads(res.read_text())
+    res.write_text(json.dumps({**payload, "alpha": 1e308}))
+    capsys.readouterr()
+    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: {res}: key 'alpha': alpha 1e+308 overflows the coupling: 4 * alpha * the "
+        f"weighted degree 2 of node 0 is not finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("params", [0.5] * 11, "key 'params': expected a flat vector of length 12, got (11,)"),
+        ("n", -6, "key 'n' must be a positive integer, got -6"),
+        ("n", 0, "key 'n' must be a positive integer, got 0"),
+        ("n", 10**30, f"key 'params': expected a flat vector of length {2 * 10**30}, got (12,)"),
+        ("d", 3, "key 'params': expected a flat vector of length 18, got (12,)"),
+        ("alpha", -1, "key 'alpha' must be a non-negative number, got -1"),
+        ("alpha", 0, "key 'alpha': the deviation bound needs alpha > 0"),
+        ("iterations", -5, "key 'iterations' must be a non-negative integer, got -5"),
+        ("objective", 10**400, f"key 'objective' must be a finite number, got {10**400}"),
+    ],
+    ids=[
+        "params-short", "n-negative", "n-0", "n-huge", "d-3", "alpha-negative", "alpha-0",
+        "iterations-negative", "objective-beyond-float",
+    ],
+)
+def test_result_file_refusals_start_with_its_path(tmp_path, capsys, key, value, message):
+    scen_dir, res = solved_dir(tmp_path)
+    res.write_text(json.dumps({**json.loads(res.read_text()), key: value}))
+    capsys.readouterr()
+    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == f"error: {res}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [None, 10**400])
+def test_meta_seed_that_is_null_or_any_integer_loads(tmp_path, seed):
+    scen_dir, res = solved_dir(tmp_path)
+    meta = scen_dir / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "seed": seed}))
+    assert main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")]) == 0
+    cells = {row["seed"] for row in read_csv(tmp_path / "out" / "reports.csv")}
+    assert cells == {"None" if seed is None else str(seed)}
+
+
+def test_sweep_writes_a_scenario_only_after_all_its_alphas_succeed(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", alpha_list=[1.0, 1e308])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config: alpha_list[1] = 1e+308 in scenario_00: " in capsys.readouterr().err
+    assert not (out / "scenario_00").exists() and not (out / "sweep.csv").exists()
+
+
+def test_sweep_failing_in_a_later_scenario_keeps_the_complete_earlier_ones(tmp_path, capsys):
+    # no inter-cluster edge at p_out 0; at p_out 1 every node has three of weight 1e308
+    cfg = write_config(tmp_path / "cfg.json", w_out=1e308, p_out=0.0, p_out_list=[0.0, 1.0])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "weighted degree that is not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["scenario_00"]
+    assert sorted(p.name for p in (out / "scenario_00").glob("result_*.json")) == [
+        "result_00.json",
+        "result_01.json",
+    ]
+
+
+# ------------------------------------------------------- scenario file fuzz
+
+_FUZZ_FILES = ["graph.txt", "meta.json", "node_2.csv", "result.json"]
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_mutation = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    # non-ASCII bytes, a NUL, a line break or a separator
+    st.tuples(
+        st.just("insert"),
+        st.integers(0, 10**6),
+        st.sampled_from([b"\xc3\xa9", b"\xff", b"\x00", b"\n", b","]),
+    ),
+    # a number token of the file becomes a huge integer, a float beyond the
+    # range, or another JSON type
+    st.tuples(
+        st.just("number"),
+        st.integers(0, 10**6),
+        st.sampled_from(
+            [b"1" + b"0" * 400, b"9" * 30, b"1e999", b"1e200", b"-7", b"nan", b"true", b'"x"', b"[]", b"null"]
+        ),
+    ),
+    st.tuples(
+        st.just("key"),
+        # the keys of result.json, then those only meta.json has
+        st.sampled_from(
+            ["n", "d", "params", "objective", "iterations", "converged", "residual", "alpha"]
+            + ["seed", "clusters", "generator"]
+        ),
+        st.sampled_from([None, True, "x", [], {}, -1, 0, 1.5, 10**30, 10**400, 1e308, 1e-320, [1e308]]),
+    ),
+)
+
+
+def _mutate(data: bytes, op) -> bytes:
+    kind, where, what = (op + (None,))[:3]
+    if kind == "truncate":
+        return data[: int(len(data) * where)]
+    if kind == "flip" and data:
+        flipped = bytearray(data)
+        flipped[where % len(data)] ^= what
+        return bytes(flipped)
+    if kind == "insert":
+        at = where % (len(data) + 1)
+        return data[:at] + what + data[at:]
+    numbers = list(_NUMBER.finditer(data))
+    if kind == "number" and numbers:
+        token = numbers[where % len(numbers)]
+        return data[: token.start()] + what + data[token.end():]
+    if kind == "key":
+        try:
+            payload = json.loads(data)
+        except ValueError:
+            return data
+        if isinstance(payload, dict):
+            return json.dumps({**payload, where: what}).encode()
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_scenario(tmp_path_factory):
+    scen = tmp_path_factory.mktemp("fuzz") / "scen"
+    cfg = write_config(scen.parent / "cfg.json")
+    assert main(["generate", "--config", str(cfg), "--out", str(scen)]) == 0
+    assert main(["solve", str(scen), "--alpha", "1"]) == 0
+    return scen
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ops=st.lists(st.tuples(st.sampled_from(_FUZZ_FILES), _mutation), min_size=1, max_size=2))
+@example(ops=[("result.json", ("key", "params", [0.5] * 11))])
+@example(ops=[("result.json", ("key", "n", -6))])
+@example(ops=[("result.json", ("key", "n", 0))])
+@example(ops=[("result.json", ("key", "n", 10**30))])
+@example(ops=[("result.json", ("key", "d", 3))])
+@example(ops=[("result.json", ("key", "alpha", -1))])
+@example(ops=[("result.json", ("key", "alpha", 0))])
+@example(ops=[("result.json", ("key", "alpha", 1e308))])
+@example(ops=[("result.json", ("key", "alpha", 1e-320))])  # the bound's quotient overflows
+@example(ops=[("result.json", ("key", "iterations", -5))])
+@example(ops=[("meta.json", ("key", "seed", "abc"))])
+@example(ops=[("meta.json", ("key", "seed", 1.5))])
+@example(ops=[("meta.json", ("key", "seed", 10**400))])
+@example(ops=[("graph.txt", ("number", 0, b"1" + b"0" * 400))])  # the node count
+def test_analyze_of_mutated_files_exits_cleanly(fuzz_scenario, ops):
+    import contextlib
+    import io
+    import shutil
+    import tempfile
+    import warnings
+
+    with tempfile.TemporaryDirectory() as work:
+        scen = Path(work) / "scen"
+        shutil.copytree(fuzz_scenario, scen)
+        for name, op in ops:
+            path = scen / name
+            path.write_bytes(_mutate(path.read_bytes(), op))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["analyze", str(scen), str(scen / "result.json"), "--out", str(scen / "out")])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+            # a file, or the node or cluster whose terms are at fault
+            assert re.search(r"graph\.txt|meta\.json|node_\d+\.csv|result\.json|at node \d|cluster \(", err)
+        else:
+            texts = [out.getvalue()] + [p.read_text() for p in (scen / "out").iterdir()]
+            assert not any("nan" in text.lower() for text in texts)
