@@ -57,7 +57,8 @@ _CONFIG_KINDS = {
     "a list of finite numbers": ("alpha_list", "p_out_list"),
 }
 
-# each solver's run on a problem, given max_iter and tol (read by iterative only)
+# each solver's run on a problem, given max_iter and tol (read by iterative only);
+# the solvers are looked up on each call, so wrappers set on this module apply
 _SOLVERS = {
     "exact": lambda problem, max_iter, tol: solve_exact(problem),
     "iterative": lambda problem, max_iter, tol: solve_iterative(problem, max_iter, tol),
