@@ -11,6 +11,7 @@ from gtvmin import (
     Embedding,
     GTVMinProblem,
     LocalDataset,
+    QuadraticLoss,
     Scenario,
     SimilarityGraph,
     StackedParams,
@@ -20,12 +21,10 @@ from gtvmin import (
     solve_exact,
     tv_lower_bound_check,
 )
-from gtvmin.solver import QuadraticLoss
 
 
 def _dataset(d=2, m=4):
-    x = np.arange(m * d, dtype=float).reshape(m, d) % 3 + np.eye(m, d)
-    return LocalDataset(features=x, labels=np.ones(m))
+    return LocalDataset(features=np.ones((m, d)), labels=np.ones(m))
 
 
 def _path(n=3):
