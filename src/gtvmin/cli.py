@@ -22,8 +22,12 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import bound_report_rows, save_report, write_reports_csv
 from .data import (
+    _META_FILE,
+    _SAMPLES_FILE,
     _json_field,
     _read_json,
     generate_scenario,
@@ -34,6 +38,7 @@ from .errors import GTVMinError
 from .graph import GraphParams
 from .solver import (
     GTVMinProblem,
+    _check_alpha,
     _check_coupling,
     _check_stopping,
     load_result,
@@ -199,6 +204,28 @@ def _generate(cfg: ExperimentConfig, p_out: float | None = None):
     )
 
 
+def _problem(scenario_dir, scenario, alpha: float) -> GTVMinProblem:
+    """The problem of a scenario loaded from ``scenario_dir`` at a checked
+    ``alpha``: all the problem can refuse then is loss terms that overflow,
+    and those are samples.csv's fault."""
+    try:
+        return GTVMinProblem.from_scenario(scenario, alpha)
+    except ValueError as exc:
+        raise ValueError(f"{Path(scenario_dir) / _SAMPLES_FILE}: {exc}") from None
+
+
+def _bound_terms_file(scenario_dir, result_path, cluster) -> Path:
+    """The file at fault when a cluster's bound terms are refused:
+    meta.json when the cluster lacks its reference vector or budget or its
+    reference vector's square overflows, else the result file, whose
+    parameters give R and the deviations and whose alpha scales the rest."""
+    ref = cluster.reference_params
+    with np.errstate(over="ignore"):
+        if ref is None or cluster.epsilon is None or not np.isfinite(ref @ ref):
+            return Path(scenario_dir) / _META_FILE
+    return Path(result_path)
+
+
 def cmd_generate(args) -> int:
     cfg = _config_from_args(args)
     out_dir = Path(cfg.out_dir)
@@ -212,10 +239,10 @@ def cmd_solve(args) -> int:
     tol = ExperimentConfig.tol if args.tol is None else args.tol
     # checked whichever solver runs, so a bad flag never passes unnoticed
     _check_stopping(max_iter, tol, ("--max-iter", "--tol"))
+    alpha = _check_alpha(args.alpha)
     scenario = load_scenario(args.scenario)
-    alpha = args.alpha
     solver = args.solver or ExperimentConfig.solver
-    result = _SOLVERS[solver](GTVMinProblem.from_scenario(scenario, alpha), max_iter, tol)
+    result = _SOLVERS[solver](_problem(args.scenario, scenario, alpha), max_iter, tol)
     out_path = Path(args.out) if args.out else Path(args.scenario) / "result.json"
     save_result(result, out_path)
     print(
@@ -248,16 +275,21 @@ def cmd_analyze(args) -> int:
                 f"{len(scenario.clusters)} clusters)"
             )
         indices = [idx]
-    problem = GTVMinProblem.from_scenario(scenario, result.alpha)
+    problem = _problem(args.scenario, scenario, result.alpha)
     try:
         if problem.alpha == 0.0:
             raise ValueError("the deviation bound needs alpha > 0")
         _check_coupling(problem)
     except ValueError as exc:
         raise ValueError(f"{args.result}: key 'alpha': {exc}") from None
-    pairs = bound_report_rows(
-        problem, result, [scenario.clusters[idx] for idx in indices], scenario.rng_seed
-    )
+    pairs = []
+    for idx in indices:
+        cluster = scenario.clusters[idx]
+        try:
+            pairs += bound_report_rows(problem, result, [cluster], scenario.rng_seed)
+        except ValueError as exc:
+            blamed = _bound_terms_file(args.scenario, args.result, cluster)
+            raise ValueError(f"{blamed}: {exc}") from None
     out_dir = Path(args.out) if args.out else Path(args.scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, (report, _) in zip(indices, pairs):

@@ -17,6 +17,7 @@ import math
 import numbers
 import reprlib
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import (
+    _CONTROL_CHAR,
     ClusterSpec,
     GraphParams,
     SimilarityGraph,
@@ -44,6 +46,8 @@ __all__ = [
 ]
 
 _CENTER_RETRIES = 1000
+# the files of a scenario directory
+_GRAPH_FILE, _META_FILE, _SAMPLES_FILE = "graph.txt", "meta.json", "samples.csv"
 
 
 def _is_int(value) -> bool:
@@ -82,7 +86,7 @@ def _json_field(payload: dict, key: str, kind: str, source, optional: bool = Fal
         raise ValueError(f"{source}: missing key {key!r}")
     value = payload[key]
     if not (_KINDS[kind](value) or (optional and value is None)):
-        raise ValueError(f"{source}: key {key!r} must be {kind}, got {value!r}")
+        raise ValueError(f"{source}: key {key!r} must be {kind}, got {reprlib.repr(value)}")
     return value
 
 
@@ -312,17 +316,18 @@ def clustering_error(scenario: Scenario, cluster: ClusterSpec, w_bar: np.ndarray
 
 
 def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
-    """Serialize to a directory: graph.txt, meta.json and per-node CSVs.
+    """Serialize to a directory: graph.txt, meta.json and samples.csv.
 
-    ``node_<i>.csv`` holds one row per sample, the features then the label,
-    each formatted ``%.17g``, comma-separated, with ``\\n`` line ends: the
-    bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes, made with one
-    string format and one write per file. 17 significant digits make the
-    round trip bit exact, and repeated saves are byte identical.
+    ``samples.csv`` holds one row per sample, grouped by node in ascending
+    order: the node index (``%d``), then the features, then the label (each
+    ``%.17g``), comma-separated, with ``\\n`` line ends: the bytes
+    ``np.savetxt(fmt=["%d"] + ["%.17g"] * (d + 1), delimiter=",")`` writes,
+    made with one string format and one write. 17 significant digits make
+    the round trip bit exact, and repeated saves are byte identical.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_graph(scenario.graph, directory / "graph.txt")
+    write_graph(scenario.graph, directory / _GRAPH_FILE)
     meta = {
         "n": scenario.n,
         "d": scenario.d,
@@ -339,36 +344,158 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
         ],
         "generator": scenario.generator,
     }
-    _write_json(directory / "meta.json", meta)
-    row = ",".join(["%.17g"] * (scenario.d + 1)) + "\n"
-    for i, ds in enumerate(scenario.datasets):
-        cells = np.column_stack([ds.features, ds.labels]).ravel().tolist()
-        (directory / f"node_{i}.csv").write_text(
-            (row * ds.num_samples) % tuple(cells), encoding="ascii", newline="\n"
-        )
+    _write_json(directory / _META_FILE, meta)
+    datasets = scenario.datasets
+    table = np.column_stack(
+        [
+            np.repeat(np.arange(scenario.n), [ds.num_samples for ds in datasets]),
+            np.concatenate([ds.features for ds in datasets]),
+            np.concatenate([ds.labels for ds in datasets]),
+        ]
+    )
+    row = "%d," + ",".join(["%.17g"] * (scenario.d + 1)) + "\n"
+    (directory / _SAMPLES_FILE).write_text(
+        (row * len(table)) % tuple(table.ravel().tolist()), encoding="ascii", newline="\n"
+    )
     return directory
+
+
+def _graph_header(path: Path) -> int | None:
+    """The node count on the first non-blank line of graph.txt, read as
+    :func:`read_graph` reads it but without building anything of its size,
+    or None when that line is not an integer (read_graph refuses it then)."""
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for line in chunk.decode("ascii", "replace").splitlines():
+                if line.strip():
+                    try:
+                        return int(line)
+                    except ValueError:
+                        return None
+    return None
+
+
+def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalDataset]:
+    """The n local datasets of samples.csv, read once and parsed by one
+    ``np.loadtxt``; a file that it does not take, or whose table fails a
+    check, is left to :func:`_scan_samples` to refuse by its line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    table = _parse_samples(text, n, d)
+    if table is None:
+        table = _scan_samples(text, path, n, d, meta_path)
+    starts = np.flatnonzero(np.diff(table[:, 0])) + 1
+    return [LocalDataset(features=t[:, 1:-1], labels=t[:, -1]) for t in np.split(table, starts)]
+
+
+def _parse_samples(text: str, n: int, d: int) -> np.ndarray | None:
+    """samples.csv's (rows, d + 2) table by one np.loadtxt when every check
+    passes, or None to leave it to :func:`_scan_samples`. With no control
+    characters but tab and newline, the lines np.loadtxt reads are the
+    scan's, and its float syntax is a subset of ``float``'s, so what it
+    accepts the scan accepts, with the same values."""
+    if _CONTROL_CHAR.search(text):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a file without rows is a UserWarning
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != d + 2 or not np.isfinite(table).all():
+        return None
+    nodes = table[:, 0]
+    with np.errstate(over="ignore"):  # a step that overflows is no step of 0 or 1
+        steps = np.diff(nodes)
+    # from node 0 to node n - 1 in steps of 0 or 1: every node has rows, in order
+    if nodes[0] != 0 or nodes[-1] != n - 1 or not ((steps == 0) | (steps == 1)).all():
+        return None
+    return table
+
+
+def _scan_samples(text: str, path: Path, n: int, d: int, meta_path: Path) -> np.ndarray:
+    """samples.csv's table, read line by line: a ValueError naming the file
+    and the line at fault otherwise, or meta.json's ``d`` when every row
+    holds the same number of columns and that is not d + 2."""
+    rows = [
+        (lineno, body.split(","))
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        # np.loadtxt skips blank lines and everything after a '#'
+        if (body := line.partition("#")[0]).strip()
+    ]
+    if not rows:
+        raise ValueError(f"{path}: no samples")
+    width = len(rows[0][1])
+    # rows that agree on a width holding features other than d put d at fault
+    if width > 2 and width != d + 2 and all(len(cells) == width for _, cells in rows):
+        raise ValueError(
+            f"{meta_path}: key 'd' is {d}, but {path} holds {width - 2} features per sample"
+        )
+    table = []
+    for lineno, cells in rows:
+        where = f"{path}:{lineno}"
+        if len(cells) != d + 2:
+            raise ValueError(f"{where}: {len(cells)} columns, expected {d + 2}")
+        values = []
+        for cell in cells:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                cell = reprlib.repr(cell.strip())
+                raise ValueError(f"{where}: could not convert string {cell} to float") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where}: dataset entries must be finite")
+        node, last = values[0], table[-1][0] if table else -1
+        if not (node.is_integer() and 0 <= node < n):
+            raise ValueError(f"{where}: node {node:.17g} is not an integer in [0, {n})")
+        if node < last:
+            raise ValueError(f"{where}: node {int(node)} after node {int(last)}")
+        if node > last + 1:
+            raise ValueError(f"{path}: node {int(last) + 1} has no samples")
+        table.append(values)
+    if table[-1][0] != n - 1:
+        raise ValueError(f"{path}: node {int(table[-1][0]) + 1} has no samples")
+    return np.array(table)
 
 
 def load_scenario(directory: str | Path) -> Scenario:
     """Read back a directory written by :func:`save_scenario`.
 
-    Each node file is read once, as ASCII text, and parsed from a text
-    handle by ``np.loadtxt(delimiter=",", ndmin=2)``. A file that does not
-    decode or parse, holds no samples, has other than d + 1 columns or
-    holds a non-finite entry raises a ValueError that starts with its path,
-    as do a meta.json or graph.txt at fault (a meta.json whose ``n`` is not
-    graph.txt's node count, whose ``seed`` is neither a non-negative integer
-    nor null, or whose clusters do not fit the scenario, is at fault;
-    ``clusters[k]`` names the cluster); a missing file raises OSError.
+    samples.csv is read once, as ASCII, and parsed by one ``np.loadtxt``.
+    It is refused by a ValueError that starts with its path and, where
+    there is one, the line at fault: a line that does not decode, a cell
+    that does not parse, a row of other than d + 2 columns or with a
+    non-finite entry, a node that is not an integer in [0, n) or that comes
+    before the row above's, no rows at all, or a node without rows; when
+    every row holds the same number k > 2 of columns other than d + 2,
+    meta.json's ``d`` is refused instead. meta.json and graph.txt at fault
+    raise a ValueError that starts with their path too (a meta.json whose
+    ``n`` is not graph.txt's node count, whose ``seed`` is neither a
+    non-negative integer nor null, or whose clusters do not fit the
+    scenario, is at fault; ``clusters[k]`` names the cluster). A graph.txt
+    header above meta.json's ``n`` is refused before a graph of that size
+    is built. A missing file raises OSError.
     """
     directory = Path(directory)
-    meta_path = directory / "meta.json"
+    meta_path = directory / _META_FILE
     meta = _read_json(meta_path)
-    graph_path = directory / "graph.txt"
-    graph = read_graph(graph_path)
     n = _json_field(meta, "n", "a positive integer", meta_path)
-    if n != graph.n:
-        raise ValueError(f"{meta_path}: key 'n' is {n}, but {graph_path} has {graph.n} nodes")
+    graph_path = directory / _GRAPH_FILE
+    # a header above meta.json's n is refused before a graph of its size is built
+    nodes = _graph_header(graph_path)
+    if nodes is None or nodes <= n:
+        graph = read_graph(graph_path)
+        nodes = graph.n
+    if nodes != n:
+        raise ValueError(
+            f"{meta_path}: key 'n' is {reprlib.repr(n)}, but {graph_path} has "
+            f"{reprlib.repr(nodes)} nodes"
+        )
     d = _json_field(meta, "d", "a positive integer", meta_path)
     seed = _json_field(meta, "seed", "a non-negative integer", meta_path, optional=True)
     clusters = []
@@ -383,22 +510,7 @@ def load_scenario(directory: str | Path) -> Scenario:
             clusters.append(ClusterSpec(members=members, reference_params=ref, epsilon=epsilon))
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-    datasets = []
-    for i in range(graph.n):
-        path = directory / f"node_{i}.csv"
-        try:
-            with open(path, encoding="ascii") as fh:
-                text = fh.read()
-            # np.loadtxt would warn on stderr before returning no rows; it
-            # skips blank lines and everything after a '#'
-            if not any(line.partition("#")[0].strip() for line in text.splitlines()):
-                raise ValueError("no samples")
-            table = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
-            if table.shape[1] != d + 1:
-                raise ValueError(f"{table.shape[1]} columns, expected {d + 1}")
-            datasets.append(LocalDataset(features=table[:, :d], labels=table[:, d]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    datasets = _read_samples(directory / _SAMPLES_FILE, graph.n, d, meta_path)
     try:
         return Scenario(
             datasets=datasets,

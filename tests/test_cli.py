@@ -207,21 +207,29 @@ def test_large_alpha_refusal_names_the_residual_and_the_roundoff_floor(tmp_path,
     assert not (scen_dir / "result.json").exists()
 
 
-def _corrupt_cell(path, value):
+def _edit_line(path, lineno, edit):
+    """Replace line ``lineno`` (from 1) of ``path`` by ``edit`` of its cells."""
     rows = path.read_text().splitlines()
-    cells = rows[0].split(",")
-    cells[1] = value
-    rows[0] = ",".join(cells)
-    path.write_text("\n".join(rows) + "\n")
+    rows[lineno - 1] = ",".join(edit(rows[lineno - 1].split(",")))
+    # a lone surrogate "\udcxx" is written as the byte 0xxx
+    path.write_text("\n".join(rows) + "\n", errors="surrogateescape")
 
 
+def _set_cell(path, lineno, col, value):
+    _edit_line(path, lineno, lambda cells: cells[:col] + [value] + cells[col + 1:])
+
+
+# the default config's samples.csv: 6 nodes of 8 rows, node i on lines 8i + 1 .. 8i + 8
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda p: _corrupt_cell(p, "a"), "could not convert string 'a'"),
-        (lambda p: _corrupt_cell(p, "nan"), "dataset entries must be finite"),
-        (lambda p: p.write_text("1,2\n3,4\n"), "2 columns, expected 3"),
-        (lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "can't decode byte 0xff"),
+        (lambda p: _set_cell(p, 33, 1, "a"), ":33: could not convert string 'a' to float"),
+        (lambda p: _set_cell(p, 33, 1, "nan"), ":33: dataset entries must be finite"),
+        (lambda p: _edit_line(p, 33, lambda cells: cells[:3]), ":33: 3 columns, expected 4"),
+        (
+            lambda p: _edit_line(p, 33, lambda cells: ["\udcff" + cells[0]] + cells[1:]),
+            ":33: 'ascii' codec can't decode byte 0xff in position 1999: ordinal not in range(128)",
+        ),
     ],
     ids=["non-numeric", "nan", "columns", "non-ascii"],
 )
@@ -229,22 +237,21 @@ def test_bad_node_file_exits_1_naming_the_file(tmp_path, capsys, corrupt, messag
     cfg = write_config(tmp_path / "cfg.json")
     scen_dir = tmp_path / "scen"
     assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
-    corrupt(scen_dir / "node_4.csv")
+    corrupt(scen_dir / "samples.csv")
     capsys.readouterr()
     assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
-    err = capsys.readouterr().err
-    assert f"{scen_dir / 'node_4.csv'}: " in err and message in err
+    assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}{message}\n"
 
 
 def test_missing_node_file_exits_3_naming_the_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     scen_dir = tmp_path / "scen"
     assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
-    (scen_dir / "node_4.csv").unlink()
+    (scen_dir / "samples.csv").unlink()
     capsys.readouterr()
     assert main(["solve", str(scen_dir), "--alpha", "1"]) == 3
     err = capsys.readouterr().err
-    assert str(scen_dir / "node_4.csv") in err and "Traceback" not in err
+    assert err == f"i/o error: [Errno 2] No such file or directory: '{scen_dir / 'samples.csv'}'\n"
 
 
 @pytest.mark.parametrize(
@@ -505,13 +512,125 @@ def test_node_file_without_samples_says_so_without_a_warning(tmp_path, capsys, t
     import warnings
 
     scen_dir, _ = solved_dir(tmp_path)
-    (scen_dir / "node_4.csv").write_text(text)
+    (scen_dir / "samples.csv").write_text(text)
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
     assert caught == []
-    assert capsys.readouterr().err == f"error: {scen_dir / 'node_4.csv'}: no samples\n"
+    assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}: no samples\n"
+
+
+def _drop_lines(path, first, last):
+    rows = path.read_text().splitlines()
+    path.write_text("".join(row + "\n" for k, row in enumerate(rows, 1) if not first <= k <= last))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda p: _set_cell(p, 33, 0, "4.5"), ":33: node 4.5 is not an integer in [0, 6)"),
+        (lambda p: _set_cell(p, 48, 0, "6"), ":48: node 6 is not an integer in [0, 6)"),
+        (lambda p: _set_cell(p, 1, 0, "-1"), ":1: node -1 is not an integer in [0, 6)"),
+        (lambda p: _set_cell(p, 41, 0, "3"), ":41: node 3 after node 4"),
+        (lambda p: _drop_lines(p, 17, 24), ": node 2 has no samples"),
+        (lambda p: _drop_lines(p, 41, 48), ": node 5 has no samples"),
+        (lambda p: _drop_lines(p, 1, 8), ": node 0 has no samples"),
+        # blank lines and comments count: the bad cell is on the file's 36th line
+        (
+            lambda p: _set_cell(p, 33, 1, "x") or p.write_text("# samples\n\n\n" + p.read_text()),
+            ":36: could not convert string 'x' to float",
+        ),
+    ],
+    ids=[
+        "fractional-node", "node-beyond-n", "negative-node", "out-of-order", "gap",
+        "last-node-missing", "first-node-missing", "blank-lines",
+    ],
+)
+def test_samples_file_nodes_are_refused_by_line(tmp_path, capsys, corrupt, message):
+    scen_dir, _ = solved_dir(tmp_path)
+    corrupt(scen_dir / "samples.csv")
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}{message}\n"
+
+
+@pytest.mark.parametrize("d, features", [(3, 2), (1, 2)])
+def test_meta_d_that_no_sample_row_holds_is_blamed_on_meta(tmp_path, capsys, d, features):
+    scen_dir, _ = solved_dir(tmp_path)
+    meta_path = scen_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["d"] = d
+    meta["clusters"] = [{**c, "reference_params": [0.0] * d} for c in meta["clusters"]]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: {meta_path}: key 'd' is {d}, but {scen_dir / 'samples.csv'} holds "
+        f"{features} features per sample\n"
+    )
+
+
+def test_samples_file_in_windows_line_ends_loads_the_same_arrays(tmp_path):
+    scen_dir, _ = solved_dir(tmp_path)
+    expected = load_scenario(scen_dir)
+    path = scen_dir / "samples.csv"
+    path.write_bytes(b"# crlf\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+    for got, want in zip(load_scenario(scen_dir).datasets, expected.datasets):
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_graph_header_above_meta_n_is_refused_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
+    import gtvmin.data
+
+    scen_dir, _ = solved_dir(tmp_path)
+    graph_path = scen_dir / "graph.txt"
+    graph_path.write_text("100000000000" + graph_path.read_text()[1:])
+
+    def no_read_graph(path):
+        raise AssertionError("read_graph called")
+
+    monkeypatch.setattr(gtvmin.data, "read_graph", no_read_graph)
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: {scen_dir / 'meta.json'}: key 'n' is 6, but {graph_path} has 100000000000 nodes\n"
+    )
+
+
+def test_analyze_refusals_of_overflowing_terms_name_the_file_at_fault(tmp_path, capsys):
+    scen_dir, res = solved_dir(tmp_path)
+    payload = json.loads(res.read_text())
+    res.write_text(json.dumps({**payload, "params": [1e200] * 12}))
+    capsys.readouterr()
+    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {res}: the deviation bound of cluster (0, 1, 2) overflows: ")
+    assert "R^2 = inf" in err and err.count("\n") == 1
+
+    res.write_text(json.dumps(payload))
+    path = scen_dir / "samples.csv"
+    path.write_text(_last_cells(path.read_text(), ",", "1e200"))
+    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == f"error: {path}: the quadratic loss terms overflow at node 0\n"
+
+
+def test_refused_json_values_are_printed_short(tmp_path, capsys):
+    scen_dir, res = solved_dir(tmp_path)
+    res.write_text(json.dumps({**json.loads(res.read_text()), "params": ["x"] * 10**4}))
+    capsys.readouterr()
+    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: {res}: key 'params' must be a list of finite numbers, "
+        f"got ['x', 'x', 'x', 'x', 'x', 'x', ...]\n"
+    )
 
 
 # ------------------------------------------------------------- selftest, misc
@@ -754,7 +873,7 @@ def _last_cells(text, sep, value):
 @pytest.mark.parametrize(
     "file, sep, value, message",
     [
-        ("node_2.csv", ",", "1e200", "the quadratic loss terms overflow at node 2"),
+        ("samples.csv", ",", "1e200", "{scen}/samples.csv: the quadratic loss terms overflow at node 0"),
         ("graph.txt", " ", "1e308", "{scen}/graph.txt: node 0 has a weighted degree that is not finite"),
     ],
     ids=["loss-terms", "degree"],
@@ -781,7 +900,7 @@ def test_analyze_bound_terms_that_overflow_are_refused_naming_the_cluster(tmp_pa
     code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
     assert (code, caught) == (1, [])
     err = capsys.readouterr().err
-    assert err.startswith("error: the deviation bound of cluster (3, 4, 5) overflows: ")
+    assert err.startswith(f"error: {scen_dir / 'meta.json'}: the deviation bound of cluster (3, 4, 5) overflows: ")
     assert err.count("\n") == 1 and "nan" not in err
     assert not (tmp_path / "out" / "reports.csv").exists()
 
@@ -923,7 +1042,7 @@ def test_analyze_alpha_that_overflows_the_coupling_is_refused_naming_result_alph
         ("alpha", -1, "key 'alpha' must be a non-negative number, got -1"),
         ("alpha", 0, "key 'alpha': the deviation bound needs alpha > 0"),
         ("iterations", -5, "key 'iterations' must be a non-negative integer, got -5"),
-        ("objective", 10**400, f"key 'objective' must be a finite number, got {10**400}"),
+        ("objective", 10**400, "key 'objective' must be a finite number, got 100000000000000000...0000000000000000000"),
     ],
     ids=[
         "params-short", "n-negative", "n-0", "n-huge", "d-3", "alpha-negative", "alpha-0",
@@ -973,7 +1092,7 @@ def test_sweep_failing_in_a_later_scenario_keeps_the_complete_earlier_ones(tmp_p
 
 # ------------------------------------------------------- scenario file fuzz
 
-_FUZZ_FILES = ["graph.txt", "meta.json", "node_2.csv", "result.json"]
+_FUZZ_FILES = ["graph.txt", "meta.json", "samples.csv", "result.json"]
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _mutation = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
@@ -1077,7 +1196,45 @@ def test_analyze_of_mutated_files_exits_cleanly(fuzz_scenario, ops):
         if code:
             assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
             # a file, or the node or cluster whose terms are at fault
-            assert re.search(r"graph\.txt|meta\.json|node_\d+\.csv|result\.json|at node \d|cluster \(", err)
+            assert re.search(r"graph\.txt|meta\.json|samples\.csv|result\.json|at node \d|cluster \(", err)
         else:
             texts = [out.getvalue()] + [p.read_text() for p in (scen / "out").iterdir()]
             assert not any("nan" in text.lower() for text in texts)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ops=st.lists(st.tuples(st.sampled_from(_FUZZ_FILES[:3]), _mutation), min_size=1, max_size=2))
+@example(ops=[("meta.json", ("key", "d", 3))])
+@example(ops=[("meta.json", ("key", "n", 10**11))])
+@example(ops=[("graph.txt", ("number", 0, b"100000000000"))])  # the node count
+@example(ops=[("samples.csv", ("number", 0, b"-7"))])  # the first node
+@example(ops=[("samples.csv", ("number", 5, b"1e200"))])  # the loss terms overflow
+@example(ops=[("samples.csv", ("truncate", 0.5))])  # the last nodes have no rows
+def test_solve_of_mutated_files_exits_cleanly(fuzz_scenario, ops):
+    import contextlib
+    import io
+    import shutil
+    import tempfile
+    import warnings
+
+    with tempfile.TemporaryDirectory() as work:
+        scen = Path(work) / "scen"
+        shutil.copytree(fuzz_scenario, scen)
+        for name, op in ops:
+            path = scen / name
+            path.write_bytes(_mutate(path.read_bytes(), op))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["solve", str(scen), "--alpha", "1", "--out", str(scen / "solved.json")])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        if code in (1, 3):
+            assert re.search(r"graph\.txt|meta\.json|samples\.csv|key '", err)
+        elif code == 2:
+            # a scenario whose files are valid but whose system is too ill-conditioned to solve
+            assert err.startswith("numerical failure: ")
+        else:
+            assert np.isfinite(load_result(scen / "solved.json").params.per_node).all()

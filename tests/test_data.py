@@ -248,18 +248,23 @@ def _adversarial_scenario(d):
 def _assert_node_files_match_savetxt(scen, directory, oracle_dir):
     save_scenario(scen, directory)
     oracle_dir.mkdir()
-    for i, ds in enumerate(scen.datasets):
-        oracle = oracle_dir / f"node_{i}.csv"
-        table = np.column_stack([ds.features, ds.labels])
-        np.savetxt(oracle, table, fmt="%.17g", delimiter=",")
-        assert (directory / f"node_{i}.csv").read_bytes() == oracle.read_bytes()
+    oracle = oracle_dir / "samples.csv"
+    table = np.vstack(
+        [
+            np.column_stack([np.full(ds.num_samples, i), ds.features, ds.labels])
+            for i, ds in enumerate(scen.datasets)
+        ]
+    )
+    np.savetxt(oracle, table, fmt=["%d"] + ["%.17g"] * (scen.d + 1), delimiter=",")
+    assert (directory / "samples.csv").read_bytes() == oracle.read_bytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_node_files_equal_savetxt_bytes_on_corner_values(tmp_path, d):
     scen = _adversarial_scenario(d)
     _assert_node_files_match_savetxt(scen, tmp_path / "scen", tmp_path / "oracle")
-    tokens = (tmp_path / "scen" / "node_1.csv").read_text().replace("\n", ",").split(",")
+    lines = (tmp_path / "scen" / "samples.csv").read_text().splitlines()
+    tokens = ",".join(line for line in lines if line.startswith("1,")).split(",")
     for token in ["-0", "4.9406564584124654e-324", "-1.7976931348623157e+308", "9007199254740992"]:
         assert token in tokens
 
@@ -274,8 +279,9 @@ def test_node_files_equal_savetxt_bytes_on_generated_scenarios(tmp_path, seed):
 def test_loaded_arrays_equal_loadtxt_bit_for_bit(tmp_path, d):
     directory = save_scenario(_adversarial_scenario(d), tmp_path / "scen")
     loaded = load_scenario(directory)
+    table = np.loadtxt(directory / "samples.csv", delimiter=",", ndmin=2)
     for i, ds in enumerate(loaded.datasets):
-        oracle = np.loadtxt(directory / f"node_{i}.csv", delimiter=",", ndmin=2)
+        oracle = table[table[:, 0] == i, 1:]
         got = np.column_stack([ds.features, ds.labels])
         # comparing the bit patterns tells -0.0 from 0.0
         np.testing.assert_array_equal(got.view(np.int64), oracle.view(np.int64))
@@ -297,8 +303,8 @@ def test_scenario_io_writes_without_savetxt_and_reads_from_handles(tmp_path, mon
     monkeypatch.setattr(np_module, "loadtxt", spy_loadtxt)
     scen = make_scenario(seed=4, sizes=(3, 2), d=2, m=5)
     load_scenario(save_scenario(scen, tmp_path / "scen"))
-    # one parse per node file plus one of graph.txt's edge lines
-    assert len(sources) == scen.n + 1
+    # one parse of samples.csv and one of graph.txt's edge lines
+    assert len(sources) == 2
     for source in sources:
         assert isinstance(source, io.TextIOBase)
 
