@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .graph import (
-    _CONTROL_CHAR,
     ClusterSpec,
     GraphParams,
     SimilarityGraph,
@@ -48,6 +47,9 @@ __all__ = [
 _CENTER_RETRIES = 1000
 # the files of a scenario directory
 _GRAPH_FILE, _META_FILE, _SAMPLES_FILE = "graph.txt", "meta.json", "samples.csv"
+# printable ASCII, tab and newline: the bytes np.loadtxt and str.splitlines
+# read alike (str.splitlines also breaks lines at some control characters)
+_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 
 def _is_int(value) -> bool:
@@ -361,18 +363,15 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
 
 
 def _graph_header(path: Path) -> int | None:
-    """The node count on the first non-blank line of graph.txt, read as
-    :func:`read_graph` reads it but without building anything of its size,
-    or None when that line is not an integer (read_graph refuses it then)."""
-    with open(path, "rb") as fh:
-        for chunk in fh:
-            for line in chunk.decode("ascii", "replace").splitlines():
-                if line.strip():
-                    try:
-                        return int(line)
-                    except ValueError:
-                        return None
-    return None
+    """The node count on the first non-blank line of graph.txt, read
+    without building anything of its size, or None when that line is not
+    an integer (:func:`read_graph` refuses the file then)."""
+    with open(path, encoding="ascii", errors="replace") as fh:
+        line = next((line for line in fh if line.strip()), "")
+    try:
+        return int(line)
+    except ValueError:
+        return None
 
 
 def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalDataset]:
@@ -388,8 +387,11 @@ def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalData
     table = _parse_samples(text, n, d)
     if table is None:
         table = _scan_samples(text, path, n, d, meta_path)
-    starts = np.flatnonzero(np.diff(table[:, 0])) + 1
-    return [LocalDataset(features=t[:, 1:-1], labels=t[:, -1]) for t in np.split(table, starts)]
+    bounds = [0, *(np.flatnonzero(np.diff(table[:, 0])) + 1).tolist(), len(table)]
+    return [
+        LocalDataset(features=table[a:b, 1:-1], labels=table[a:b, -1])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def _parse_samples(text: str, n: int, d: int) -> np.ndarray | None:
@@ -398,7 +400,7 @@ def _parse_samples(text: str, n: int, d: int) -> np.ndarray | None:
     characters but tab and newline, the lines np.loadtxt reads are the
     scan's, and its float syntax is a subset of ``float``'s, so what it
     accepts the scan accepts, with the same values."""
-    if _CONTROL_CHAR.search(text):
+    if text.encode("ascii").translate(None, _PLAIN_BYTES):
         return None
     try:
         with warnings.catch_warnings():
