@@ -481,10 +481,13 @@ def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
         (lambda meta: meta.update(seed="abc"), "key 'seed' must be a non-negative integer, got 'abc'"),
         (lambda meta: meta.update(seed=1.5), "key 'seed' must be a non-negative integer, got 1.5"),
         (lambda meta: meta.update(seed=-1), "key 'seed' must be a non-negative integer, got -1"),
+        # every row of samples.csv holds 2 features
+        (lambda meta: meta.update(d=3), "samples.csv holds 2 features per sample"),
+        (lambda meta: meta.update(d=1), "samples.csv holds 2 features per sample"),
     ],
     ids=[
         "member-out-of-range", "node-uncovered", "duplicate-members", "n-7", "n-0", "reference-length",
-        "seed-str", "seed-float", "seed-negative",
+        "seed-str", "seed-float", "seed-negative", "d-3", "d-1",
     ],
 )
 def test_scenario_refusal_from_meta_names_meta_json(tmp_path, capsys, mutate, message):
@@ -556,23 +559,6 @@ def test_samples_file_nodes_are_refused_by_line(tmp_path, capsys, corrupt, messa
     assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}{message}\n"
 
 
-@pytest.mark.parametrize("d, features", [(3, 2), (1, 2)])
-def test_meta_d_that_no_sample_row_holds_is_blamed_on_meta(tmp_path, capsys, d, features):
-    scen_dir, _ = solved_dir(tmp_path)
-    meta_path = scen_dir / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["d"] = d
-    meta["clusters"] = [{**c, "reference_params": [0.0] * d} for c in meta["clusters"]]
-    meta_path.write_text(json.dumps(meta))
-    capsys.readouterr()
-    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
-    assert (code, caught) == (1, [])
-    assert capsys.readouterr().err == (
-        f"error: {meta_path}: key 'd' is {d}, but {scen_dir / 'samples.csv'} holds "
-        f"{features} features per sample\n"
-    )
-
-
 def test_samples_file_in_windows_line_ends_loads_the_same_arrays(tmp_path):
     scen_dir, _ = solved_dir(tmp_path)
     expected = load_scenario(scen_dir)
@@ -619,18 +605,6 @@ def test_analyze_refusals_of_overflowing_terms_name_the_file_at_fault(tmp_path, 
     code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
     assert (code, caught) == (1, [])
     assert capsys.readouterr().err == f"error: {path}: the quadratic loss terms overflow at node 0\n"
-
-
-def test_refused_json_values_are_printed_short(tmp_path, capsys):
-    scen_dir, res = solved_dir(tmp_path)
-    res.write_text(json.dumps({**json.loads(res.read_text()), "params": ["x"] * 10**4}))
-    capsys.readouterr()
-    code, caught = _quiet_main(["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "out")])
-    assert (code, caught) == (1, [])
-    assert capsys.readouterr().err == (
-        f"error: {res}: key 'params' must be a list of finite numbers, "
-        f"got ['x', 'x', 'x', 'x', 'x', 'x', ...]\n"
-    )
 
 
 # ------------------------------------------------------------- selftest, misc
@@ -1043,10 +1017,11 @@ def test_analyze_alpha_that_overflows_the_coupling_is_refused_naming_result_alph
         ("alpha", 0, "key 'alpha': the deviation bound needs alpha > 0"),
         ("iterations", -5, "key 'iterations' must be a non-negative integer, got -5"),
         ("objective", 10**400, "key 'objective' must be a finite number, got 100000000000000000...0000000000000000000"),
+        ("params", ["x"] * 10**4, "key 'params' must be a list of finite numbers, got ['x', 'x', 'x', 'x', 'x', 'x', ...]"),
     ],
     ids=[
         "params-short", "n-negative", "n-0", "n-huge", "d-3", "alpha-negative", "alpha-0",
-        "iterations-negative", "objective-beyond-float",
+        "iterations-negative", "objective-beyond-float", "params-long",
     ],
 )
 def test_result_file_refusals_start_with_its_path(tmp_path, capsys, key, value, message):
