@@ -242,7 +242,11 @@ def cmd_solve(args) -> int:
     alpha = _check_alpha(args.alpha)
     scenario = load_scenario(args.scenario)
     solver = args.solver or ExperimentConfig.solver
-    result = _SOLVERS[solver](_problem(args.scenario, scenario, alpha), max_iter, tol)
+    try:
+        result = _SOLVERS[solver](_problem(args.scenario, scenario, alpha), max_iter, tol)
+    except GTVMinError as exc:
+        # the files are valid, so the scenario as a whole is at fault
+        raise type(exc)(f"{args.scenario}: {exc}") from None
     out_path = Path(args.out) if args.out else Path(args.scenario) / "result.json"
     save_result(result, out_path)
     print(

@@ -481,24 +481,32 @@ def load_scenario(directory: str | Path) -> Scenario:
     non-negative integer nor null, or whose clusters do not fit the
     scenario, is at fault; ``clusters[k]`` names the cluster). A graph.txt
     header above meta.json's ``n`` is refused before a graph of that size
-    is built. A missing file raises OSError.
+    is built, and so is an ``n`` above samples.csv's node count, whatever
+    graph.txt's header says. A missing file raises OSError.
     """
     directory = Path(directory)
     meta_path = directory / _META_FILE
     meta = _read_json(meta_path)
     n = _json_field(meta, "n", "a positive integer", meta_path)
     graph_path = directory / _GRAPH_FILE
-    # a header above meta.json's n is refused before a graph of its size is built
+
+    def check_nodes(nodes):
+        if nodes != n:
+            raise ValueError(
+                f"{meta_path}: key 'n' is {reprlib.repr(n)}, but {graph_path} has "
+                f"{reprlib.repr(nodes)} nodes"
+            )
+
+    # nothing of n's size is built before two files agree on it: a graph.txt
+    # header above n is refused first, and samples.csv's rows must cover
+    # nodes 0..n-1 before the graph is read
     nodes = _graph_header(graph_path)
-    if nodes is None or nodes <= n:
-        graph = read_graph(graph_path)
-        nodes = graph.n
-    if nodes != n:
-        raise ValueError(
-            f"{meta_path}: key 'n' is {reprlib.repr(n)}, but {graph_path} has "
-            f"{reprlib.repr(nodes)} nodes"
-        )
+    if nodes is not None and nodes > n:
+        check_nodes(nodes)
     d = _json_field(meta, "d", "a positive integer", meta_path)
+    datasets = _read_samples(directory / _SAMPLES_FILE, n, d, meta_path)
+    graph = read_graph(graph_path)
+    check_nodes(graph.n)
     seed = _json_field(meta, "seed", "a non-negative integer", meta_path, optional=True)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):
@@ -512,7 +520,6 @@ def load_scenario(directory: str | Path) -> Scenario:
             clusters.append(ClusterSpec(members=members, reference_params=ref, epsilon=epsilon))
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-    datasets = _read_samples(directory / _SAMPLES_FILE, graph.n, d, meta_path)
     try:
         return Scenario(
             datasets=datasets,

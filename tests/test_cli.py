@@ -588,6 +588,51 @@ def test_graph_header_above_meta_n_is_refused_before_the_graph_is_built(tmp_path
     )
 
 
+def test_meta_n_that_the_graph_header_repeats_is_refused_by_the_samples_before_the_graph_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    import gtvmin.data
+
+    scen_dir, _ = solved_dir(tmp_path)
+    graph_path = scen_dir / "graph.txt"
+    graph_path.write_text("100000000000" + graph_path.read_text()[1:])
+    meta_path = scen_dir / "meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "n": 10**11}))
+
+    def no_read_graph(path):
+        raise AssertionError("read_graph called")
+
+    monkeypatch.setattr(gtvmin.data, "read_graph", no_read_graph)
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}: node 6 has no samples\n"
+
+
+def test_solve_of_valid_files_whose_system_is_singular_names_the_scenario_and_a_floor(tmp_path, capsys):
+    scen_dir, _ = solved_dir(tmp_path)
+    graph_path = scen_dir / "graph.txt"
+    lines = graph_path.read_text().splitlines()
+    i, j, _ = lines[1].split()
+    lines[1] = f"{i} {j} 1e200"
+    graph_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
+    assert (code, caught) == (2, [])
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        re.escape(f"numerical failure: {scen_dir}: stationarity system is numerically singular: residual ")
+        + r"(\S+) exceeds 1e-08 \* \|\|q\|\| = \S+; the roundoff floor eps \* \|\|M\|\| \* \|\|w\|\| is about "
+        + r"(\S+), with \|\|M\|\| <= 2\.000e\+200 \(Gershgorin\)\n",
+        err,
+    )
+    assert match, err
+    # the floor of the candidate the passes computed, not of the zero start
+    residual, floor = map(float, match.groups())
+    assert floor > residual > 0.0
+    assert not (scen_dir / "result.json").exists()
+
+
 def test_analyze_refusals_of_overflowing_terms_name_the_file_at_fault(tmp_path, capsys):
     scen_dir, res = solved_dir(tmp_path)
     payload = json.loads(res.read_text())
@@ -684,8 +729,6 @@ def test_sweep_builds_each_scenario_losses_once(tmp_path, monkeypatch):
 
 
 def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
-    import scipy.sparse.linalg
-
     import gtvmin.analysis
     import gtvmin.solver
 
@@ -703,7 +746,7 @@ def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
     counting(gtvmin.analysis, "lambda2")
     counting(gtvmin.solver, "_stack_samples")
     counting(gtvmin.solver, "_block_diagonal")
-    counting(scipy.sparse.linalg, "eigsh")
+    counting(gtvmin.solver, "_lambda_max")
     cfg = write_config(
         tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 10.0], p_out_list=[0.1, 0.2], solver="iterative"
     )
@@ -713,7 +756,7 @@ def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
     # size depends on alpha and is computed for each
     assert calls.count("_stack_samples") == calls.count("_block_diagonal") == 2
     assert calls.count("lambda2") == 4
-    assert calls.count("eigsh") == 6
+    assert calls.count("_lambda_max") == 6
 
 
 def test_usage_error_exits_1(capsys):

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from gtvmin import (
     DivergenceError,
+    Embedding,
     GTVMinProblem,
     GraphParams,
     LocalLoss,
@@ -15,6 +16,7 @@ from gtvmin import (
     SingularSystemError,
     StackedParams,
     generate_scenario,
+    graph_from_embedding,
     is_disconnected,
     laplacian,
     load_result,
@@ -487,17 +489,80 @@ def test_step_size_matches_dense_spectrum(sizes):
         )
 
 
+def _iterate_sparse_graph():
+    """The benchmark's iterate_sparse graph: the union kNN graph (k = 8,
+    sigma = 1) of the 4 x 400 nodes' local least-squares estimates."""
+    scen = generate_scenario(
+        rng_seed=1,
+        cluster_sizes=[400] * 4,
+        d=3,
+        m_per_node=10,
+        noise_std=0.1,
+        separation=2.0,
+        graph_params=GraphParams(p_in=0.0, p_out=0.0),
+    )
+    x = np.stack([ds.features for ds in scen.datasets])
+    xt = x.transpose(0, 2, 1)
+    y = np.stack([ds.labels for ds in scen.datasets])
+    estimates = np.linalg.solve(xt @ x, xt @ y[:, :, None])[:, :, 0]
+    return graph_from_embedding(Embedding(estimates), k=8, sigma=1.0)
+
+
+def _path(n, weight=1.0):
+    return SimilarityGraph(n, [(i, i + 1, weight) for i in range(n - 1)])
+
+
+_LAMBDA_MAX_GRAPHS = {
+    # the start vector and the constant vector span an invariant subspace:
+    # Lanczos breaks down after its first step
+    "complete-12": lambda: SimilarityGraph(12, [(i, j, 1.0) for i in range(12) for j in range(i + 1, 12)]),
+    # the top gap is about 2e-6 of the spectrum: hundreds of restarts
+    "path-2000": lambda: _path(2000),
+    "star-50": lambda: SimilarityGraph(50, [(0, i, 1.0) for i in range(1, 50)]),
+    "two-nodes": lambda: _path(2, 2.5),
+    # a weighted path of 10, five isolated nodes and a complete graph of 15
+    "disconnected": lambda: SimilarityGraph(
+        30,
+        [(i, i + 1, 1.0 + i) for i in range(9)]
+        + [(i, j, 0.7) for i in range(15, 30) for j in range(i + 1, 30)],
+    ),
+    "knn-1600": _iterate_sparse_graph,
+    # ||L v||^2 would overflow unscaled
+    "weights-1e200": lambda: SimilarityGraph(4, [(0, 1, 1e200), (1, 2, 3e199), (2, 3, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAMBDA_MAX_GRAPHS))
+def test_lambda_max_matches_dense_spectrum(name):
+    from gtvmin.solver import _lambda_max
+
+    graph = _LAMBDA_MAX_GRAPHS[name]()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _lambda_max(graph)
+    assert got == pytest.approx(np.linalg.eigvalsh(laplacian(graph))[-1], rel=1e-13)
+
+
+def test_lambda_max_falls_back_to_gershgorin_when_its_products_run_out(monkeypatch):
+    import gtvmin.solver
+
+    graph = _path(2000, 3.0)
+    monkeypatch.setattr(gtvmin.solver, "_LANCZOS_PRODUCTS", 100)
+    # twice the largest weighted degree, never below lambda_max
+    assert gtvmin.solver._lambda_max(graph) == 12.0
+    assert np.linalg.eigvalsh(laplacian(graph))[-1] < 12.0
+
+
 def test_step_size_is_computed_once_per_problem(monkeypatch):
-    import scipy.sparse.linalg
+    import gtvmin.solver
 
     calls = []
-    eigsh = scipy.sparse.linalg.eigsh
+    lambda_max = gtvmin.solver._lambda_max
 
-    def counting_eigsh(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigsh(*args, **kwargs)
+    def counting_lambda_max(graph):
+        calls.append(graph.n)
+        return lambda_max(graph)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+    monkeypatch.setattr(gtvmin.solver, "_lambda_max", counting_lambda_max)
     scen, problem = make_problem(seed=4, alpha=1.0)
     first = solve_iterative(problem, max_iter=7, tol=0.0)
     again = solve_iterative(problem, max_iter=7, tol=0.0)
