@@ -22,11 +22,12 @@ it through the Gram matrix and the sparse Laplacian inside block-Jacobi
 preconditioned conjugate gradients, after an exact singularity test on the
 pooled Gram matrix of each graph component, and accepts the result only
 through a residual gate; it reports the conjugate-gradient rounds, summed
-over its refinement passes, as its iterations, and needs numpy and
-scipy.sparse only. The iterative solver runs synchronous gradient descent in which
-every node reads only its own loss gradient and its neighbors' parameters;
-its step size takes Lanczos from scipy.sparse.linalg, imported on first
-use, and is computed once per problem.
+over its refinement passes, as its iterations. The iterative solver runs
+synchronous gradient descent in which every node reads only its own loss
+gradient and its neighbors' parameters; its step size, computed once per
+problem, takes the Laplacian's largest eigenvalue from a thick-restart
+Lanczos in numpy on the sparse Laplacian. Both solvers need numpy and
+scipy.sparse only: no code path loads scipy.sparse.linalg or scipy.linalg.
 """
 
 from __future__ import annotations
@@ -596,11 +597,12 @@ def _lambda_max(graph: SimilarityGraph) -> float:
     division is exact and the operator's norm is below 4 whatever the
     weights. It starts from the fixed vector default_rng(0).standard_normal(n)
     (the constant vector is an eigenvector) and reorthogonalizes each new
-    vector twice against the whole basis. It stops once the top Ritz pair's
-    residual beta |s| is at most 4 eps theta, once the basis spans the space,
-    or on breakdown, when the new vector lies in the basis's span to
-    roundoff; it returns theta plus that residual, which is at least the
-    eigenvalue theta approximates (Parlett, 1998). If its products with the
+    vector twice against the whole basis. Whenever the basis is full it
+    stops if the top Ritz pair's residual beta |s| is at most 4 eps theta,
+    or if the basis spans the space, and restarts otherwise; it also stops
+    on breakdown, when the new vector lies in the basis's span to roundoff.
+    It returns theta plus that residual, an upper bound on the eigenvalue
+    theta approximates (Parlett, 1998). If its products with the
     Laplacian run out first, it returns the Gershgorin bound 2 max_i deg_i,
     which no eigenvalue exceeds."""
     eps = np.finfo(float).eps
@@ -609,7 +611,7 @@ def _lambda_max(graph: SimilarityGraph) -> float:
     operator = graph._laplacian_csr() / scale
     n = graph.n
     size = min(_LANCZOS_BASIS, n)
-    basis = np.empty((size + 1, n))
+    basis = np.empty((size, n))
     # the basis's projection of the operator: tridiagonal, but for the arrow
     # that couples the kept Ritz vectors to the vector after them
     projected = np.zeros((size, size))
@@ -637,7 +639,7 @@ def _lambda_max(graph: SimilarityGraph) -> float:
                 return float((theta[-1] + residual) * scale)
             # restart from the Ritz vectors of the largest Ritz values
             j = _LANCZOS_KEEP
-            basis[:j] = vectors[:, -j:].T @ basis[:size]
+            basis[:j] = vectors[:, -j:].T @ basis
             projected[:] = 0.0
             projected[np.diag_indices(j)] = theta[-j:]
             projected[j, :j] = projected[:j, j] = beta * vectors[-1, -j:]
