@@ -514,7 +514,7 @@ def _path(n, weight=1.0):
 
 _LAMBDA_MAX_GRAPHS = {
     # the start vector and the constant vector span an invariant subspace:
-    # Lanczos breaks down after two steps, up to roundoff
+    # Lanczos breaks down (it stops after 4 products, on roundoff vectors)
     "complete-12": lambda: SimilarityGraph(12, [(i, j, 1.0) for i in range(12) for j in range(i + 1, 12)]),
     # the top gap is about 2e-6 of the spectrum: hundreds of restarts
     "path-2000": lambda: _path(2000),
