@@ -249,8 +249,8 @@ def _cluster_terms(
     avg||^2, and upper = epsilon + 2 alpha bd (||wbar||^2 + R^2) bounds the
     candidate's value and is the deviation bound's numerator; a ValueError
     naming the cluster is raised when a term overflows. The geometry
-    (:func:`_cluster_geometry`) is memoized on the problem by member tuple
-    (threads racing on it compute it twice): both share one eigensolve."""
+    (:func:`_cluster_geometry`) does not depend on alpha and is kept in the
+    problem's memo by member tuple: both share one eigensolve."""
     if cluster.reference_params is None or cluster.epsilon is None:
         raise ValueError(
             f"cluster {cluster.members} must carry reference parameters and a "
@@ -265,10 +265,8 @@ def _cluster_terms(
         raise ValueError(
             f"reference parameters have shape {w_bar.shape}, expected ({problem.d},)"
         )
-    memo = problem._geometry_memo
-    if cluster.members not in memo:
-        memo[cluster.members] = _cluster_geometry(problem.graph, cluster)
-    lam2, degenerate, boundary = memo[cluster.members]
+    geometry = problem._alpha_free(cluster.members, _cluster_geometry, problem.graph, cluster)
+    lam2, degenerate, boundary = geometry
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         outside = result.params.per_node[~_member_mask(problem.n, cluster)]
         # numpy scalars: a square that overflows reads inf, where a float's raises

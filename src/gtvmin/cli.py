@@ -315,8 +315,8 @@ def cmd_sweep(args) -> int:
     for ip, p_out in enumerate(p_outs):
         scen_dir = out_dir / f"scenario_{ip:02d}"
         scenario = _generate(cfg, p_out)
-        # the loss stack, the Gram matrix and the cluster geometry do not
-        # depend on alpha: every alpha's problem shares this one's
+        # nothing in the loss stack or the memo (Gram matrix, smoothness,
+        # lambda_max, cluster geometry) depends on alpha: every alpha shares them
         base = GTVMinProblem.from_scenario(scenario, cfg.alpha_list[0])
         results = []
         for ia, alpha in enumerate(cfg.alpha_list):

@@ -11,13 +11,11 @@ clustering error.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import numbers
 import reprlib
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +26,10 @@ from .graph import (
     ClusterSpec,
     GraphParams,
     SimilarityGraph,
+    _is_plain,
+    _loadtxt,
+    _read_ascii,
+    _write_table,
     generate_planted_clusters,
     read_graph,
     write_graph,
@@ -47,9 +49,6 @@ __all__ = [
 _CENTER_RETRIES = 1000
 # the files of a scenario directory
 _GRAPH_FILE, _META_FILE, _SAMPLES_FILE = "graph.txt", "meta.json", "samples.csv"
-# printable ASCII, tab and newline: the bytes np.loadtxt and str.splitlines
-# read alike (str.splitlines also breaks lines at some control characters)
-_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 
 def _is_int(value) -> bool:
@@ -356,9 +355,7 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
         ]
     )
     row = "%d," + ",".join(["%.17g"] * (scenario.d + 1)) + "\n"
-    (directory / _SAMPLES_FILE).write_text(
-        (row * len(table)) % tuple(table.ravel().tolist()), encoding="ascii", newline="\n"
-    )
+    _write_table(directory / _SAMPLES_FILE, row * len(table), table.ravel().tolist())
     return directory
 
 
@@ -378,12 +375,7 @@ def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalData
     """The n local datasets of samples.csv, read once and parsed by one
     ``np.loadtxt``; a file that it does not take, or whose table fails a
     check, is left to :func:`_scan_samples` to refuse by its line."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: {exc}") from None
+    text = _read_ascii(path)
     table = _parse_samples(text, n, d)
     if table is None:
         table = _scan_samples(text, path, n, d, meta_path)
@@ -396,20 +388,11 @@ def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalData
 
 def _parse_samples(text: str, n: int, d: int) -> np.ndarray | None:
     """samples.csv's (rows, d + 2) table by one np.loadtxt when every check
-    passes, or None to leave it to :func:`_scan_samples`. With no control
-    characters but tab and newline, the lines np.loadtxt reads are the
-    scan's, and its float syntax is a subset of ``float``'s, so what it
-    accepts the scan accepts, with the same values."""
-    if text.encode("ascii").translate(None, _PLAIN_BYTES):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # a file without rows is a UserWarning
-            warnings.simplefilter("error")
-            table = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
-    except (ValueError, Warning):
-        return None
-    if table.shape[1] != d + 2 or not np.isfinite(table).all():
+    passes, or None to leave it to :func:`_scan_samples`. With plain bytes,
+    np.loadtxt reads the scan's lines, and its float syntax is a subset of
+    ``float``'s: what it accepts the scan accepts, with the same values."""
+    table = _loadtxt(text, delimiter=",", ndmin=2) if _is_plain(text) else None
+    if table is None or table.shape[1] != d + 2 or not np.isfinite(table).all():
         return None
     nodes = table[:, 0]
     with np.errstate(over="ignore"):  # a step that overflows is no step of 0 or 1

@@ -11,7 +11,6 @@ datasets).
 from __future__ import annotations
 
 import io
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -491,23 +490,20 @@ def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
     """Write the line-oriented text format: first line ``n``, then one
     ``i j weight`` line per edge in canonical sorted order."""
     ii, jj, ww = graph.edge_arrays()
-    lines = [f"{graph.n}\n"]
-    lines += [f"{i} {j} {w:.17g}\n" for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist())]
-    Path(path).write_text("".join(lines), encoding="ascii")
+    cells = [None] * (3 * graph.num_edges)
+    cells[0::3], cells[1::3], cells[2::3] = ii.tolist(), jj.tolist(), ww.tolist()
+    _write_table(path, f"{graph.n}\n" + "%d %d %.17g\n" * graph.num_edges, cells)
 
 
 def read_graph(path: str | Path) -> SimilarityGraph:
     """Parse the text format written by :func:`write_graph`.
 
     Blank lines are skipped. Rejects self-loops, duplicate pairs,
-    non-positive weights and out-of-range indices; a malformed line is
-    named by its line number in the file.
+    non-positive weights and out-of-range indices; a line that is not
+    ASCII or is malformed is named by its line number in the file.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    text = _read_ascii(path)
     parsed = _parse_graph_rows(text)
     n, edges = parsed if parsed is not None else _scan_graph_lines(text, path)
     try:
@@ -517,29 +513,61 @@ def read_graph(path: str | Path) -> SimilarityGraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
+_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
+
+
+def _write_table(path: str | Path, fmt: str, cells: list) -> None:
+    """Write the text table ``fmt % cells`` as ASCII by one string format and
+    one write: with ``fmt`` a head and then a row format once per row of the
+    row-major ``cells``, the head and the bytes ``np.savetxt(fmt=row)`` writes."""
+    Path(path).write_text(fmt % tuple(cells), encoding="ascii", newline="\n")
+
+
+def _read_ascii(path: Path) -> str:
+    """The ASCII text of ``path``, line ends kept; a ValueError naming the
+    path and the line of the first byte that does not decode otherwise."""
+    data = path.read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
+def _is_plain(text: str) -> bool:
+    """Whether ``text`` holds only printable ASCII, tab and newline, which
+    np.loadtxt and a line scan (str.splitlines, str.split) read alike."""
+    return not text.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
+def _loadtxt(text: str, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` of ``text``, or None when it refuses it or warns
+    (numpy < 2 reads '1.0' as an integer, and no rows, with a warning)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.StringIO(text), **kwargs)
+    except (ValueError, Warning):
+        return None
+
+
 _GRAPH_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
-# str.splitlines and str.split read some control characters as line breaks
-# or spaces where np.loadtxt does not
-_CONTROL_CHAR = re.compile(r"[^\t\n -~]")
 
 
 def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
     """(n, (E, 3) edge array) of a graph file's text by one np.loadtxt, or
-    None to leave it to :func:`_scan_graph_lines`. With no control
-    characters but tab and newline, the lines np.loadtxt reads are the
-    scan's, and its integer and float syntax are subsets of ``int``'s and
-    ``float``'s, so what it accepts the scan accepts, with the same values."""
-    if _CONTROL_CHAR.search(text):
+    None to leave it to :func:`_scan_graph_lines`. With plain bytes,
+    np.loadtxt reads the scan's lines in a subset of ``int``'s and ``float``'s
+    syntax: what it accepts the scan accepts, with the same values."""
+    if not _is_plain(text):
         return None
     head, _, body = text.lstrip().partition("\n")
     try:
         n = int(head)
-        with warnings.catch_warnings():
-            # numpy < 2 parses '1.0' as an integer with a DeprecationWarning;
-            # no data at all is a UserWarning
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(body), dtype=_GRAPH_ROW, comments=None, ndmin=1)
-    except (ValueError, Warning):
+    except ValueError:
+        return None
+    rows = _loadtxt(body, dtype=_GRAPH_ROW, comments=None, ndmin=1)
+    if rows is None:
         return None
     ends = np.concatenate([rows["i"], rows["j"]])
     if ((ends < 0) | (ends >= n)).any():

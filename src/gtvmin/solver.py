@@ -24,8 +24,8 @@ pooled Gram matrix of each graph component, and accepts the result only
 through a residual gate; it reports the conjugate-gradient rounds, summed
 over its refinement passes, as its iterations. The iterative solver runs
 synchronous gradient descent in which every node reads only its own loss
-gradient and its neighbors' parameters; its step size, computed once per
-problem, takes the Laplacian's largest eigenvalue from a thick-restart
+gradient and its neighbors' parameters; its step size takes the Laplacian's
+largest eigenvalue, once per problem at every alpha, from a thick-restart
 Lanczos in numpy on the sparse Laplacian. Both solvers need numpy and
 scipy.sparse only: no code path loads scipy.sparse.linalg or scipy.linalg.
 """
@@ -193,11 +193,10 @@ class GTVMinProblem:
     Immutable: ``losses`` is a tuple. When every loss is quadratic they are
     stacked once, at construction, as ``_stack`` = (gram, moment, energy),
     whose sum is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy (None
-    otherwise); the Gram stack's block-diagonal matrix ``_gram_matrix`` is
-    built on the first product.
-    ``_geometry_memo`` holds the analysis's per-cluster graph quantities by
-    member tuple and ``_step`` the iterative step size (:func:`_step_size`),
-    so each is computed once per problem."""
+    otherwise). :meth:`_alpha_free` keeps, in one memo that ``_with_alpha``
+    copies share, what alpha does not change: the Gram stack's block-diagonal
+    matrix, the smoothness, the Laplacian's lambda_max and each cluster's
+    graph quantities for the analysis, each computed on first use."""
 
     def __init__(
         self,
@@ -214,8 +213,7 @@ class GTVMinProblem:
         self.graph = graph
         self.alpha = _check_alpha(alpha)
         self.d = int(d)
-        self._stack = self._batches = self._step = None
-        self._geometry_memo, self._gram_memo = {}, {}
+        self._stack, self._batches, self._memo = None, None, {}
         if all(isinstance(loss, QuadraticLoss) for loss in self.losses):
             self._stack, self._batches = _stack_samples([loss.dataset for loss in self.losses])
 
@@ -229,25 +227,21 @@ class GTVMinProblem:
         )
 
     def _with_alpha(self, alpha: float) -> "GTVMinProblem":
-        """This problem at another ``alpha``, sharing what does not depend
-        on it: the loss stack and batches and the memos of the Gram matrix
-        and the cluster geometry. The step size is computed again."""
+        """This problem at another ``alpha``, sharing its loss stack and memo."""
         other = copy.copy(self)
         other.alpha = _check_alpha(alpha)
-        other._step = None
         return other
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def _gram_matrix(self):
-        """The Gram stack's block-diagonal matrix, kept in a memo that
-        ``_with_alpha`` copies share."""
-        if not self._gram_memo:
-            self._gram_memo["matrix"] = _block_diagonal(self._stack[0])
-        return self._gram_memo["matrix"]
+    def _alpha_free(self, key, compute, *args):
+        """The memo's ``key``, a quantity alpha does not change: ``compute(*args)``
+        on first use (threads racing on it compute it twice)."""
+        if key not in self._memo:
+            self._memo[key] = compute(*args)
+        return self._memo[key]
 
     def _check_params(self, params: StackedParams) -> None:
         if params.n != self.n or params.d != self.d:
@@ -418,7 +412,8 @@ def _value_and_half_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarr
 def _system_product(problem: GTVMinProblem, ridge: float, w):
     """(Q + alpha (L kron I) + ridge I) applied to the (n, d) array w,
     without forming the matrix."""
-    out = (problem._gram_matrix @ w.reshape(-1)).reshape(w.shape)
+    gram = problem._alpha_free("gram", _block_diagonal, problem._stack[0])
+    out = (gram @ w.reshape(-1)).reshape(w.shape)
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
         out += problem.alpha * (problem.graph._laplacian_csr() @ w)
     if ridge:
@@ -569,23 +564,22 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
 
 
 def _step_size(problem: GTVMinProblem) -> float:
-    """The fixed step 1/L, L = max_i smoothness_i + 2 alpha lambda_max(L),
-    computed on the first call and kept on the problem; lambda_max comes
-    from :func:`_lambda_max`, and is not needed at alpha = 0."""
-    if problem._step is not None:
-        return problem._step
+    """The fixed step 1/L, L = max_i smoothness_i + 2 alpha lambda_max(L);
+    the smoothness and lambda_max (:func:`_lambda_max`, not needed at
+    alpha = 0) are computed once per problem and shared by its alpha copies."""
     _check_coupling(problem)
-    if problem._stack is not None:
-        top = np.linalg.eigvalsh(problem._stack[0])[:, -1]
-        smooth = float(2.0 * max(top.max(), 0.0))
-    else:
-        smooth = max(loss.smoothness() for loss in problem.losses)
     lap_lmax = 0.0
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
-        lap_lmax = _lambda_max(problem.graph)
-    lipschitz = smooth + 2.0 * problem.alpha * lap_lmax
-    problem._step = 1.0 / lipschitz if lipschitz > 0.0 else 0.0
-    return problem._step
+        lap_lmax = problem._alpha_free("lambda_max", _lambda_max, problem.graph)
+    lipschitz = problem._alpha_free("smoothness", _smoothness, problem) + 2.0 * problem.alpha * lap_lmax
+    return 1.0 / lipschitz if lipschitz > 0.0 else 0.0
+
+
+def _smoothness(problem: GTVMinProblem) -> float:
+    """max_i smoothness_i, by one batched eigensolve for quadratic losses."""
+    if problem._stack is None:
+        return max(loss.smoothness() for loss in problem.losses)
+    return float(2.0 * max(np.linalg.eigvalsh(problem._stack[0])[:, -1].max(), 0.0))
 
 
 def _lambda_max(graph: SimilarityGraph) -> float:

@@ -93,12 +93,12 @@ class BoundSuiteResult:
         return self.num_violations == 0
 
 
-def bound_suite(num_scenarios: int = 100, base_seed: int = 77000) -> BoundSuiteResult:
+def bound_suite(num_scenarios: int = 100) -> BoundSuiteResult:
     """Solve ``num_scenarios`` random scenarios exactly and evaluate the
     deviation bound on every cluster; a violation is a non-degenerate
     report with ``satisfied`` false."""
     reports = []
-    for scenario, problem, result in _solved(num_scenarios, base_seed):
+    for scenario, problem, result in _solved(num_scenarios, 77000):
         reports += [deviation_bound_report(problem, result, c) for c in scenario.clusters]
     return BoundSuiteResult(
         num_reports=len(reports),
@@ -118,14 +118,14 @@ class SpectralSuiteResult:
         return self.num_violations == 0 and self.max_complete_mismatch <= 1e-9
 
 
-def spectral_suite(num_graphs: int = 100, base_seed: int = 55000) -> SpectralSuiteResult:
+def spectral_suite(num_graphs: int = 100) -> SpectralSuiteResult:
     """Spot-check the spectral lower bound on random planted graphs with
     random parameters, plus the equality case on complete unit-weight
     clusters (where both sides coincide)."""
     num_checks = 0
     num_violations = 0
     for index in range(num_graphs):
-        seed = base_seed + index
+        seed = 55000 + index
         rng = np.random.default_rng(seed)
         sizes = [int(s) for s in rng.integers(2, 11, size=2)]
         graph, clusters = generate_planted_clusters(
@@ -144,7 +144,7 @@ def spectral_suite(num_graphs: int = 100, base_seed: int = 55000) -> SpectralSui
             num_violations += 1
 
     max_mismatch = 0.0
-    rng = np.random.default_rng(base_seed)
+    rng = np.random.default_rng(55000)
     for m in range(2, 11):
         complete = SimilarityGraph(
             m, [(i, j, 1.0) for i in range(m) for j in range(i + 1, m)]
@@ -174,12 +174,10 @@ class CertificateSuiteResult:
         return all(slack >= -1e-9 for slack in slacks)
 
 
-def certificate_suite(
-    num_scenarios: int = 50, base_seed: int = 66000
-) -> CertificateSuiteResult:
+def certificate_suite(num_scenarios: int = 50) -> CertificateSuiteResult:
     """Evaluate the certificate chain on random scenarios solved exactly."""
     records = []
-    for scenario, problem, result in _solved(num_scenarios, base_seed):
+    for scenario, problem, result in _solved(num_scenarios, 66000):
         records += [certificate_check(problem, result, c) for c in scenario.clusters]
     return CertificateSuiteResult(
         num_records=len(records),
@@ -200,9 +198,7 @@ class CrossSolverSuiteResult:
         return self.max_linf <= 1e-5 and self.max_residual_ratio <= 1e-8
 
 
-def cross_solver_suite(
-    num_scenarios: int = 20, base_seed: int = 88000
-) -> CrossSolverSuiteResult:
+def cross_solver_suite(num_scenarios: int = 20) -> CrossSolverSuiteResult:
     """Compare the direct and iterative solvers on random connected
     scenarios with n*d <= 400 (iterative: tol 1e-12, up to 1e5 rounds)."""
     max_linf = 0.0
@@ -210,7 +206,7 @@ def cross_solver_suite(
     produced = 0
     index = 0
     while produced < num_scenarios:
-        seed = base_seed + index
+        seed = 88000 + index
         index += 1
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 6))

@@ -433,6 +433,23 @@ def test_graph_file_roundtrip(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("source", ["corner-weights", 0, 1, 2])
+def test_graph_file_equals_savetxt_bytes_after_its_header(tmp_path, source):
+    if source == "corner-weights":
+        weights = [4.9406564584124654e-324, 1.7976931348623157e308, 1 / 3, 2.0, 2.0**53]
+        graph = SimilarityGraph(6, [(i, i + 1, w) for i, w in enumerate(weights)])
+    else:
+        graph, _ = generate_planted_clusters(source, [7, 5, 6], p_in=0.7, p_out=0.2)
+    path, oracle = tmp_path / "graph.txt", tmp_path / "oracle.txt"
+    write_graph(graph, path)
+    np.savetxt(oracle, np.column_stack(graph.edge_arrays()), fmt="%d %d %.17g")
+    head, _, body = path.read_bytes().partition(b"\n")
+    assert head == str(graph.n).encode("ascii")
+    assert body == oracle.read_bytes()
+    if source == "corner-weights":
+        assert b"4.9406564584124654e-324" in body and b"1.7976931348623157e+308" in body
+
+
 def test_graph_file_rejects_bad_content(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2\n0 0 1.0\n")
@@ -510,6 +527,10 @@ def assert_read_graph_matches_line_scan(path):
         pytest.param("3\n0 1\x1c2.0\n", id="file-separator"),
         pytest.param("3\n0 1\x1f2.0\n", id="unit-separator"),
         pytest.param("3\r\n0 1 1.0\r\n1 2 1.0\r", id="carriage-returns"),
+        pytest.param("3\n0 1\x002.0\n", id="nul"),
+        pytest.param("3\n0 1 1.0\x00\n", id="trailing-nul"),
+        pytest.param("3\x7f\n0 1 1.0\n", id="delete-in-header"),
+        pytest.param("3\n0 1 1.0\x7f\n", id="trailing-delete"),
         pytest.param("3\n", id="no-edges"),
         pytest.param("3", id="no-newline"),
         pytest.param("x\n0 1 1.0\n", id="bad-count"),
@@ -826,6 +847,8 @@ print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
 """
     assert run_fresh_interpreter(code).splitlines() == ["0 0 []", "True False"]
     assert (tmp_path / "reports" / "reports.csv").exists()
+    # a generated scenario is exactly three files, whatever its node count
+    assert sorted(os.listdir(tmp_path / "fresh")) == ["graph.txt", "meta.json", "samples.csv"]
 
 
 def test_iterative_solve_and_quick_selftest_load_scipy_sparse_but_no_scipy_linalg(tmp_path):

@@ -578,15 +578,16 @@ def test_step_size_is_computed_once_per_problem(monkeypatch):
     synchronous_step(fresh, params)
     solve_iterative(fresh, max_iter=7, tol=0.0)
     assert len(calls) == 2
-    # nor is it shared with the same problem at another alpha
+    # the same problem at another alpha shares its lambda_max, and its step
+    # is the step of a fresh problem at that alpha, bit for bit
     other = problem._with_alpha(2.0)
     assert other._stack is problem._stack
-    assert other._gram_matrix is problem._gram_matrix
-    assert other._geometry_memo is problem._geometry_memo
+    assert other._memo is problem._memo
+    assert set(problem._memo) == {"gram", "smoothness", "lambda_max"}
     expected = solve_iterative(GTVMinProblem(problem.losses, problem.graph, 2.0, problem.d), max_iter=7, tol=0.0)
     got = solve_iterative(other, max_iter=7, tol=0.0)
     np.testing.assert_array_equal(bits(got.params.per_node), bits(expected.params.per_node))
-    assert problem.alpha == 1.0 and len(calls) == 4
+    assert problem.alpha == 1.0 and len(calls) == 3
 
 
 # ------------------------------------------------------------ solve_iterative
