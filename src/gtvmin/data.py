@@ -26,6 +26,7 @@ from .graph import (
     ClusterSpec,
     GraphParams,
     SimilarityGraph,
+    _graph_lines,
     _is_plain,
     _loadtxt,
     _read_ascii,
@@ -93,11 +94,13 @@ def _json_field(payload: dict, key: str, kind: str, source, optional: bool = Fal
 
 def _read_json(path: Path):
     """The JSON document in the ASCII file ``path``; a ValueError that
-    starts with the path when the file does not decode or parse."""
+    starts with the path when the file does not decode (and then names the
+    line) or parse."""
+    text = _read_ascii(path)
     try:
-        return json.loads(path.read_text(encoding="ascii"))
-    # a decode error, a syntax error and an integer beyond int's digit limit
-    # are ValueErrors; nesting beyond the parser's depth is a RecursionError
+        return json.loads(text)
+    # a syntax error and an integer beyond int's digit limit are
+    # ValueErrors; nesting beyond the parser's depth is a RecursionError
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -319,6 +322,8 @@ def clustering_error(scenario: Scenario, cluster: ClusterSpec, w_bar: np.ndarray
 def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
     """Serialize to a directory: graph.txt, meta.json and samples.csv.
 
+    samples.csv states n and d, graph.txt the edges (its header repeats n),
+    meta.json the seed, the clusters and the generator's parameters.
     ``samples.csv`` holds one row per sample, grouped by node in ascending
     order: the node index (``%d``), then the features, then the label (each
     ``%.17g``), comma-separated, with ``\\n`` line ends: the bytes
@@ -330,8 +335,6 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     write_graph(scenario.graph, directory / _GRAPH_FILE)
     meta = {
-        "n": scenario.n,
-        "d": scenario.d,
         "seed": scenario.rng_seed,
         "clusters": [
             {
@@ -359,26 +362,14 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> Path:
     return directory
 
 
-def _graph_header(path: Path) -> int | None:
-    """The node count on the first non-blank line of graph.txt, read
-    without building anything of its size, or None when that line is not
-    an integer (:func:`read_graph` refuses the file then)."""
-    with open(path, encoding="ascii", errors="replace") as fh:
-        line = next((line for line in fh if line.strip()), "")
-    try:
-        return int(line)
-    except ValueError:
-        return None
-
-
-def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalDataset]:
-    """The n local datasets of samples.csv, read once and parsed by one
-    ``np.loadtxt``; a file that it does not take, or whose table fails a
-    check, is left to :func:`_scan_samples` to refuse by its line."""
+def _read_samples(path: Path) -> list[LocalDataset]:
+    """The local datasets of samples.csv, one per node, read once and parsed
+    by one ``np.loadtxt``; a file that it does not take, or whose table
+    fails a check, is left to :func:`_scan_samples` to refuse by its line."""
     text = _read_ascii(path)
-    table = _parse_samples(text, n, d)
+    table = _parse_samples(text)
     if table is None:
-        table = _scan_samples(text, path, n, d, meta_path)
+        table = _scan_samples(text, path)
     bounds = [0, *(np.flatnonzero(np.diff(table[:, 0])) + 1).tolist(), len(table)]
     return [
         LocalDataset(features=table[a:b, 1:-1], labels=table[a:b, -1])
@@ -386,27 +377,26 @@ def _read_samples(path: Path, n: int, d: int, meta_path: Path) -> list[LocalData
     ]
 
 
-def _parse_samples(text: str, n: int, d: int) -> np.ndarray | None:
+def _parse_samples(text: str) -> np.ndarray | None:
     """samples.csv's (rows, d + 2) table by one np.loadtxt when every check
     passes, or None to leave it to :func:`_scan_samples`. With plain bytes,
     np.loadtxt reads the scan's lines, and its float syntax is a subset of
     ``float``'s: what it accepts the scan accepts, with the same values."""
     table = _loadtxt(text, delimiter=",", ndmin=2) if _is_plain(text) else None
-    if table is None or table.shape[1] != d + 2 or not np.isfinite(table).all():
+    if table is None or table.shape[1] < 3 or not np.isfinite(table).all():
         return None
     nodes = table[:, 0]
     with np.errstate(over="ignore"):  # a step that overflows is no step of 0 or 1
         steps = np.diff(nodes)
-    # from node 0 to node n - 1 in steps of 0 or 1: every node has rows, in order
-    if nodes[0] != 0 or nodes[-1] != n - 1 or not ((steps == 0) | (steps == 1)).all():
+    # from node 0 in steps of 0 or 1: every node has rows, in order
+    if nodes[0] != 0 or not ((steps == 0) | (steps == 1)).all():
         return None
     return table
 
 
-def _scan_samples(text: str, path: Path, n: int, d: int, meta_path: Path) -> np.ndarray:
+def _scan_samples(text: str, path: Path) -> np.ndarray:
     """samples.csv's table, read line by line: a ValueError naming the file
-    and the line at fault otherwise, or meta.json's ``d`` when every row
-    holds the same number of columns and that is not d + 2."""
+    and the line at fault otherwise."""
     rows = [
         (lineno, body.split(","))
         for lineno, line in enumerate(text.splitlines(), start=1)
@@ -416,16 +406,13 @@ def _scan_samples(text: str, path: Path, n: int, d: int, meta_path: Path) -> np.
     if not rows:
         raise ValueError(f"{path}: no samples")
     width = len(rows[0][1])
-    # rows that agree on a width holding features other than d put d at fault
-    if width > 2 and width != d + 2 and all(len(cells) == width for _, cells in rows):
-        raise ValueError(
-            f"{meta_path}: key 'd' is {d}, but {path} holds {width - 2} features per sample"
-        )
+    if width < 3:  # a node, d >= 1 features and a label
+        raise ValueError(f"{path}:{rows[0][0]}: {width} columns, expected at least 3")
     table = []
     for lineno, cells in rows:
         where = f"{path}:{lineno}"
-        if len(cells) != d + 2:
-            raise ValueError(f"{where}: {len(cells)} columns, expected {d + 2}")
+        if len(cells) != width:
+            raise ValueError(f"{where}: {len(cells)} columns, expected {width}")
         values = []
         for cell in cells:
             try:
@@ -436,60 +423,47 @@ def _scan_samples(text: str, path: Path, n: int, d: int, meta_path: Path) -> np.
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{where}: dataset entries must be finite")
         node, last = values[0], table[-1][0] if table else -1
-        if not (node.is_integer() and 0 <= node < n):
-            raise ValueError(f"{where}: node {node:.17g} is not an integer in [0, {n})")
+        if not (node.is_integer() and node >= 0):
+            raise ValueError(f"{where}: node {node:.17g} is not a non-negative integer")
         if node < last:
             raise ValueError(f"{where}: node {int(node)} after node {int(last)}")
         if node > last + 1:
             raise ValueError(f"{path}: node {int(last) + 1} has no samples")
         table.append(values)
-    if table[-1][0] != n - 1:
-        raise ValueError(f"{path}: node {int(table[-1][0]) + 1} has no samples")
     return np.array(table)
 
 
 def load_scenario(directory: str | Path) -> Scenario:
     """Read back a directory written by :func:`save_scenario`.
 
-    samples.csv is read once, as ASCII, and parsed by one ``np.loadtxt``.
-    It is refused by a ValueError that starts with its path and, where
-    there is one, the line at fault: a line that does not decode, a cell
-    that does not parse, a row of other than d + 2 columns or with a
-    non-finite entry, a node that is not an integer in [0, n) or that comes
-    before the row above's, no rows at all, or a node without rows; when
-    every row holds the same number k > 2 of columns other than d + 2,
-    meta.json's ``d`` is refused instead. meta.json and graph.txt at fault
-    raise a ValueError that starts with their path too (a meta.json whose
-    ``n`` is not graph.txt's node count, whose ``seed`` is neither a
+    samples.csv is read first, once, as ASCII, and parsed by one
+    ``np.loadtxt``: its nodes give n and its width d + 2. It is refused by
+    a ValueError that starts with its path and, where there is one, the
+    line at fault: a line that does not decode, a cell that does not parse,
+    a first row of fewer than 3 columns, a row of another width or with a
+    non-finite entry, a node that is not a non-negative integer or that
+    comes before the row above's, no rows at all, or a node without rows.
+    A graph.txt header other than n is refused before anything of its size
+    is built. meta.json and graph.txt at fault raise a ValueError that
+    starts with their path too (a meta.json whose ``seed`` is neither a
     non-negative integer nor null, or whose clusters do not fit the
-    scenario, is at fault; ``clusters[k]`` names the cluster). A graph.txt
-    header above meta.json's ``n`` is refused before a graph of that size
-    is built, and so is an ``n`` above samples.csv's node count, whatever
-    graph.txt's header says. A missing file raises OSError.
+    scenario, is at fault; ``clusters[k]`` names the cluster). Other
+    meta.json keys, such as the ``n`` and ``d`` older versions wrote, are
+    ignored. A missing file raises OSError.
     """
     directory = Path(directory)
     meta_path = directory / _META_FILE
     meta = _read_json(meta_path)
-    n = _json_field(meta, "n", "a positive integer", meta_path)
+    samples_path = directory / _SAMPLES_FILE
+    datasets = _read_samples(samples_path)
     graph_path = directory / _GRAPH_FILE
-
-    def check_nodes(nodes):
-        if nodes != n:
-            raise ValueError(
-                f"{meta_path}: key 'n' is {reprlib.repr(n)}, but {graph_path} has "
-                f"{reprlib.repr(nodes)} nodes"
-            )
-
-    # nothing of n's size is built before two files agree on it: a graph.txt
-    # header above n is refused first, and samples.csv's rows must cover
-    # nodes 0..n-1 before the graph is read
-    nodes = _graph_header(graph_path)
-    if nodes is not None and nodes > n:
-        check_nodes(nodes)
-    d = _json_field(meta, "d", "a positive integer", meta_path)
-    datasets = _read_samples(directory / _SAMPLES_FILE, n, d, meta_path)
+    nodes, _ = _graph_lines(_read_ascii(graph_path), graph_path)
+    if nodes != len(datasets):
+        raise ValueError(
+            f"{graph_path}: {reprlib.repr(nodes)} nodes, but {samples_path} holds "
+            f"samples of {len(datasets)}"
+        )
     graph = read_graph(graph_path)
-    check_nodes(graph.n)
     seed = _json_field(meta, "seed", "a non-negative integer", meta_path, optional=True)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):
@@ -508,7 +482,7 @@ def load_scenario(directory: str | Path) -> Scenario:
             datasets=datasets,
             graph=graph,
             clusters=clusters,
-            d=d,
+            d=datasets[0].dim,
             rng_seed=seed,
             generator=meta.get("generator"),
         )

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -530,7 +530,8 @@ def _read_ascii(path: Path) -> str:
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the line as str.splitlines counts them, like the line scans
+        line = len((data[: exc.start].decode("ascii") + "_").splitlines())
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
@@ -577,18 +578,26 @@ def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
     return n, np.column_stack([rows["i"], rows["j"], rows["w"]])
 
 
+def _graph_lines(text: str, path: Path) -> tuple[int, Iterator]:
+    """A graph file's node count, from its first non-blank line, and an
+    iterator over its other non-blank lines with their numbers; a
+    ValueError naming the file when there is no such count."""
+    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    first = next(lines, None)
+    if first is None:
+        raise ValueError(f"{path}: empty graph file")
+    try:
+        return int(first[1]), lines
+    except ValueError:
+        raise ValueError(f"{path}: first line must be the node count") from None
+
+
 def _scan_graph_lines(text: str, path: Path) -> tuple[int, list]:
     """(n, edge triples) of a graph file's text, line by line; a
     ValueError naming the file and the line at fault otherwise."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    try:
-        n = int(lines[0][1])
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the node count") from None
+    n, lines = _graph_lines(text, path)
     edges = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {line!r}")

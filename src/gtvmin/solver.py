@@ -195,8 +195,9 @@ class GTVMinProblem:
     whose sum is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy (None
     otherwise). :meth:`_alpha_free` keeps, in one memo that ``_with_alpha``
     copies share, what alpha does not change: the Gram stack's block-diagonal
-    matrix, the smoothness, the Laplacian's lambda_max and each cluster's
-    graph quantities for the analysis, each computed on first use."""
+    matrix, the smoothness, the Laplacian's lambda_max, the singularity
+    test's pooled Gram spectra (coupled or not) and each cluster's graph
+    quantities for the analysis, each computed on first use."""
 
     def __init__(
         self,
@@ -421,17 +422,16 @@ def _system_product(problem: GTVMinProblem, ridge: float, w):
     return out
 
 
-def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
+def _check_nonsingular(problem: GTVMinProblem) -> None:
     """Raise :class:`SingularSystemError` when Q + alpha (L kron I) is
     singular, which happens iff some connected component of the graph has a
     singular pooled Gram matrix sum_{i in c} gram_i (with alpha = 0 or no
     edges, every node is its own component)."""
     graph = problem.graph
     coupled = problem.alpha > 0.0 and graph.num_edges > 0
-    count, labels = _components(graph) if coupled else (graph.n, np.arange(graph.n))
-    pooled = np.zeros((count, problem.d, problem.d))
-    np.add.at(pooled, labels, gram)
-    vals = np.linalg.eigvalsh(pooled)
+    labels, vals = problem._alpha_free(
+        ("pooled", coupled), _pooled_spectra, graph, problem._stack[0], coupled
+    )
     eps = np.finfo(float).eps
     singular = vals[:, 0] <= _SINGULAR_EPS_MULTIPLE * problem.d * eps * vals[:, -1]
     if singular.any():
@@ -447,6 +447,15 @@ def _check_nonsingular(problem: GTVMinProblem, gram: np.ndarray) -> None:
             f"has a singular pooled Gram matrix (smallest eigenvalue "
             f"{vals[c, 0]:.3e}, largest {vals[c, -1]:.3e}){alone}. Remedy: {remedy}"
         )
+
+
+def _pooled_spectra(graph: SimilarityGraph, gram: np.ndarray, coupled: bool):
+    """Each node's component label and the ascending eigenvalues of each
+    component's pooled Gram matrix; uncoupled, every node is its own."""
+    count, labels = _components(graph) if coupled else (graph.n, np.arange(graph.n))
+    pooled = np.zeros((count, *gram.shape[1:]))
+    np.add.at(pooled, labels, gram)
+    return labels, np.linalg.eigvalsh(pooled)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -517,7 +526,7 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     _check_coupling(problem)
     gram, moment, _ = problem._stack
     if ridge == 0.0:
-        _check_nonsingular(problem, gram)
+        _check_nonsingular(problem)
     shift = problem.alpha * problem.graph.weighted_degrees() + ridge
     inverse = np.linalg.inv(gram + shift[:, None, None] * np.eye(problem.d))
     inverse_matrix = _block_diagonal(inverse)

@@ -62,6 +62,32 @@ def test_generate_noiseless_meta_has_zero_epsilon(tmp_path):
     assert all(entry["epsilon"] == 0.0 for entry in meta["clusters"])
 
 
+def test_generate_states_each_fact_once(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "scen")]) == 0
+    # samples.csv gives n and d; meta.json holds neither
+    meta = json.loads((tmp_path / "scen" / "meta.json").read_text())
+    assert sorted(meta) == ["clusters", "generator", "seed"]
+
+
+def test_hand_written_scenario_with_only_seed_and_clusters_solves_and_analyzes(tmp_path, capsys):
+    scen_dir = tmp_path / "scen"
+    scen_dir.mkdir()
+    (scen_dir / "graph.txt").write_text("4\n0 1 1.0\n2 3 1.0\n1 2 0.1\n")
+    # nodes 0 and 1 fit y = x / 2, nodes 2 and 3 fit y = -x, each exactly
+    rows = [(i, x, x / 2 if i < 2 else -x) for i in range(4) for x in (-1.0, 0.5, 2.0)]
+    (scen_dir / "samples.csv").write_text("".join(f"{i},{x!r},{y!r}\n" for i, x, y in rows))
+    clusters = [{"members": [0, 1], "reference_params": [0.5], "epsilon": 0.0},
+                {"members": [2, 3], "reference_params": [-1.0], "epsilon": 0.0}]
+    (scen_dir / "meta.json").write_text(json.dumps({"seed": None, "clusters": clusters}))
+    res, out = tmp_path / "res.json", tmp_path / "reports"
+    assert main(["solve", str(scen_dir), "--alpha", "1", "--out", str(res)]) == 0
+    assert main(["analyze", str(scen_dir), str(res), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out / "reports.csv")
+    assert [(row["n"], row["d"]) for row in rows] == [("4", "1"), ("4", "1")]
+
+
 def test_generate_two_disjoint_triangles_edge_count(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", p_in=1.0, p_out=0.0)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "scen")]) == 0
@@ -260,7 +286,7 @@ def test_missing_node_file_exits_3_naming_the_file(tmp_path, capsys):
         ("", "graph.txt: empty graph file"),
         ("6\n0 1 x\n", "graph.txt:2: malformed edge line"),
         # blank lines count: the bad edge is on the file's fifth line
-        ("3\n0 1 1.0\n\n\n0 2 x\n", "graph.txt:5: malformed edge line"),
+        ("6\n0 1 1.0\n\n\n0 2 x\n", "graph.txt:5: malformed edge line"),
     ],
     ids=["empty", "malformed-edge", "blank-lines"],
 )
@@ -430,21 +456,9 @@ def test_file_that_does_not_decode_or_parse_exits_1_naming_it(tmp_path, capsys, 
         argv = ["analyze", str(scen_dir), str(res), "--out", str(tmp_path / "reports")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    # graph.txt, like samples.csv, names the line of a byte that does not decode
-    where = f"{path}:1" if (name, path.read_bytes()[:1]) == ("graph.txt", b"\xff") else path
+    # every file, like samples.csv, names the line of a byte that does not decode
+    where = f"{path}:1" if path.read_bytes()[:1] == b"\xff" else path
     assert err.startswith(f"error: {where}: ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("d", [0, -1])
-def test_meta_dimension_below_1_is_refused_as_its_key(tmp_path, capsys, d):
-    scen_dir, _ = solved_dir(tmp_path)
-    meta = json.loads((scen_dir / "meta.json").read_text())
-    meta["d"] = d
-    (scen_dir / "meta.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert main(["solve", str(scen_dir), "--alpha", "1"]) == 1
-    err = capsys.readouterr().err
-    assert f"{scen_dir / 'meta.json'}: key 'd' must be a positive integer, got {d}" in err
 
 
 @pytest.mark.parametrize("entry", [5, [1, 2], "cluster", None])
@@ -474,8 +488,6 @@ def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
             lambda meta: meta["clusters"][0].update(members=[0, 1, 2, 3, 4, 4]),
             "clusters[0]: cluster members must be distinct",
         ),
-        (lambda meta: meta.update(n=7), "key 'n' is 7, but"),
-        (lambda meta: meta.update(n=0), "key 'n' must be a positive integer, got 0"),
         (
             lambda meta: meta["clusters"][0].update(reference_params=[1.0]),
             "clusters[0]: reference_params has length 1, not d = 2",
@@ -483,13 +495,10 @@ def test_cluster_entry_that_is_not_an_object_says_so(tmp_path, capsys, entry):
         (lambda meta: meta.update(seed="abc"), "key 'seed' must be a non-negative integer, got 'abc'"),
         (lambda meta: meta.update(seed=1.5), "key 'seed' must be a non-negative integer, got 1.5"),
         (lambda meta: meta.update(seed=-1), "key 'seed' must be a non-negative integer, got -1"),
-        # every row of samples.csv holds 2 features
-        (lambda meta: meta.update(d=3), "samples.csv holds 2 features per sample"),
-        (lambda meta: meta.update(d=1), "samples.csv holds 2 features per sample"),
     ],
     ids=[
-        "member-out-of-range", "node-uncovered", "duplicate-members", "n-7", "n-0", "reference-length",
-        "seed-str", "seed-float", "seed-negative", "d-3", "d-1",
+        "member-out-of-range", "node-uncovered", "duplicate-members", "reference-length",
+        "seed-str", "seed-float", "seed-negative",
     ],
 )
 def test_scenario_refusal_from_meta_names_meta_json(tmp_path, capsys, mutate, message):
@@ -534,17 +543,18 @@ def _drop_lines(path, first, last):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda p: _set_cell(p, 33, 0, "4.5"), ":33: node 4.5 is not an integer in [0, 6)"),
-        (lambda p: _set_cell(p, 48, 0, "6"), ":48: node 6 is not an integer in [0, 6)"),
-        (lambda p: _set_cell(p, 1, 0, "-1"), ":1: node -1 is not an integer in [0, 6)"),
-        (lambda p: _set_cell(p, 41, 0, "3"), ":41: node 3 after node 4"),
-        (lambda p: _drop_lines(p, 17, 24), ": node 2 has no samples"),
-        (lambda p: _drop_lines(p, 41, 48), ": node 5 has no samples"),
-        (lambda p: _drop_lines(p, 1, 8), ": node 0 has no samples"),
+        (lambda p: _set_cell(p, 33, 0, "4.5"), "{samples}:33: node 4.5 is not a non-negative integer"),
+        # samples.csv gives the node count, which graph.txt's header must repeat
+        (lambda p: _set_cell(p, 48, 0, "6"), "{graph}: 6 nodes, but {samples} holds samples of 7"),
+        (lambda p: _set_cell(p, 1, 0, "-1"), "{samples}:1: node -1 is not a non-negative integer"),
+        (lambda p: _set_cell(p, 41, 0, "3"), "{samples}:41: node 3 after node 4"),
+        (lambda p: _drop_lines(p, 17, 24), "{samples}: node 2 has no samples"),
+        (lambda p: _drop_lines(p, 41, 48), "{graph}: 6 nodes, but {samples} holds samples of 5"),
+        (lambda p: _drop_lines(p, 1, 8), "{samples}: node 0 has no samples"),
         # blank lines and comments count: the bad cell is on the file's 36th line
         (
             lambda p: _set_cell(p, 33, 1, "x") or p.write_text("# samples\n\n\n" + p.read_text()),
-            ":36: could not convert string 'x' to float",
+            "{samples}:36: could not convert string 'x' to float",
         ),
     ],
     ids=[
@@ -558,7 +568,21 @@ def test_samples_file_nodes_are_refused_by_line(tmp_path, capsys, corrupt, messa
     capsys.readouterr()
     code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
     assert (code, caught) == (1, [])
-    assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}{message}\n"
+    expected = message.format(samples=scen_dir / "samples.csv", graph=scen_dir / "graph.txt")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_samples_file_of_fewer_than_3_columns_is_refused_by_its_first_line(tmp_path, capsys, width):
+    scen_dir, _ = solved_dir(tmp_path)
+    path = scen_dir / "samples.csv"
+    path.write_text("# a node, then features, then a label\n" + ",".join(["0", "1.5"][:width]) + "\n")
+    capsys.readouterr()
+    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
+    assert (code, caught) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: {width} columns, expected at least 3\n"
+    )
 
 
 def test_samples_file_in_windows_line_ends_loads_the_same_arrays(tmp_path):
@@ -569,25 +593,6 @@ def test_samples_file_in_windows_line_ends_loads_the_same_arrays(tmp_path):
     for got, want in zip(load_scenario(scen_dir).datasets, expected.datasets):
         assert got.features.tobytes() == want.features.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
-
-
-def test_graph_header_above_meta_n_is_refused_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
-    import gtvmin.data
-
-    scen_dir, _ = solved_dir(tmp_path)
-    graph_path = scen_dir / "graph.txt"
-    graph_path.write_text("100000000000" + graph_path.read_text()[1:])
-
-    def no_read_graph(path):
-        raise AssertionError("read_graph called")
-
-    monkeypatch.setattr(gtvmin.data, "read_graph", no_read_graph)
-    capsys.readouterr()
-    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
-    assert (code, caught) == (1, [])
-    assert capsys.readouterr().err == (
-        f"error: {scen_dir / 'meta.json'}: key 'n' is 6, but {graph_path} has 100000000000 nodes\n"
-    )
 
 
 def test_meta_n_that_the_graph_header_repeats_is_refused_by_the_samples_before_the_graph_is_built(
@@ -608,7 +613,11 @@ def test_meta_n_that_the_graph_header_repeats_is_refused_by_the_samples_before_t
     capsys.readouterr()
     code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
     assert (code, caught) == (1, [])
-    assert capsys.readouterr().err == f"error: {scen_dir / 'samples.csv'}: node 6 has no samples\n"
+    # meta.json's n, which older versions wrote, is ignored: the header must
+    # repeat samples.csv's node count
+    assert capsys.readouterr().err == (
+        f"error: {graph_path}: 100000000000 nodes, but {scen_dir / 'samples.csv'} holds samples of 6\n"
+    )
 
 
 def test_solve_of_valid_files_whose_system_is_singular_names_the_scenario_and_a_floor(tmp_path, capsys):
@@ -761,6 +770,25 @@ def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
     assert calls.count("_lambda_max") == 2
 
 
+def test_exact_sweep_runs_the_singularity_test_once_per_scenario(tmp_path, monkeypatch):
+    import gtvmin.solver
+
+    components = gtvmin.solver._components
+    calls = []
+
+    def counted(graph):
+        calls.append(graph.n)
+        return components(graph)
+
+    monkeypatch.setattr(gtvmin.solver, "_components", counted)
+    cfg = write_config(
+        tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 10.0], p_out_list=[0.1, 0.2], solver="exact"
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    # the components and pooled Gram spectra of the coupled nodes do not depend on alpha
+    assert calls == [6, 6]
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["solve"]) == 1
@@ -812,10 +840,10 @@ def _drop_key(path, key):
         ({"d": 0}, "d"),
         ({"m_per_node": 0}, "m_per_node"),
         ({"tol": float("nan")}, "tol"),
-        ("meta.json", "d"),
+        ("meta.json", "clusters"),
         ("result.json", "residual"),
     ],
-    ids=["alpha-str", "size-str", "d-str", "d-0", "m-0", "tol-nan", "meta-no-d", "result-no-residual"],
+    ids=["alpha-str", "size-str", "d-str", "d-0", "m-0", "tol-nan", "meta-no-clusters", "result-no-residual"],
 )
 def test_bad_input_exits_1_naming_the_key(tmp_path, capsys, case, key):
     if isinstance(case, dict):
@@ -1213,6 +1241,8 @@ def test_analyze_of_mutated_files_exits_cleanly(fuzz_scenario, ops):
             code = main(["analyze", str(scen), str(scen / "result.json"), "--out", str(scen / "out")])
         err = err.getvalue()
         assert code in (0, 1, 2, 3)
+        if all(name == "meta.json" and op[:2] in {("key", "n"), ("key", "d")} for name, op in ops):
+            assert code == 0  # meta.json's n and d, which older versions wrote, are ignored
         if code:
             assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
             # a file, or the node or cluster whose terms are at fault
@@ -1249,6 +1279,8 @@ def test_solve_of_mutated_files_exits_cleanly(fuzz_scenario, ops):
             code = main(["solve", str(scen), "--alpha", "1", "--out", str(scen / "solved.json")])
         err = err.getvalue()
         assert code in (0, 1, 2, 3)
+        if all(name == "meta.json" and op[:2] in {("key", "n"), ("key", "d")} for name, op in ops):
+            assert code == 0  # meta.json's n and d, which older versions wrote, are ignored
         if code:
             assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
         if code in (1, 3):

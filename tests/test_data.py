@@ -1,5 +1,6 @@
 import filecmp
 import io
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,48 @@ def test_scenario_roundtrip_and_byte_identical(tmp_path):
     assert names == sorted(p.name for p in dir_b.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_meta_json_of_older_versions_with_n_and_d_loads_the_same_arrays(tmp_path, d):
+    import json
+
+    scen = _adversarial_scenario(d)
+    directory = save_scenario(scen, tmp_path / "scen")
+    expected = load_scenario(directory)
+    # older versions also wrote the node count and the dimension to meta.json
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert "n" not in meta and "d" not in meta
+    gtvmin.data._write_json(meta_path, {**meta, "n": scen.n, "d": scen.d})
+    loaded = load_scenario(directory)
+    assert (loaded.n, loaded.d, loaded.graph) == (expected.n, expected.d, expected.graph)
+    for got, want in zip(loaded.datasets, expected.datasets, strict=True):
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert [c.members for c in loaded.clusters] == [c.members for c in expected.clusters]
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e"])
+@pytest.mark.parametrize(
+    "name, lines, refusal",
+    [
+        ("graph.txt", ["3", "0 1 1.0", "1 2 {}"], "malformed edge line"),
+        ("samples.csv", ["0,1.0,2.0", "", "1,1.0,{}"], "could not convert string"),
+    ],
+)
+def test_byte_that_does_not_decode_is_named_by_the_line_the_scan_names(tmp_path, sep, name, lines, refusal):
+    from gtvmin.data import _read_samples
+    from gtvmin.graph import read_graph
+
+    read = {"graph.txt": read_graph, "samples.csv": _read_samples}[name]
+    path = tmp_path / name
+    path.write_bytes(sep.join(lines).format("x").encode("ascii"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {refusal}"):
+        read(path)
+    path.write_bytes(sep.join(lines).format("\xff").encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: 'ascii' codec can't decode byte 0xff"):
+        read(path)
 
 
 def _adversarial_scenario(d):
