@@ -245,6 +245,10 @@ def _set_cell(path, lineno, col, value):
     _edit_line(path, lineno, lambda cells: cells[:col] + [value] + cells[col + 1:])
 
 
+def _keep_columns(path, k):
+    path.write_text("".join(",".join(row.split(",")[:k]) + "\n" for row in path.read_text().splitlines()))
+
+
 # the default config's samples.csv: 6 nodes of 8 rows, node i on lines 8i + 1 .. 8i + 8
 @pytest.mark.parametrize(
     "corrupt, message",
@@ -252,12 +256,15 @@ def _set_cell(path, lineno, col, value):
         (lambda p: _set_cell(p, 33, 1, "a"), ":33: could not convert string 'a' to float"),
         (lambda p: _set_cell(p, 33, 1, "nan"), ":33: dataset entries must be finite"),
         (lambda p: _edit_line(p, 33, lambda cells: cells[:3]), ":33: 3 columns, expected 4"),
+        # the first row gives the width: a node, d >= 1 features and a label
+        (lambda p: _keep_columns(p, 2), ":1: 2 columns, expected at least 3"),
+        (lambda p: _keep_columns(p, 1), ":1: 1 columns, expected at least 3"),
         (
             lambda p: _edit_line(p, 33, lambda cells: ["\udcff" + cells[0]] + cells[1:]),
             ":33: 'ascii' codec can't decode byte 0xff in position 1999: ordinal not in range(128)",
         ),
     ],
-    ids=["non-numeric", "nan", "columns", "non-ascii"],
+    ids=["non-numeric", "nan", "columns", "two-columns", "one-column", "non-ascii"],
 )
 def test_bad_node_file_exits_1_naming_the_file(tmp_path, capsys, corrupt, message):
     cfg = write_config(tmp_path / "cfg.json")
@@ -570,19 +577,6 @@ def test_samples_file_nodes_are_refused_by_line(tmp_path, capsys, corrupt, messa
     assert (code, caught) == (1, [])
     expected = message.format(samples=scen_dir / "samples.csv", graph=scen_dir / "graph.txt")
     assert capsys.readouterr().err == f"error: {expected}\n"
-
-
-@pytest.mark.parametrize("width", [1, 2])
-def test_samples_file_of_fewer_than_3_columns_is_refused_by_its_first_line(tmp_path, capsys, width):
-    scen_dir, _ = solved_dir(tmp_path)
-    path = scen_dir / "samples.csv"
-    path.write_text("# a node, then features, then a label\n" + ",".join(["0", "1.5"][:width]) + "\n")
-    capsys.readouterr()
-    code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
-    assert (code, caught) == (1, [])
-    assert capsys.readouterr().err == (
-        f"error: {path}:2: {width} columns, expected at least 3\n"
-    )
 
 
 def test_samples_file_in_windows_line_ends_loads_the_same_arrays(tmp_path):
