@@ -26,13 +26,13 @@ from .graph import (
     ClusterSpec,
     GraphParams,
     SimilarityGraph,
+    _graph_from_text,
     _graph_lines,
     _is_plain,
     _loadtxt,
     _read_ascii,
     _write_table,
     generate_planted_clusters,
-    read_graph,
     write_graph,
 )
 
@@ -40,7 +40,6 @@ __all__ = [
     "LocalDataset",
     "Scenario",
     "quadratic_loss",
-    "quadratic_loss_gradient",
     "generate_scenario",
     "clustering_error",
     "save_scenario",
@@ -150,12 +149,6 @@ def quadratic_loss(ds: LocalDataset, w: np.ndarray) -> float:
     """Mean squared residual (1/m) * ||y - X w||^2. Zero at an exact fit."""
     r = ds.labels - ds.features @ _parameter_vector(ds, w)
     return float(r @ r) / ds.num_samples
-
-
-def quadratic_loss_gradient(ds: LocalDataset, w: np.ndarray) -> np.ndarray:
-    """Gradient (2/m) * X^T (X w - y) of :func:`quadratic_loss`."""
-    w = _parameter_vector(ds, w)
-    return (2.0 / ds.num_samples) * (ds.features.T @ (ds.features @ w - ds.labels))
 
 
 @dataclass(eq=False)
@@ -457,13 +450,14 @@ def load_scenario(directory: str | Path) -> Scenario:
     samples_path = directory / _SAMPLES_FILE
     datasets = _read_samples(samples_path)
     graph_path = directory / _GRAPH_FILE
-    nodes, _ = _graph_lines(_read_ascii(graph_path), graph_path)
+    graph_text = _read_ascii(graph_path)
+    nodes, _ = _graph_lines(graph_text, graph_path)
     if nodes != len(datasets):
         raise ValueError(
             f"{graph_path}: {reprlib.repr(nodes)} nodes, but {samples_path} holds "
             f"samples of {len(datasets)}"
         )
-    graph = read_graph(graph_path)
+    graph = _graph_from_text(graph_text, graph_path)
     seed = _json_field(meta, "seed", "a non-negative integer", meta_path, optional=True)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):

@@ -503,7 +503,11 @@ def read_graph(path: str | Path) -> SimilarityGraph:
     ASCII or is malformed is named by its line number in the file.
     """
     path = Path(path)
-    text = _read_ascii(path)
+    return _graph_from_text(_read_ascii(path), path)
+
+
+def _graph_from_text(text: str, path: Path) -> SimilarityGraph:
+    """:func:`read_graph`'s graph of the decoded text of the file ``path``."""
     parsed = _parse_graph_rows(text)
     n, edges = parsed if parsed is not None else _scan_graph_lines(text, path)
     try:

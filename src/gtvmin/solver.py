@@ -5,12 +5,12 @@ over the similarity graph edges,
 
     f(w) = sum_i L_i(w_i) + alpha * sum_{edges} A_ij ||w_i - w_j||^2,
 
-which for quadratic losses is itself quadratic with Hessian
+with L_i(w_i) = (1/m_i) ||y_i - X_i w_i||^2, a quadratic with Hessian
 2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). A problem
-batches the samples of its quadratic losses by sample count once and
-computes from the batches, by batched matmul, the Gram tensor, moments and
-label energy that feed the system operator, the gradients and both
-solvers; the batches also feed the one exact evaluator of objective values.
+batches the samples of its losses by sample count once and computes from
+the batches, by batched matmul, the Gram tensor, moments and label energy
+that feed the system operator, the gradients and both solvers; the batches
+also feed the one exact evaluator of objective values.
 The graph is read through its cached edge arrays and sparse Laplacian.
 Every stack of d x d blocks (the Gram tensor, the block-Jacobi inverses) is
 applied as one block-diagonal CSR matrix whose data is the stack's own
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import copy
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,14 +46,11 @@ from .data import (
     _json_field,
     _read_json,
     _write_json,
-    quadratic_loss,
-    quadratic_loss_gradient,
 )
 from .errors import DivergenceError, SingularSystemError
 from .graph import SimilarityGraph, _components
 
 __all__ = [
-    "LocalLoss",
     "QuadraticLoss",
     "StackedParams",
     "GTVMinProblem",
@@ -101,43 +97,15 @@ _LANCZOS_KEEP = 12
 _LANCZOS_PRODUCTS = 50_000
 
 
-class LocalLoss(ABC):
-    """Contract a node's loss must satisfy to be trained jointly.
+class QuadraticLoss:
+    """Mean squared residual (1/m) ||y - X w||^2 of one local dataset, the
+    only loss a :class:`GTVMinProblem` takes.
 
-    ``smoothness`` must return an upper bound on the Lipschitz constant of
-    the gradient; the iterative solver derives its step size from it. The
-    objective itself must be non-negative.
-    """
-
-    @abstractmethod
-    def value(self, w: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def gradient(self, w: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def smoothness(self) -> float: ...
-
-
-class QuadraticLoss(LocalLoss):
-    """Mean squared residual (1/m) ||y - X w||^2 of one local dataset.
-
-    It keeps no Gram matrix, moment or label energy: a
-    :class:`GTVMinProblem` of quadratic losses computes those for all its
-    nodes at once from the batched samples."""
+    It keeps only its dataset: the problem computes the Gram matrix, moment
+    and label energy of all its nodes at once from the batched samples."""
 
     def __init__(self, dataset: LocalDataset):
         self.dataset = dataset
-
-    def value(self, w: np.ndarray) -> float:
-        return quadratic_loss(self.dataset, w)
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return quadratic_loss_gradient(self.dataset, w)
-
-    def smoothness(self) -> float:
-        x = self.dataset.features
-        return float(2.0 * max(np.linalg.eigvalsh(x.T @ x / self.dataset.num_samples)[-1], 0.0))
 
 
 class StackedParams:
@@ -188,20 +156,23 @@ class StackedParams:
 
 
 class GTVMinProblem:
-    """Per-node losses on a similarity graph plus the coupling strength.
+    """Per-node quadratic losses on a similarity graph plus the coupling
+    strength.
 
-    Immutable: ``losses`` is a tuple. When every loss is quadratic they are
-    stacked once, at construction, as ``_stack`` = (gram, moment, energy),
-    whose sum is sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy (None
-    otherwise). :meth:`_alpha_free` keeps, in one memo that ``_with_alpha``
-    copies share, what alpha does not change: the Gram stack's block-diagonal
+    Immutable: ``losses`` is a tuple, stacked once, at construction, as
+    ``_stack`` = (gram, moment, energy), whose sum is
+    sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy, and as the sample
+    batches ``_batches``. A loss that is not a :class:`QuadraticLoss`
+    raises a TypeError, and one whose dimension is not ``d`` a ValueError,
+    both naming the loss. :meth:`_alpha_free` keeps, in one memo that
+    ``_with_alpha`` copies share, what alpha does not change: the Gram stack's block-diagonal
     matrix, the smoothness, the Laplacian's lambda_max, the singularity
     test's pooled Gram spectra (coupled or not) and each cluster's graph
     quantities for the analysis, each computed on first use."""
 
     def __init__(
         self,
-        losses: Sequence[LocalLoss],
+        losses: Sequence[QuadraticLoss],
         graph: SimilarityGraph,
         alpha: float,
         d: int,
@@ -214,9 +185,15 @@ class GTVMinProblem:
         self.graph = graph
         self.alpha = _check_alpha(alpha)
         self.d = int(d)
-        self._stack, self._batches, self._memo = None, None, {}
-        if all(isinstance(loss, QuadraticLoss) for loss in self.losses):
-            self._stack, self._batches = _stack_samples([loss.dataset for loss in self.losses])
+        for i, loss in enumerate(self.losses):
+            if not isinstance(loss, QuadraticLoss):
+                raise TypeError(f"loss {i} is a {type(loss).__name__}, not a QuadraticLoss")
+            if loss.dataset.dim != self.d:
+                raise ValueError(
+                    f"loss {i} has dimension {loss.dataset.dim}, expected d = {self.d}"
+                )
+        self._stack, self._batches = _stack_samples([loss.dataset for loss in self.losses])
+        self._memo = {}
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, alpha: float) -> "GTVMinProblem":
@@ -291,10 +268,9 @@ def _stack_samples(data: Sequence[LocalDataset]):
     features (k, m, d), labels (k, m)); each batch's (1/m) x'x, x'y and y'y
     come from one batched matmul whose every slice takes the BLAS call of
     the per-node product (syrk, gemv, dot), so the stack equals the
-    :class:`QuadraticLoss` values bit for bit. The energy is summed in node
-    order. Samples whose products overflow raise a ValueError naming the
-    first node at which the stack, or the running energy sum, is not
-    finite."""
+    per-node products bit for bit. The energy is summed in node order.
+    Samples whose products overflow raise a ValueError naming the first
+    node at which the stack, or the running energy sum, is not finite."""
     counts = np.array([ds.num_samples for ds in data])
     dim = data[0].features.shape[1]
     gram = np.empty((len(data), dim, dim))
@@ -362,16 +338,13 @@ def _edge_variation(graph: SimilarityGraph, w: np.ndarray, edges) -> float:
 def _evaluate(problem: GTVMinProblem, w: np.ndarray, nodes, edges) -> float:
     """sum_{i in nodes} L_i(w_i) + alpha sum_{edges} A_ij ||w_i - w_j||^2 at
     the (n, d) array w (``nodes``, ``edges``: slices or boolean masks).
-    Quadratic losses take the residual form (1/m) ||y - X w_i||^2 by batched
+    The losses take the residual form (1/m) ||y - X w_i||^2 by batched
     matmul, which rounds like :func:`quadratic_loss`: an exact fit reads 0."""
-    if problem._batches is None:
-        value = sum(problem.losses[i].value(w[i]) for i in np.arange(problem.n)[nodes])
-    else:
-        per_node = np.empty(problem.n)
-        for idx, x, y in problem._batches:
-            r = y - (x @ w[idx][:, :, None])[:, :, 0]
-            per_node[idx] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / y.shape[1]
-        value = per_node[nodes].sum()
+    per_node = np.empty(problem.n)
+    for idx, x, y in problem._batches:
+        r = y - (x @ w[idx][:, :, None])[:, :, 0]
+        per_node[idx] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] / y.shape[1]
+    value = per_node[nodes].sum()
     if problem.alpha > 0.0:
         value += problem.alpha * _edge_variation(problem.graph, w, edges)
     return float(value)
@@ -379,7 +352,7 @@ def _evaluate(problem: GTVMinProblem, w: np.ndarray, nodes, edges) -> float:
 
 def objective(problem: GTVMinProblem, params: StackedParams) -> float:
     """Sum of local losses plus alpha times the total variation. Parameters
-    that fit every quadratic loss exactly and agree across every edge read
+    that fit every loss exactly and agree across every edge read
     exactly zero."""
     problem._check_params(params)
     return _evaluate(problem, params.per_node, slice(None), slice(None))
@@ -393,21 +366,14 @@ def objective_gradient(problem: GTVMinProblem, params: StackedParams) -> np.ndar
 
 
 def _value_and_half_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarray]:
-    """Objective value and half its gradient at the (n, d) array w: for
-    stacked losses g = M w - q, with M w from :func:`_system_product`, and
-    the value w' (g - q) + energy; else :func:`_evaluate` and half the sum
-    of the per-node loss gradients and 2 alpha L w. Halving is exact, so
-    2 g is the gradient bit for bit."""
-    if problem._stack is not None:
-        _, moment, energy = problem._stack
-        g = _system_product(problem, 0.0, w)
-        g -= moment
-        return float(np.vdot(w, g - moment)) + energy, g
-    g = 0.5 * np.array([loss.gradient(w[i]) for i, loss in enumerate(problem.losses)])
-    if problem.alpha > 0.0 and problem.graph.num_edges > 0:
-        # row i of L reads only node i and its neighbors: the update is local
-        g += problem.alpha * (problem.graph._laplacian_csr() @ w)
-    return _evaluate(problem, w, slice(None), slice(None)), g
+    """Objective value and half its gradient at the (n, d) array w, from
+    the loss stack: g = M w - q, with M w from :func:`_system_product`, and
+    the value w' (g - q) + energy. Halving is exact, so 2 g is the gradient
+    bit for bit."""
+    _, moment, energy = problem._stack
+    g = _system_product(problem, 0.0, w)
+    g -= moment
+    return float(np.vdot(w, g - moment)) + energy, g
 
 
 def _system_product(problem: GTVMinProblem, ridge: float, w):
@@ -501,7 +467,7 @@ def _pcg(apply, rhs: np.ndarray, precondition, target: float) -> tuple[np.ndarra
 
 def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     """Solve the stationarity system (Q + alpha (L kron I) + ridge I) w = q
-    of quadratic losses to roundoff.
+    to roundoff.
 
     The matrix is never formed: conjugate gradients apply it through the
     Gram matrix and the sparse Laplacian, preconditioned by the inverses of
@@ -518,8 +484,6 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     raised otherwise. ``ridge`` > 0 opts into an explicit diagonal shift
     instead of any silent pseudo-inverse.
     """
-    if problem._stack is None:
-        raise TypeError("solve_exact requires quadratic losses on every node")
     ridge = float(ridge)
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -585,9 +549,7 @@ def _step_size(problem: GTVMinProblem) -> float:
 
 
 def _smoothness(problem: GTVMinProblem) -> float:
-    """max_i smoothness_i, by one batched eigensolve for quadratic losses."""
-    if problem._stack is None:
-        return max(loss.smoothness() for loss in problem.losses)
+    """max_i smoothness_i, 2 lambda_max(gram_i), by one batched eigensolve."""
     return float(2.0 * max(np.linalg.eigvalsh(problem._stack[0])[:, -1].max(), 0.0))
 
 
@@ -687,10 +649,9 @@ def solve_iterative(
     Starts from all zeros and stops once the objective decrease is
     non-negative and below ``tol * max(1, |objective|)``, or after
     ``max_iter`` rounds; the ``converged`` flag records which. The fixed
-    step guarantees a non-increasing objective sequence, so an increase
-    signals a loss that misreports its smoothness bound; such runs keep
-    iterating and raise :class:`DivergenceError` once the objective turns
-    non-finite.
+    step guarantees a non-increasing objective sequence in exact
+    arithmetic; a run whose objective still turns non-finite raises
+    :class:`DivergenceError`.
     """
     tol = _check_stopping(max_iter, tol)
 

@@ -12,7 +12,6 @@ from gtvmin import (
     GTVMinProblem,
     GraphParams,
     LocalDataset,
-    LocalLoss,
     QuadraticLoss,
     SimilarityGraph,
     StackedParams,
@@ -349,7 +348,7 @@ def test_cluster_objective_matches_per_edge_sum(seed):
     members = rng.permutation(scen.n)[: int(rng.integers(1, scen.n + 1))].tolist()
     cluster = ClusterSpec(members=tuple(members))
     w = params.per_node
-    expected = sum(problem.losses[i].value(w[i]) for i in members)
+    expected = sum(quadratic_loss(scen.datasets[i], w[i]) for i in members)
     expected += 0.7 * sum(
         weight * float((w[i] - w[j]) @ (w[i] - w[j]))
         for (i, j), weight in scen.graph.edges.items()
@@ -370,24 +369,7 @@ def test_objective_and_cluster_objective_exactly_zero_at_noiseless_reference(d):
     assert cluster_objective(problem, params, cluster) == 0.0
 
 
-class _GenericLoss(LocalLoss):
-    """A quadratic loss seen only through the generic interface."""
-
-    def __init__(self, dataset):
-        self.dataset = dataset
-
-    def value(self, w):
-        return quadratic_loss(self.dataset, w)
-
-    def gradient(self, w):
-        raise NotImplementedError
-
-    def smoothness(self):
-        raise NotImplementedError
-
-
-@pytest.mark.parametrize("loss", [QuadraticLoss, _GenericLoss])
-def test_cluster_objective_of_one_node_at_alpha_zero_is_its_loss_bit_for_bit(loss):
+def test_cluster_objective_of_one_node_at_alpha_zero_is_its_loss_bit_for_bit():
     rng = np.random.default_rng(31)
     d = 3
     datasets = [
@@ -396,7 +378,7 @@ def test_cluster_objective_of_one_node_at_alpha_zero_is_its_loss_bit_for_bit(los
     ]
     n = len(datasets)
     graph = SimilarityGraph(n, [(i, (i + 1) % n, float(rng.uniform(0.1, 2.0))) for i in range(n)])
-    problem = GTVMinProblem([loss(ds) for ds in datasets], graph, 0.0, d)
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.0, d)
     params = StackedParams(rng.normal(size=(n, d)))
     for i, ds in enumerate(datasets):
         value = cluster_objective(problem, params, ClusterSpec(members=(i,)))
@@ -506,14 +488,14 @@ def test_csv_columns_and_formatting(tmp_path):
 # the package's public names before it re-exported its modules' __all__
 _NAMES_BEFORE = """
     BoundReport CertificateRecord ClusterSpec DeviationVector DivergenceError
-    Embedding GTVMinError GTVMinProblem GraphParams LocalDataset LocalLoss
+    Embedding GTVMinError GTVMinProblem GraphParams LocalDataset
     QuadraticLoss Scenario SimilarityGraph SingularSystemError SolveResult
     StackedParams TVBoundCheck certificate_check cluster_average
     cluster_boundary cluster_objective clustering_error deviation_bound_report
     deviations generate_planted_clusters generate_scenario graph_from_embedding
     induced_subgraph is_disconnected lambda2 laplacian load_result
     load_scenario objective objective_gradient project_consensus
-    project_disagreement quadratic_loss quadratic_loss_gradient read_graph
+    project_disagreement quadratic_loss read_graph
     save_result save_scenario solve_exact solve_iterative synchronous_step
     total_variation tv_lower_bound_check write_graph
 """.split()
@@ -525,11 +507,11 @@ def test_package_exports_each_public_name_once():
 
     modules = [analysis, data, errors, graph, solver]
     assert gtvmin.__all__ == [name for module in modules for name in module.__all__]
-    assert len(set(gtvmin.__all__)) == len(gtvmin.__all__) == 56
+    assert len(set(gtvmin.__all__)) == len(gtvmin.__all__) == 54
     for module in modules:
         for name in module.__all__:
             assert getattr(gtvmin, name) is getattr(module, name)
-    assert len(_NAMES_BEFORE) == 49 and set(_NAMES_BEFORE) <= set(gtvmin.__all__)
+    assert len(_NAMES_BEFORE) == 47 and set(_NAMES_BEFORE) <= set(gtvmin.__all__)
     added = set(gtvmin.__all__) - set(_NAMES_BEFORE)
     assert added == {
         "CSV_COLUMNS", "bound_report_row", "bound_report_rows", "report_to_dict",

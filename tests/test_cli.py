@@ -600,10 +600,10 @@ def test_meta_n_that_the_graph_header_repeats_is_refused_by_the_samples_before_t
     meta_path = scen_dir / "meta.json"
     meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "n": 10**11}))
 
-    def no_read_graph(path):
-        raise AssertionError("read_graph called")
+    def no_graph(text, path):
+        raise AssertionError("graph built")
 
-    monkeypatch.setattr(gtvmin.data, "read_graph", no_read_graph)
+    monkeypatch.setattr(gtvmin.data, "_graph_from_text", no_graph)
     capsys.readouterr()
     code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
     assert (code, caught) == (1, [])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gtvmin.data
+import gtvmin.graph
 from gtvmin import (
     ClusterSpec,
     GraphParams,
@@ -16,7 +17,6 @@ from gtvmin import (
     generate_scenario,
     load_scenario,
     quadratic_loss,
-    quadratic_loss_gradient,
     save_scenario,
 )
 
@@ -47,39 +47,10 @@ def test_quadratic_loss_hand_values():
     assert quadratic_loss(ds1, np.array([1.0])) == pytest.approx(4.0)
 
 
-def test_gradient_zero_at_exact_fit():
-    ds = LocalDataset(features=np.eye(2), labels=np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(
-        quadratic_loss_gradient(ds, np.array([1.0, 2.0])), np.zeros(2)
-    )
-
-
-def test_gradient_hand_value():
-    ds = LocalDataset(features=np.array([[1.0]]), labels=np.array([0.0]))
-    np.testing.assert_allclose(quadratic_loss_gradient(ds, np.array([3.0])), [6.0])
-
-
-def test_gradient_matches_central_differences():
-    rng = np.random.default_rng(11)
-    h = 1e-6
-    for _ in range(5):
-        m, d = int(rng.integers(3, 12)), int(rng.integers(1, 5))
-        ds = LocalDataset(features=rng.normal(size=(m, d)), labels=rng.normal(size=m))
-        w = rng.normal(size=d)
-        grad = quadratic_loss_gradient(ds, w)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            fd = (quadratic_loss(ds, w + e) - quadratic_loss(ds, w - e)) / (2 * h)
-            assert abs(grad[j] - fd) <= 1e-6
-
-
 def test_loss_dimension_mismatch_raises():
     ds = LocalDataset(features=np.eye(2), labels=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         quadratic_loss(ds, np.zeros(3))
-    with pytest.raises(ValueError):
-        quadratic_loss_gradient(ds, np.zeros(3))
 
 
 def test_loss_nonnegative_on_random_inputs():
@@ -87,17 +58,6 @@ def test_loss_nonnegative_on_random_inputs():
     for _ in range(20):
         ds = LocalDataset(features=rng.normal(size=(6, 3)), labels=rng.normal(size=6))
         assert quadratic_loss(ds, rng.normal(size=3)) >= 0.0
-
-
-def test_gradient_vanishes_at_normal_equation_solution():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        m, d = 12, 4
-        x = rng.normal(size=(m, d))
-        y = rng.normal(size=m)
-        w_star = np.linalg.solve(x.T @ x, x.T @ y)
-        ds = LocalDataset(features=x, labels=y)
-        assert np.linalg.norm(quadratic_loss_gradient(ds, w_star)) <= 1e-8
 
 
 def test_dataset_validation():
@@ -350,6 +310,22 @@ def test_scenario_io_writes_without_savetxt_and_reads_from_handles(tmp_path, mon
     assert len(sources) == 2
     for source in sources:
         assert isinstance(source, io.TextIOBase)
+
+
+def test_load_scenario_decodes_each_file_once(tmp_path, monkeypatch):
+    read_ascii = gtvmin.graph._read_ascii
+    decoded = []
+
+    def counting_read_ascii(path):
+        decoded.append(path.name)
+        return read_ascii(path)
+
+    # data.py binds the graph module's function under the same name
+    monkeypatch.setattr(gtvmin.graph, "_read_ascii", counting_read_ascii)
+    monkeypatch.setattr(gtvmin.data, "_read_ascii", counting_read_ascii)
+    directory = save_scenario(make_scenario(seed=4, sizes=(3, 2)), tmp_path / "scen")
+    load_scenario(directory)
+    assert sorted(decoded) == ["graph.txt", "meta.json", "samples.csv"]
 
 
 def _single_draw_planted_clusters(rng_seed, cluster_sizes, p_in, p_out, w_in, w_out):

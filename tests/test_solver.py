@@ -10,7 +10,6 @@ from gtvmin import (
     Embedding,
     GTVMinProblem,
     GraphParams,
-    LocalLoss,
     QuadraticLoss,
     SimilarityGraph,
     SingularSystemError,
@@ -144,24 +143,17 @@ def test_objective_matches_per_node_loop_with_unequal_sample_counts():
         for m in rng.integers(1, 12, size=n)
     ]
     graph = SimilarityGraph(n, [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)])
-    # one generic loss among the quadratic ones
-    losses = [QuadraticLoss(ds) for ds in datasets]
-    losses[2] = _OpaqueLoss(datasets[2])
-    problem = GTVMinProblem(losses, graph, 0.6, d)
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.6, d)
     params = StackedParams(rng.normal(size=(n, d)))
     loop = sum(quadratic_loss(ds, params.vector(i)) for i, ds in enumerate(datasets))
     loop += 0.6 * total_variation(graph, params)
     assert objective(problem, params) == pytest.approx(loop, rel=1e-13)
 
 
-@pytest.mark.parametrize("generic", [False, True])
-def test_value_and_gradient_value_is_the_objective(generic):
+def test_value_and_gradient_value_is_the_objective():
     from gtvmin.solver import _value_and_half_gradient
 
     scen, problem = make_problem(seed=27, alpha=1.3, d=3)
-    if generic:
-        losses = [_OpaqueLoss(ds) for ds in scen.datasets]
-        problem = GTVMinProblem(losses, scen.graph, problem.alpha, scen.d)
     params = StackedParams(np.random.default_rng(27).normal(size=(scen.n, scen.d)))
     value, _ = _value_and_half_gradient(problem, params.per_node)
     assert value == pytest.approx(objective(problem, params), rel=1e-12)
@@ -321,16 +313,29 @@ def test_solve_exact_singular_component_named_and_ridge_recovers():
 
 def test_solve_exact_rejects_non_quadratic_losses():
     scen, problem = make_problem()
-    losses = [_OpaqueLoss(scen.datasets[0]), *problem.losses[1:]]
-    problem = GTVMinProblem(losses, scen.graph, problem.alpha, scen.d)
-    with pytest.raises(TypeError):
-        solve_exact(problem)
+    losses = [*problem.losses[:2], scen.datasets[2], *problem.losses[3:]]
+    # refused when the problem is built, so no solver ever sees it
+    with pytest.raises(TypeError, match="^loss 2 is a LocalDataset, not a QuadraticLoss$"):
+        GTVMinProblem(losses, scen.graph, problem.alpha, scen.d)
+
+
+@pytest.mark.parametrize("dims, d", [((3, 3, 3), 2), ((3, 3, 3), 4), ((3, 2, 3), 3)])
+def test_problem_rejects_losses_of_another_dimension(dims, d):
+    rng = np.random.default_rng(28)
+    losses = [
+        QuadraticLoss(LocalDataset(features=rng.normal(size=(4, k)), labels=rng.normal(size=4)))
+        for k in dims
+    ]
+    i = next(i for i, k in enumerate(dims) if k != d)
+    message = f"^loss {i} has dimension {dims[i]}, expected d = {d}$"
+    with pytest.raises(ValueError, match=message):
+        GTVMinProblem(losses, SimilarityGraph(3), 1.0, d)
 
 
 def test_problem_losses_are_immutable_and_stacked_once():
     scen, problem = make_problem()
     with pytest.raises(TypeError):
-        problem.losses[0] = _OpaqueLoss(scen.datasets[0])
+        problem.losses[0] = QuadraticLoss(scen.datasets[0])
     stack = problem._stack
     objective(problem, StackedParams.zeros(problem.n, problem.d))
     solve_exact(problem)
@@ -481,7 +486,10 @@ def test_step_size_matches_dense_spectrum(sizes):
 
     for seed in range(5):
         scen, problem = make_problem(seed=seed, alpha=1.7, sizes=sizes, p_out=0.5)
-        smooth = max(loss.smoothness() for loss in problem.losses)
+        smooth = max(
+            2.0 * np.linalg.eigvalsh(ds.features.T @ ds.features / ds.num_samples)[-1]
+            for ds in scen.datasets
+        )
         lap_max = np.linalg.eigvalsh(laplacian(scen.graph))[-1]
         expected = 1.0 / (smooth + 2.0 * 1.7 * lap_max)
         assert _step_size(problem) == pytest.approx(
@@ -626,10 +634,10 @@ def test_solve_iterative_rejects_non_finite_tol(tol):
         solve_iterative(problem, tol=tol)
 
 
-def test_iterative_divergence_raises():
-    scen, _ = make_problem(seed=15, alpha=0.0, sizes=(2,), m=8)
-    lying = [_LyingLoss(ds) for ds in scen.datasets]
-    problem = GTVMinProblem(lying, scen.graph, 0.0, scen.d)
+def test_iterative_divergence_raises(monkeypatch):
+    # a smoothness far below the true one makes the fixed step diverge
+    monkeypatch.setattr("gtvmin.solver._smoothness", lambda problem: 1e-8)
+    _, problem = make_problem(seed=15, alpha=0.0, sizes=(2,), m=8)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         solve_iterative(problem, max_iter=10000, tol=0.0)
 
@@ -713,41 +721,7 @@ def test_update_locality_exact_equality():
     assert np.array_equal(stepped.per_node[0], stepped_altered.per_node[0])
 
 
-# ------------------------------------------------------- loss contract and IO
-
-class _OpaqueLoss(LocalLoss):
-    """Quadratic loss hidden behind the generic interface."""
-
-    def __init__(self, dataset):
-        self._inner = QuadraticLoss(dataset)
-
-    def value(self, w):
-        return self._inner.value(w)
-
-    def gradient(self, w):
-        return self._inner.gradient(w)
-
-    def smoothness(self):
-        return self._inner.smoothness()
-
-
-class _LyingLoss(_OpaqueLoss):
-    """Misreports its smoothness bound, forcing a divergent step size."""
-
-    def smoothness(self):
-        return 1e-8
-
-
-def test_generic_loss_contract_matches_quadratic_path():
-    scen, quad_problem = make_problem(seed=22, alpha=0.9, sizes=(3, 3), m=10)
-    generic_problem = GTVMinProblem(
-        [_OpaqueLoss(ds) for ds in scen.datasets], scen.graph, 0.9, scen.d
-    )
-    quad = solve_iterative(quad_problem, max_iter=5000, tol=1e-12)
-    generic = solve_iterative(generic_problem, max_iter=5000, tol=1e-12)
-    assert quad.converged and generic.converged
-    np.testing.assert_allclose(quad.params.per_node, generic.params.per_node, atol=1e-9)
-
+# ------------------------------------------------------------------------ IO
 
 def test_result_json_roundtrip(tmp_path):
     scen, problem = make_problem(seed=23, alpha=1.0)
