@@ -316,7 +316,7 @@ def cmd_sweep(args) -> int:
         scen_dir = out_dir / f"scenario_{ip:02d}"
         scenario = _generate(cfg, p_out)
         # nothing in the loss stack or the memo (Gram matrix, smoothness,
-        # lambda_max, cluster geometry) depends on alpha: every alpha shares them
+        # cluster geometry) depends on alpha: every alpha shares them
         base = GTVMinProblem.from_scenario(scenario, cfg.alpha_list[0])
         results = []
         for ia, alpha in enumerate(cfg.alpha_list):

@@ -27,7 +27,7 @@ from .graph import (
     GraphParams,
     SimilarityGraph,
     _graph_from_text,
-    _graph_lines,
+    _graph_header,
     _is_plain,
     _loadtxt,
     _read_ascii,
@@ -451,7 +451,7 @@ def load_scenario(directory: str | Path) -> Scenario:
     datasets = _read_samples(samples_path)
     graph_path = directory / _GRAPH_FILE
     graph_text = _read_ascii(graph_path)
-    nodes, _ = _graph_lines(graph_text, graph_path)
+    nodes, _ = _graph_header(graph_text, graph_path)
     if nodes != len(datasets):
         raise ValueError(
             f"{graph_path}: {reprlib.repr(nodes)} nodes, but {samples_path} holds "

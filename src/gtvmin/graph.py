@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -582,26 +582,35 @@ def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
     return n, np.column_stack([rows["i"], rows["j"], rows["w"]])
 
 
-def _graph_lines(text: str, path: Path) -> tuple[int, Iterator]:
-    """A graph file's node count, from its first non-blank line, and an
-    iterator over its other non-blank lines with their numbers; a
-    ValueError naming the file when there is no such count."""
-    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-    first = next(lines, None)
-    if first is None:
-        raise ValueError(f"{path}: empty graph file")
-    try:
-        return int(first[1]), lines
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the node count") from None
+def _graph_header(text: str, path: Path) -> tuple[int, int]:
+    """A graph file's node count, from its first non-blank line, and that
+    line's number as str.splitlines counts lines; a ValueError naming the
+    file when there is no such count. Only a prefix of ``text`` is split,
+    grown until it holds that line whole."""
+    size = 64
+    while True:
+        whole = size >= len(text)
+        lines = text[:size].splitlines()
+        # the prefix's last line may be cut short unless the prefix is all of it
+        for k, line in enumerate(lines if whole else lines[:-1], start=1):
+            if line.strip():
+                try:
+                    return int(line), k
+                except ValueError:
+                    raise ValueError(f"{path}: first line must be the node count") from None
+        if whole:
+            raise ValueError(f"{path}: empty graph file")
+        size *= 4
 
 
 def _scan_graph_lines(text: str, path: Path) -> tuple[int, list]:
     """(n, edge triples) of a graph file's text, line by line; a
     ValueError naming the file and the line at fault otherwise."""
-    n, lines = _graph_lines(text, path)
+    n, head = _graph_header(text, path)
     edges = []
-    for lineno, line in lines:
+    for lineno, line in enumerate(text.splitlines()[head:], start=head + 1):
+        if not line.strip():
+            continue
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {line!r}")

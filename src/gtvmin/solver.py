@@ -24,9 +24,8 @@ pooled Gram matrix of each graph component, and accepts the result only
 through a residual gate; it reports the conjugate-gradient rounds, summed
 over its refinement passes, as its iterations. The iterative solver runs
 synchronous gradient descent in which every node reads only its own loss
-gradient and its neighbors' parameters; its step size takes the Laplacian's
-largest eigenvalue, once per problem at every alpha, from a thick-restart
-Lanczos in numpy on the sparse Laplacian. Both solvers need numpy and
+gradient and its neighbors' parameters, and steps by its own fixed step
+from its own Gram matrix and weighted degree. Both solvers need numpy and
 scipy.sparse only: no code path loads scipy.sparse.linalg or scipy.linalg.
 """
 
@@ -86,15 +85,6 @@ _PCG_STAGNANT_ROUNDS = 3
 # at most this many conjugate-gradient passes per exact solve: each pass
 # after the first refines the solution from its true residual
 _PCG_PASSES = 3
-
-# Lanczos for the Laplacian's largest eigenvalue keeps a basis of at most
-# this many vectors, of which a restart keeps the Ritz vectors of the
-# _LANCZOS_KEEP largest Ritz values; after _LANCZOS_PRODUCTS products with
-# the Laplacian the Gershgorin bound stands in. The path on 2000 nodes,
-# whose top gap is about 2e-6 of its spectrum, takes about 16 000.
-_LANCZOS_BASIS = 24
-_LANCZOS_KEEP = 12
-_LANCZOS_PRODUCTS = 50_000
 
 
 class QuadraticLoss:
@@ -165,8 +155,8 @@ class GTVMinProblem:
     batches ``_batches``. A loss that is not a :class:`QuadraticLoss`
     raises a TypeError, and one whose dimension is not ``d`` a ValueError,
     both naming the loss. :meth:`_alpha_free` keeps, in one memo that
-    ``_with_alpha`` copies share, what alpha does not change: the Gram stack's block-diagonal
-    matrix, the smoothness, the Laplacian's lambda_max, the singularity
+    ``_with_alpha`` copies share, what alpha does not change: the Gram
+    stack's block-diagonal matrix, each node's smoothness, the singularity
     test's pooled Gram spectra (coupled or not) and each cluster's graph
     quantities for the analysis, each computed on first use."""
 
@@ -237,9 +227,9 @@ def _check_alpha(alpha) -> float:
 
 
 def _check_coupling(problem: GTVMinProblem) -> None:
-    """Refuse an alpha whose coupling overflows: 4 alpha deg_i bounds the
-    Laplacian's share, 2 alpha lambda_max(L), of the system's norm and of
-    the gradient's Lipschitz constant, so it must be finite at every node."""
+    """Refuse an alpha whose coupling overflows: 4 alpha deg_i is node i's
+    share of the Laplacian in its step size and bounds that share of the
+    system's norm, so it must be finite at every node."""
     degrees = problem.graph.weighted_degrees()
     i = int(np.argmax(degrees))
     if not math.isfinite(4.0 * problem.alpha * float(degrees[i])):
@@ -536,91 +526,33 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     return _result(problem, w, rounds, True, residual)
 
 
-def _step_size(problem: GTVMinProblem) -> float:
-    """The fixed step 1/L, L = max_i smoothness_i + 2 alpha lambda_max(L);
-    the smoothness and lambda_max (:func:`_lambda_max`, not needed at
-    alpha = 0) are computed once per problem and shared by its alpha copies."""
+def _step_size(problem: GTVMinProblem) -> np.ndarray:
+    """Each node's fixed step tau_i = 1/(smoothness_i + 4 alpha deg_i), as a
+    C-contiguous (n, d) array, read from the node's own Gram matrix and
+    weighted degree only (0 where both vanish, and with them the gradient).
+
+    ||w_i - w_j||^2 <= 2 ||w_i||^2 + 2 ||w_j||^2 bounds the Hessian
+    H = 2 Q + 2 alpha (L kron I) by w'Hw <= sum_i ||w_i||^2 / tau_i, so a
+    round w - tau * grad f does not raise the objective. The smoothness is
+    computed once per problem and shared by its alpha copies."""
     _check_coupling(problem)
-    lap_lmax = 0.0
-    if problem.alpha > 0.0 and problem.graph.num_edges > 0:
-        lap_lmax = problem._alpha_free("lambda_max", _lambda_max, problem.graph)
-    lipschitz = problem._alpha_free("smoothness", _smoothness, problem) + 2.0 * problem.alpha * lap_lmax
-    return 1.0 / lipschitz if lipschitz > 0.0 else 0.0
+    smoothness = problem._alpha_free("smoothness", _smoothness, problem)
+    lipschitz = smoothness + 4.0 * problem.alpha * problem.graph.weighted_degrees()
+    step = np.divide(1.0, lipschitz, out=np.zeros(problem.n), where=lipschitz > 0.0)
+    return np.repeat(step[:, None], problem.d, axis=1)
 
 
-def _smoothness(problem: GTVMinProblem) -> float:
-    """max_i smoothness_i, 2 lambda_max(gram_i), by one batched eigensolve."""
-    return float(2.0 * max(np.linalg.eigvalsh(problem._stack[0])[:, -1].max(), 0.0))
-
-
-def _lambda_max(graph: SimilarityGraph) -> float:
-    """An upper bound on the largest eigenvalue of the Laplacian of a graph
-    with edges, in practice within a few eps of it.
-
-    Thick-restart Lanczos (Wu & Simon, 2000) on the cached CSR Laplacian
-    divided by a power of two near the largest weighted degree, so that the
-    division is exact and the operator's norm is below 4 whatever the
-    weights. It starts from the fixed vector default_rng(0).standard_normal(n)
-    (the constant vector is an eigenvector) and reorthogonalizes each new
-    vector twice against the whole basis. Whenever the basis is full it
-    stops if the top Ritz pair's residual beta |s| is at most 4 eps theta,
-    or if the basis spans the space, and restarts otherwise; it also stops
-    on breakdown, when the new vector lies in the basis's span to roundoff.
-    It returns theta plus that residual, an upper bound on the eigenvalue
-    theta approximates (Parlett, 1998). If its products with the
-    Laplacian run out first, it returns the Gershgorin bound 2 max_i deg_i,
-    which no eigenvalue exceeds."""
-    eps = np.finfo(float).eps
-    top = float(graph.weighted_degrees().max())
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    operator = graph._laplacian_csr() / scale
-    n = graph.n
-    size = min(_LANCZOS_BASIS, n)
-    basis = np.empty((size, n))
-    # the basis's projection of the operator: tridiagonal, but for the arrow
-    # that couples the kept Ritz vectors to the vector after them
-    projected = np.zeros((size, size))
-    start = np.random.default_rng(0).standard_normal(n)
-    basis[0] = start / _norm(start)
-    j = 0
-    for _ in range(_LANCZOS_PRODUCTS):
-        w = operator @ basis[j]
-        prior = basis[: j + 1]
-        coeffs = prior @ w
-        w -= coeffs @ prior
-        first = _norm(w)
-        again = prior @ w
-        w -= again @ prior
-        projected[j, j] = coeffs[j] + again[j]
-        beta = _norm(w)
-        # a second pass that cancels this much leaves only roundoff: breakdown
-        # (Daniel, Gragg, Kaufman & Stewart, 1976; ARPACK's threshold)
-        if beta < 0.717 * first:
-            beta = 0.0
-        if beta == 0.0 or j + 1 == size:
-            theta, vectors = np.linalg.eigh(projected[: j + 1, : j + 1])
-            residual = beta * abs(vectors[j, -1])
-            if residual <= 4.0 * eps * theta[-1] or j + 1 == n:
-                return float((theta[-1] + residual) * scale)
-            # restart from the Ritz vectors of the largest Ritz values
-            j = _LANCZOS_KEEP
-            basis[:j] = vectors[:, -j:].T @ basis
-            projected[:] = 0.0
-            projected[np.diag_indices(j)] = theta[-j:]
-            projected[j, :j] = projected[:j, j] = beta * vectors[-1, -j:]
-        else:
-            projected[j + 1, j] = projected[j, j + 1] = beta
-            j += 1
-        basis[j] = w / beta
-    return 2.0 * top
+def _smoothness(problem: GTVMinProblem) -> np.ndarray:
+    """Each node's smoothness 2 lambda_max(gram_i), by one batched eigensolve."""
+    return 2.0 * np.maximum(np.linalg.eigvalsh(problem._stack[0])[:, -1], 0.0)
 
 
 def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedParams:
-    """One synchronous gradient round with the solver's fixed step 1/L.
+    """One synchronous gradient round with the solver's fixed per-node steps.
 
     Exposed so the message-passing locality of the update can be exercised
-    directly: node i's new parameters depend only on its own dataset and
-    its neighbors' current parameters.
+    directly: node i's new parameters depend only on its own dataset, the
+    weights of its own edges and its neighbors' current parameters.
     """
     grad = objective_gradient(problem, params)
     return StackedParams(params.per_node - _step_size(problem) * grad)
@@ -643,13 +575,13 @@ def solve_iterative(
     max_iter: int = 10000,
     tol: float = 1e-10,
 ) -> SolveResult:
-    """Synchronous full-gradient descent with the conservative fixed step
-    1/L, L = max_i smoothness_i + 2 alpha lambda_max(Laplacian).
+    """Synchronous full-gradient descent in which node i takes the fixed
+    step 1/(smoothness_i + 4 alpha deg_i) (:func:`_step_size`).
 
     Starts from all zeros and stops once the objective decrease is
     non-negative and below ``tol * max(1, |objective|)``, or after
     ``max_iter`` rounds; the ``converged`` flag records which. The fixed
-    step guarantees a non-increasing objective sequence in exact
+    steps guarantee a non-increasing objective sequence in exact
     arithmetic; a run whose objective still turns non-finite raises
     :class:`DivergenceError`.
     """

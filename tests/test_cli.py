@@ -751,17 +751,17 @@ def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
     counting(gtvmin.analysis, "lambda2")
     counting(gtvmin.solver, "_stack_samples")
     counting(gtvmin.solver, "_block_diagonal")
-    counting(gtvmin.solver, "_lambda_max")
+    counting(gtvmin.solver, "_smoothness")
     cfg = write_config(
         tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 10.0], p_out_list=[0.1, 0.2], solver="iterative"
     )
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
-    # two scenarios of two clusters: one stack, Gram matrix and Laplacian
-    # lambda_max per scenario and one eigensolve per scenario and cluster,
-    # whatever the number of alphas
+    # two scenarios of two clusters: one stack, Gram matrix and smoothness
+    # per scenario and one eigensolve per scenario and cluster, whatever the
+    # number of alphas
     assert calls.count("_stack_samples") == calls.count("_block_diagonal") == 2
+    assert calls.count("_smoothness") == 2
     assert calls.count("lambda2") == 4
-    assert calls.count("_lambda_max") == 2
 
 
 def test_exact_sweep_runs_the_singularity_test_once_per_scenario(tmp_path, monkeypatch):

@@ -565,6 +565,47 @@ def test_read_graph_matches_line_scan_on_generated_files(tmp_path_factory, head,
     assert_read_graph_matches_line_scan(path)
 
 
+_BLANKS = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", " ", "\t", "\x1f"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_BLANKS, max_size=300), st.sampled_from(["4", " 4 ", "x", ""]), st.lists(_GRAPH_LINES, max_size=3))
+def test_graph_header_after_blank_lines_is_numbered_as_the_line_scan(tmp_path_factory, blanks, head, lines):
+    # the header is read from a prefix of the file, grown past 64 and 256
+    # characters here; its line and the later lines' numbers must not move
+    from gtvmin.graph import _graph_header
+
+    text = "".join(blanks) + "\n".join([head, *lines]) + "\n"
+    path = tmp_path_factory.mktemp("graph") / "graph.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert_read_graph_matches_line_scan(path)
+    numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    try:
+        expected = int(numbered[0][1]), numbered[0][0]
+    except (IndexError, ValueError):
+        expected = None
+    if expected is not None:
+        assert _graph_header(text, path) == expected
+    else:
+        with pytest.raises(ValueError, match="empty graph file|first line must be the node count"):
+            _graph_header(text, path)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(" " * 62 + "1234\n0 1 1.0\n", (1234, 1), id="cut-at-64"),
+        pytest.param("\n" * 200 + " " * 55 + "98765\n", (98765, 201), id="cut-at-256"),
+        pytest.param("\r\n" * 32 + "7\n", (7, 33), id="crlf-blanks"),
+        pytest.param(" " * 63 + "\r\n12\n", (12, 2), id="crlf-split-at-64"),
+    ],
+)
+def test_graph_header_cut_by_the_read_prefix_is_read_whole(text, expected):
+    from gtvmin.graph import _graph_header
+
+    assert _graph_header(text, Path("graph.txt")) == expected
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_written_graph_files_take_the_vectorised_parse(tmp_path, seed):
     from gtvmin.graph import _parse_graph_rows

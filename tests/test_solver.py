@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvmin import (
     DivergenceError,
-    Embedding,
     GTVMinProblem,
     GraphParams,
     QuadraticLoss,
@@ -15,7 +16,6 @@ from gtvmin import (
     SingularSystemError,
     StackedParams,
     generate_scenario,
-    graph_from_embedding,
     is_disconnected,
     laplacian,
     load_result,
@@ -486,91 +486,68 @@ def test_step_size_matches_dense_spectrum(sizes):
 
     for seed in range(5):
         scen, problem = make_problem(seed=seed, alpha=1.7, sizes=sizes, p_out=0.5)
-        smooth = max(
+        smooth = np.array([
             2.0 * np.linalg.eigvalsh(ds.features.T @ ds.features / ds.num_samples)[-1]
             for ds in scen.datasets
-        )
-        lap_max = np.linalg.eigvalsh(laplacian(scen.graph))[-1]
-        expected = 1.0 / (smooth + 2.0 * 1.7 * lap_max)
-        assert _step_size(problem) == pytest.approx(
-            expected, rel=1e-13
-        )
+        ])
+        degrees = np.diag(laplacian(scen.graph))
+        expected = 1.0 / (smooth + 4.0 * 1.7 * degrees)
+        step = _step_size(problem)
+        assert step.shape == (scen.n, scen.d) and step.flags.c_contiguous
+        assert (step == step[:, :1]).all()
+        np.testing.assert_allclose(step[:, 0], expected, rtol=1e-13)
 
 
-def _iterate_sparse_graph():
-    """The benchmark's iterate_sparse graph: the union kNN graph (k = 8,
-    sigma = 1) of the 4 x 400 nodes' local least-squares estimates."""
-    scen = generate_scenario(
-        rng_seed=1,
-        cluster_sizes=[400] * 4,
-        d=3,
-        m_per_node=10,
-        noise_std=0.1,
-        separation=2.0,
-        graph_params=GraphParams(p_in=0.0, p_out=0.0),
-    )
-    x = np.stack([ds.features for ds in scen.datasets])
-    xt = x.transpose(0, 2, 1)
-    y = np.stack([ds.labels for ds in scen.datasets])
-    estimates = np.linalg.solve(xt @ x, xt @ y[:, :, None])[:, :, 0]
-    return graph_from_embedding(Embedding(estimates), k=8, sigma=1.0)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_step_sizes_bound_the_hessian(seed):
+    # D^(1/2) H D^(1/2) <= I for H = 2 Q + 2 alpha (L kron I) and D the
+    # steps: the fixed-step rounds never raise the objective
+    from gtvmin.solver import _step_size
+
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    datasets = [
+        LocalDataset(rng.normal(size=(m, d)) * 10 ** rng.uniform(-2, 2), rng.normal(size=m))
+        for m in rng.integers(1, 6, size=n)
+    ]
+    edges = [
+        (i, j, float(10 ** rng.uniform(-2, 2)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    ]
+    alpha = float(rng.choice([0.0, 10 ** rng.uniform(-3, 3)]))
+    problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], SimilarityGraph(n, edges), alpha, d)
+    root = np.sqrt(_step_size(problem).reshape(-1))
+    scaled = root[:, None] * (2.0 * dense_system(problem)) * root[None, :]
+    assert np.linalg.eigvalsh(scaled)[-1] <= 1.0 + 16 * n * d * np.finfo(float).eps
 
 
-def _path(n, weight=1.0):
-    return SimilarityGraph(n, [(i, i + 1, weight) for i in range(n - 1)])
+def test_step_size_never_reads_the_laplacian(monkeypatch):
+    from gtvmin.solver import _step_size
 
+    def refused(self):
+        raise AssertionError("the step size read the Laplacian")
 
-_LAMBDA_MAX_GRAPHS = {
-    # the start vector and the constant vector span an invariant subspace:
-    # Lanczos breaks down (it stops after 4 products, on roundoff vectors)
-    "complete-12": lambda: SimilarityGraph(12, [(i, j, 1.0) for i in range(12) for j in range(i + 1, 12)]),
-    # the top gap is about 2e-6 of the spectrum: hundreds of restarts
-    "path-2000": lambda: _path(2000),
-    "star-50": lambda: SimilarityGraph(50, [(0, i, 1.0) for i in range(1, 50)]),
-    "two-nodes": lambda: _path(2, 2.5),
-    # a weighted path of 10, five isolated nodes and a complete graph of 15
-    "disconnected": lambda: SimilarityGraph(
-        30,
-        [(i, i + 1, 1.0 + i) for i in range(9)]
-        + [(i, j, 0.7) for i in range(15, 30) for j in range(i + 1, 30)],
-    ),
-    "knn-1600": _iterate_sparse_graph,
-    # ||L v||^2 would overflow unscaled
-    "weights-1e200": lambda: SimilarityGraph(4, [(0, 1, 1e200), (1, 2, 3e199), (2, 3, 1.0)]),
-}
-
-
-@pytest.mark.parametrize("name", list(_LAMBDA_MAX_GRAPHS))
-def test_lambda_max_matches_dense_spectrum(name):
-    from gtvmin.solver import _lambda_max
-
-    graph = _LAMBDA_MAX_GRAPHS[name]()
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = _lambda_max(graph)
-    assert got == pytest.approx(np.linalg.eigvalsh(laplacian(graph))[-1], rel=1e-13)
-
-
-def test_lambda_max_falls_back_to_gershgorin_when_its_products_run_out(monkeypatch):
-    import gtvmin.solver
-
-    graph = _path(2000, 3.0)
-    monkeypatch.setattr(gtvmin.solver, "_LANCZOS_PRODUCTS", 100)
-    # twice the largest weighted degree, never below lambda_max
-    assert gtvmin.solver._lambda_max(graph) == 12.0
-    assert np.linalg.eigvalsh(laplacian(graph))[-1] < 12.0
+    scen, problem = make_problem(seed=3, alpha=2.0, sizes=(5, 4), p_out=0.3)
+    monkeypatch.setattr(SimilarityGraph, "_laplacian_csr", refused)
+    assert np.all(_step_size(problem) > 0.0)
+    with pytest.raises(AssertionError, match="read the Laplacian"):
+        synchronous_step(problem, StackedParams.zeros(scen.n, scen.d))
 
 
 def test_step_size_is_computed_once_per_problem(monkeypatch):
     import gtvmin.solver
 
     calls = []
-    lambda_max = gtvmin.solver._lambda_max
+    smoothness = gtvmin.solver._smoothness
 
-    def counting_lambda_max(graph):
-        calls.append(graph.n)
-        return lambda_max(graph)
+    def counting_smoothness(problem):
+        calls.append(problem.n)
+        return smoothness(problem)
 
-    monkeypatch.setattr(gtvmin.solver, "_lambda_max", counting_lambda_max)
+    monkeypatch.setattr(gtvmin.solver, "_smoothness", counting_smoothness)
     scen, problem = make_problem(seed=4, alpha=1.0)
     first = solve_iterative(problem, max_iter=7, tol=0.0)
     again = solve_iterative(problem, max_iter=7, tol=0.0)
@@ -586,12 +563,12 @@ def test_step_size_is_computed_once_per_problem(monkeypatch):
     synchronous_step(fresh, params)
     solve_iterative(fresh, max_iter=7, tol=0.0)
     assert len(calls) == 2
-    # the same problem at another alpha shares its lambda_max, and its step
-    # is the step of a fresh problem at that alpha, bit for bit
+    # the same problem at another alpha shares its smoothness, and its steps
+    # are the steps of a fresh problem at that alpha, bit for bit
     other = problem._with_alpha(2.0)
     assert other._stack is problem._stack
     assert other._memo is problem._memo
-    assert set(problem._memo) == {"gram", "smoothness", "lambda_max"}
+    assert set(problem._memo) == {"gram", "smoothness"}
     expected = solve_iterative(GTVMinProblem(problem.losses, problem.graph, 2.0, problem.d), max_iter=7, tol=0.0)
     got = solve_iterative(other, max_iter=7, tol=0.0)
     np.testing.assert_array_equal(bits(got.params.per_node), bits(expected.params.per_node))
@@ -706,19 +683,27 @@ def test_objective_gradient_matches_central_differences():
 def test_update_locality_exact_equality():
     # node 0 and the last node live in different clusters with no direct edge
     scen, problem = make_problem(seed=20, alpha=1.0, sizes=(4, 4), p_out=0.0)
-    non_neighbors = [
-        j
-        for j in range(1, scen.n)
-        if (0, j) not in scen.graph.edges and (j, 0) not in scen.graph.edges
-    ]
-    assert non_neighbors, "scenario must contain a non-neighbor of node 0"
+    near = {j for pair in scen.graph.edges if 0 in pair for j in pair} | {0}
+    non_neighbors = [j for j in range(scen.n) if j not in near]
+    far_edges = [pair for pair in scen.graph.edges if not near & set(pair)]
+    assert non_neighbors and far_edges, "scenario must reach beyond node 0's neighbors"
     rng = np.random.default_rng(1)
     base = rng.normal(size=(scen.n, scen.d))
     stepped = synchronous_step(problem, StackedParams(base.copy()))
     altered = base.copy()
     altered[non_neighbors] = 0.0
-    stepped_altered = synchronous_step(problem, StackedParams(altered))
-    assert np.array_equal(stepped.per_node[0], stepped_altered.per_node[0])
+    # a non-neighbor's features scaled, and an edge away from node 0 and its
+    # neighbors reweighted: node 0's step reads neither
+    datasets = list(scen.datasets)
+    far = non_neighbors[-1]
+    datasets[far] = LocalDataset(100.0 * datasets[far].features, datasets[far].labels)
+    edges = dict(scen.graph.edges)
+    edges[far_edges[0]] *= 7.0
+    graph = SimilarityGraph(scen.n, [(i, j, w) for (i, j), w in edges.items()])
+    far_problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, problem.alpha, scen.d)
+    for other, params in [(problem, altered), (far_problem, base), (far_problem, altered)]:
+        stepped_other = synchronous_step(other, StackedParams(params.copy()))
+        assert np.array_equal(stepped.per_node[0], stepped_other.per_node[0])
 
 
 # ------------------------------------------------------------------------ IO
