@@ -475,7 +475,12 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     # a pair found from both ends has the same distance bit for bit
     src = np.repeat(np.arange(n), k)
     pairs = np.minimum(src, nearest.ravel()) * n + np.maximum(src, nearest.ravel())
-    pairs, first = np.unique(pairs, return_index=True)
+    # the first occurrence of each pair in a stable sort: np.unique's
+    # (pairs, return_index) without the numpy.ma import it pulls in
+    first = np.argsort(pairs, kind="stable")
+    pairs = pairs[first]
+    keep = np.concatenate([[True], pairs[1:] != pairs[:-1]])
+    pairs, first = pairs[keep], first[keep]
     weights = np.exp(-near_sq.ravel()[first] / sigma**2)
     if not np.all(weights > 0.0):
         raise ValueError(

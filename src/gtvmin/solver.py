@@ -11,27 +11,30 @@ batches the samples of its losses by sample count once and computes from
 the batches, by batched matmul, the Gram tensor, moments and label energy
 that feed the system operator, the gradients and both solvers; the batches
 also feed the one exact evaluator of objective values.
-The graph is read through its cached edge arrays and sparse Laplacian.
-Every stack of d x d blocks (the Gram tensor, the block-Jacobi inverses) is
-applied as one block-diagonal CSR matrix whose data is the stack's own
-buffer; the Gram stack's matrix is built on a problem's first product,
-which imports scipy.sparse (building a problem and analysing a result load
-no scipy module), and the inverses' matrix on each exact solve. The
+The graph is read through its cached edge arrays and its Laplacian. The
+node count alone chooses, in one place (:func:`_operators`), how the
+system operator, the gradients and the block-Jacobi preconditioner are
+applied: at or below ``_DENSE_NODES`` nodes through the graph's dense
+Laplacian and np.einsum over each stack of d x d blocks (the Gram tensor,
+the block-Jacobi inverses), which load no scipy module; above it through
+the graph's sparse Laplacian and one block-diagonal CSR matrix per stack,
+whose data is the stack's own buffer, which import scipy.sparse. The
 exact solver never forms the (n d) x (n d) stationarity matrix: it applies
-it through the Gram matrix and the sparse Laplacian inside block-Jacobi
+it through the Gram blocks and the Laplacian inside block-Jacobi
 preconditioned conjugate gradients, after an exact singularity test on the
 pooled Gram matrix of each graph component, and accepts the result only
 through a residual gate; it reports the conjugate-gradient rounds, summed
 over its refinement passes, as its iterations. The iterative solver runs
 synchronous gradient descent in which every node reads only its own loss
 gradient and its neighbors' parameters, and steps by its own fixed step
-from its own Gram matrix and weighted degree. Both solvers need numpy and
-scipy.sparse only: no code path loads scipy.sparse.linalg or scipy.linalg.
+from its own Gram matrix and weighted degree. Neither solver loads
+scipy.sparse.linalg or scipy.linalg.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +50,7 @@ from .data import (
     _write_json,
 )
 from .errors import DivergenceError, SingularSystemError
-from .graph import SimilarityGraph, _components
+from .graph import SimilarityGraph, _components, laplacian
 
 __all__ = [
     "QuadraticLoss",
@@ -85,6 +88,18 @@ _PCG_STAGNANT_ROUNDS = 3
 # at most this many conjugate-gradient passes per exact solve: each pass
 # after the first refines the solution from its true residual
 _PCG_PASSES = 3
+
+# at or below this many nodes the system operator, the gradients and the
+# preconditioner run on the dense Laplacian and np.einsum, above it on CSR
+# matrices. The dense Laplacian product costs n^2 d multiply-adds, the CSR
+# one (2 E + n) d plus scipy's fixed cost per call; the block products cost
+# n d^2 on either route. Measured with one BLAS thread on planted (p_in 0.5)
+# and kNN (k = 8) graphs at d = 3 and 8, for n from 32 to 512 in steps of
+# 32, a dense round is no slower than a CSR one on all four up to n = 192,
+# and on the planted graphs at d = 3 up to n = 448 (table in CHANGES.md). A
+# process whose problems all stay at or below it never imports scipy.sparse
+# (about 0.2 s and 15 MiB).
+_DENSE_NODES = 192
 
 
 class QuadraticLoss:
@@ -155,8 +170,8 @@ class GTVMinProblem:
     batches ``_batches``. A loss that is not a :class:`QuadraticLoss`
     raises a TypeError, and one whose dimension is not ``d`` a ValueError,
     both naming the loss. :meth:`_alpha_free` keeps, in one memo that
-    ``_with_alpha`` copies share, what alpha does not change: the Gram
-    stack's block-diagonal matrix, each node's smoothness, the singularity
+    ``_with_alpha`` copies share, what alpha does not change: the product
+    operators (:func:`_operators`), each node's smoothness, the singularity
     test's pooled Gram spectra (coupled or not) and each cluster's graph
     quantities for the analysis, each computed on first use."""
 
@@ -239,16 +254,41 @@ def _check_coupling(problem: GTVMinProblem) -> None:
         )
 
 
-def _block_diagonal(blocks: np.ndarray):
-    """The C-contiguous (n, d, d) stack ``blocks`` as the (n d) x (n d)
-    block-diagonal CSR matrix whose ``data`` is the stack's own buffer, so
-    that a product sums each block row's d terms in column order."""
+def _operators(problem: GTVMinProblem):
+    """(Laplacian, Gram product, block product) of the problem, the one
+    place that chooses the route, from the node count alone.
+
+    The Laplacian is applied as ``lap @ w`` to an (n, d) array. The block
+    product maps a C-contiguous (n, d, d) stack to the product
+    w -> (blocks_i w_i)_i, and the Gram product is its value at the Gram
+    stack. At or below ``_DENSE_NODES`` nodes they are the graph's dense
+    :func:`laplacian` and np.einsum; above it, the graph's CSR Laplacian and
+    block-diagonal CSR matrices, which import scipy.sparse."""
+    if problem.n <= _DENSE_NODES:
+        lap, blocks = laplacian(problem.graph), _einsum_product
+    else:
+        lap, blocks = problem.graph._laplacian_csr(), _csr_product
+    return lap, blocks(problem._stack[0]), blocks
+
+
+def _einsum_product(blocks: np.ndarray):
+    """The product of the (n, d, d) stack ``blocks`` with an (n, d) array, by
+    np.einsum: no matrix is built and no scipy module loaded."""
+    return functools.partial(np.einsum, "nij,nj->ni", blocks)
+
+
+def _csr_product(blocks: np.ndarray):
+    """The product of the C-contiguous (n, d, d) stack ``blocks`` with an
+    (n, d) array, through the (n d) x (n d) block-diagonal CSR matrix whose
+    ``data`` is the stack's own buffer, so that a product sums each block
+    row's d terms in column order."""
     import scipy.sparse
 
     n, d, _ = blocks.shape
     indptr = np.arange(0, n * d * d + 1, d)
     indices = np.broadcast_to(np.arange(n * d).reshape(n, 1, d), (n, d, d)).reshape(-1)
-    return scipy.sparse.csr_array((blocks.reshape(-1), indices, indptr), shape=(n * d, n * d))
+    matrix = scipy.sparse.csr_array((blocks.reshape(-1), indices, indptr), shape=(n * d, n * d))
+    return lambda w: (matrix @ w.reshape(-1)).reshape(w.shape)
 
 
 def _stack_samples(data: Sequence[LocalDataset]):
@@ -268,7 +308,7 @@ def _stack_samples(data: Sequence[LocalDataset]):
     energy = np.empty(len(data))
     batches = []
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for m in np.unique(counts):
+        for m in np.flatnonzero(np.bincount(counts)):
             idx = np.flatnonzero(counts == m)
             x = np.stack([data[i].features for i in idx])
             y = np.stack([data[i].labels for i in idx])
@@ -369,10 +409,10 @@ def _value_and_half_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarr
 def _system_product(problem: GTVMinProblem, ridge: float, w):
     """(Q + alpha (L kron I) + ridge I) applied to the (n, d) array w,
     without forming the matrix."""
-    gram = problem._alpha_free("gram", _block_diagonal, problem._stack[0])
-    out = (gram @ w.reshape(-1)).reshape(w.shape)
+    lap, gram, _ = problem._alpha_free("operators", _operators, problem)
+    out = gram(w)
     if problem.alpha > 0.0 and problem.graph.num_edges > 0:
-        out += problem.alpha * (problem.graph._laplacian_csr() @ w)
+        out += problem.alpha * (lap @ w)
     if ridge:
         out += ridge * w
     return out
@@ -483,13 +523,11 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
         _check_nonsingular(problem)
     shift = problem.alpha * problem.graph.weighted_degrees() + ridge
     inverse = np.linalg.inv(gram + shift[:, None, None] * np.eye(problem.d))
-    inverse_matrix = _block_diagonal(inverse)
+    _, _, blocks = problem._alpha_free("operators", _operators, problem)
+    precondition = blocks(inverse)
 
     def apply(v):
         return _system_product(problem, ridge, v)
-
-    def precondition(v):
-        return (inverse_matrix @ v.reshape(-1)).reshape(v.shape)
 
     rhs_norm = _norm(moment)
     w, r, residual = np.zeros_like(moment), moment, rhs_norm

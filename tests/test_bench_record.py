@@ -42,7 +42,7 @@ def test_bench_record_pairs_runs_by_seed(tmp_path, bench_record):
     out = tmp_path / "BENCH_cli_roundtrip.json"
     argv = ["--workload", "cli_roundtrip", "--parent", str(parent), "--parent-commit", "aaa"]
     assert bench_record.main(argv + ["--change", str(change), "--change-commit", "bbb", "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
+    (record,) = json.loads(out.read_text())
     assert record["seeds"] == [0, 1, 2, 3, 4]
     assert (record["parent"]["commit"], record["change"]["commit"]) == ("aaa", "bbb")
     assert record["parent"]["env"] == {"python": "3.11.7", "numpy": "2.4.6"}
@@ -66,3 +66,31 @@ def test_bench_record_refuses_fewer_than_two_pairs(tmp_path, bench_record, capsy
     assert bench_record.main(argv) == 1
     assert "1 seed(s) run on both sides" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_bench_record_appends_one_record_per_claim(tmp_path, bench_record):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(3):
+        write_run(parent, "cli_roundtrip", seed, 0.4, 0.8, 69.0)
+        write_run(change, "cli_roundtrip", seed, 0.2, 0.8, 60.0 + seed)
+    out = tmp_path / "BENCH_cli_roundtrip.json"
+    # the format before the trajectory: one record, not a list
+    earlier = {"workload": "cli_roundtrip", "parent": {"commit": "p0"}, "change": {"commit": "c0"}}
+    out.write_text(json.dumps(earlier))
+
+    def record(parent_commit, change_commit):
+        argv = ["--workload", "cli_roundtrip", "--parent", str(parent), "--parent-commit", parent_commit]
+        argv += ["--change", str(change), "--change-commit", change_commit, "--out", str(out)]
+        assert bench_record.main(argv) == 0
+        return json.loads(out.read_text())
+
+    first = record("p1", "c1")
+    assert [(r["parent"]["commit"], r["change"]["commit"]) for r in first] == [("p0", "c0"), ("p1", "c1")]
+    assert first[0] == earlier
+    second = record("p2", "c2")
+    assert second[:2] == first and second[2]["change"]["commit"] == "c2"
+    # the same claim recorded again replaces its record in place
+    (change / "cli_roundtrip_seed0_trace0.json").unlink()
+    again = record("p1", "c1")
+    assert len(again) == 3 and again[0] == earlier and again[2] == second[2]
+    assert again[1]["seeds"] == [1, 2]

@@ -750,16 +750,16 @@ def test_sweep_shares_alpha_independent_work(tmp_path, monkeypatch):
 
     counting(gtvmin.analysis, "lambda2")
     counting(gtvmin.solver, "_stack_samples")
-    counting(gtvmin.solver, "_block_diagonal")
+    counting(gtvmin.solver, "_operators")
     counting(gtvmin.solver, "_smoothness")
     cfg = write_config(
         tmp_path / "cfg.json", alpha_list=[0.1, 1.0, 10.0], p_out_list=[0.1, 0.2], solver="iterative"
     )
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
-    # two scenarios of two clusters: one stack, Gram matrix and smoothness
-    # per scenario and one eigensolve per scenario and cluster, whatever the
-    # number of alphas
-    assert calls.count("_stack_samples") == calls.count("_block_diagonal") == 2
+    # two scenarios of two clusters: one stack, set of product operators and
+    # smoothness per scenario and one eigensolve per scenario and cluster,
+    # whatever the number of alphas
+    assert calls.count("_stack_samples") == calls.count("_operators") == 2
     assert calls.count("_smoothness") == 2
     assert calls.count("lambda2") == 4
 

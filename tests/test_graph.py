@@ -863,7 +863,7 @@ print(result.iterations, any(m in sys.modules for m in ("scipy.sparse.linalg", "
     assert run_fresh_interpreter(code).splitlines() == ["[]", "20 False"]
 
 
-def test_generate_and_analyze_load_no_scipy_and_solve_exact_loads_only_scipy_sparse(tmp_path):
+def test_generate_analyze_and_small_solves_load_no_scipy(tmp_path):
     from gtvmin.cli import main
 
     config = tmp_path / "cfg.json"
@@ -871,43 +871,67 @@ def test_generate_and_analyze_load_no_scipy_and_solve_exact_loads_only_scipy_spa
     solved = tmp_path / "solved"
     assert main(["generate", "--config", str(config), "--out", str(solved)]) == 0
     assert main(["solve", str(solved), "--alpha", "1", "--out", str(tmp_path / "result.json")]) == 0
-    code = f"""
-import contextlib, io, sys
-import gtvmin.cli
-from gtvmin import GTVMinProblem, load_scenario, solve_exact
-
-def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-with contextlib.redirect_stdout(io.StringIO()):
-    generated = gtvmin.cli.main(["generate", "--config", {str(config)!r}, "--out", {str(tmp_path / "fresh")!r}])
-    analyzed = gtvmin.cli.main(["analyze", {str(solved)!r}, {str(tmp_path / "result.json")!r}, "--out", {str(tmp_path / "reports")!r}])
-print(generated, analyzed, loaded())
-solve_exact(GTVMinProblem.from_scenario(load_scenario({str(tmp_path / "fresh")!r}), 1.0))
-print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
-"""
-    assert run_fresh_interpreter(code).splitlines() == ["0 0 []", "True False"]
-    assert (tmp_path / "reports" / "reports.csv").exists()
-    # a generated scenario is exactly three files, whatever its node count
-    assert sorted(os.listdir(tmp_path / "fresh")) == ["graph.txt", "meta.json", "samples.csv"]
-
-
-def test_iterative_solve_and_quick_selftest_load_scipy_sparse_but_no_scipy_linalg(tmp_path):
-    from gtvmin.cli import main
-
-    config = tmp_path / "cfg.json"
-    config.write_text('{"seed": 3, "cluster_sizes": [4, 3], "d": 2, "m_per_node": 6}')
-    scen = tmp_path / "scen"
-    assert main(["generate", "--config", str(config), "--out", str(scen)]) == 0
+    fresh = str(tmp_path / "fresh")
     code = f"""
 import contextlib, io, sys
 import gtvmin.cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
-        gtvmin.cli.main(["solve", {str(scen)!r}, "--alpha", "1", "--solver", "iterative"]),
+        gtvmin.cli.main(["generate", "--config", {str(config)!r}, "--out", {fresh!r}]),
+        gtvmin.cli.main(["analyze", {str(solved)!r}, {str(tmp_path / "result.json")!r}, "--out", {str(tmp_path / "reports")!r}]),
+        gtvmin.cli.main(["solve", {fresh!r}, "--alpha", "1", "--out", {str(tmp_path / "exact.json")!r}]),
+        gtvmin.cli.main(["solve", {fresh!r}, "--alpha", "1", "--solver", "iterative", "--out", {str(tmp_path / "iterative.json")!r}]),
+    ]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert run_fresh_interpreter(code) == "[0, 0, 0, 0] []"
+    assert (tmp_path / "reports" / "reports.csv").exists()
+    # a generated scenario is exactly three files, whatever its node count
+    assert sorted(os.listdir(fresh)) == ["graph.txt", "meta.json", "samples.csv"]
+
+
+def test_solves_above_the_dense_size_load_scipy_sparse_but_no_scipy_linalg():
+    code = """
+import sys
+import gtvmin as g
+from gtvmin.solver import _DENSE_NODES
+
+scen = g.generate_scenario(
+    rng_seed=5, cluster_sizes=[_DENSE_NODES + 1], d=2, m_per_node=6, noise_std=0.1,
+    separation=2.0, graph_params=g.GraphParams(p_in=0.05, p_out=0.0),
+)
+modules = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")
+for solve in (g.solve_exact, lambda problem: g.solve_iterative(problem, max_iter=5, tol=0.0)):
+    problem = g.GTVMinProblem.from_scenario(scen, 1.0)
+    print([m for m in modules if m in sys.modules])
+    solve(problem)
+print([m for m in modules if m in sys.modules])
+"""
+    assert run_fresh_interpreter(code).splitlines() == [
+        "[]",
+        "['scipy', 'scipy.sparse']",
+        "['scipy', 'scipy.sparse']",
+    ]
+
+
+def test_roundtrip_sweep_and_quick_selftest_load_no_scipy_and_no_numpy_ma(tmp_path):
+    # the benchmark's cli_roundtrip config: three scenarios of 180 nodes
+    config = tmp_path / "roundtrip.json"
+    config.write_text(
+        '{"seed": 1, "cluster_sizes": [60, 60, 60], "d": 3, "m_per_node": 10, "noise_std": 0.1, '
+        '"separation": 2.0, "p_in": 0.5, "p_out": 0.05, "p_out_list": [0.01, 0.05, 0.1], '
+        '"alpha_list": [0.5, 1.0, 5.0]}'
+    )
+    code = f"""
+import contextlib, io, sys
+import gtvmin.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        gtvmin.cli.main(["sweep", "--config", {str(config)!r}, "--out", {str(tmp_path / "sweep")!r}]),
         gtvmin.cli.main(["selftest", "--quick"]),
     ]
-print(codes, [m for m in ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg") if m in sys.modules])
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
 """
-    assert run_fresh_interpreter(code) == "[0, 0] ['scipy.sparse']"
+    assert run_fresh_interpreter(code) == "[0, 0] []"

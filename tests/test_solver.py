@@ -390,6 +390,94 @@ def test_assembled_system_matches_kronecker_route(alpha, ridge):
     np.testing.assert_array_equal(problem._stack[1].reshape(-1), stacked_rhs(problem))
 
 
+def on_route(monkeypatch, dense, solve, problem):
+    """``solve`` of a fresh copy of ``problem`` with its products forced onto
+    the dense route (``dense``) or the CSR route, by the node-count limit."""
+    import gtvmin.solver
+
+    monkeypatch.setattr(gtvmin.solver, "_DENSE_NODES", problem.n if dense else problem.n - 1)
+    fresh = GTVMinProblem(problem.losses, problem.graph, problem.alpha, problem.d)
+    result = solve(fresh)
+    assert isinstance(fresh._memo["operators"][0], np.ndarray) == dense
+    return result
+
+
+def half_gradient_roundoff(problem, w):
+    """Elementwise bound on the rounding error of the half gradient
+    G w + alpha L w - q at w, on either route: gamma_k (|G| |w| +
+    alpha |L| |w| + |q|), with k = n + d + 3 covering the longest chain of
+    roundings (at most n Laplacian terms, d Gram terms, three more) and
+    gamma_k = k eps / (1 - k eps), eps = 2u taking the place of the unit
+    roundoff u as a margin of two (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3)."""
+    eps = np.finfo(float).eps
+    k = problem.n + problem.d + 3
+    gram, moment, _ = problem._stack
+    lap = np.abs(laplacian(problem.graph))
+    scale = np.einsum("nij,nj->ni", np.abs(gram), np.abs(w)) + problem.alpha * (lap @ np.abs(w))
+    return k * eps / (1 - k * eps) * (scale + np.abs(moment))
+
+
+def step_roundoff(problem, w, step, grad, new):
+    """Elementwise bound on how far two routes' rounds w - step * grad can
+    be apart: each gradient (2 g) is within twice the half-gradient bound of
+    the exact one, and the product and the difference round once each."""
+    eps = np.finfo(float).eps
+    return step * (4 * half_gradient_roundoff(problem, w) + eps * np.abs(grad)) + eps * np.abs(new)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.03, 1.0, 40.0])
+def test_dense_and_csr_routes_agree_within_roundoff(monkeypatch, alpha):
+    from gtvmin.solver import _step_size
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(40)
+    scen, problem = make_problem(seed=40, alpha=alpha, sizes=(7, 5), d=3, p_out=0.3)
+    # random weights, so that the degree sums are not exact in floating point
+    edges = [(i, j, float(rng.uniform(0.1, 2.0))) for (i, j) in scen.graph.edges]
+    problem = GTVMinProblem(problem.losses, SimilarityGraph(scen.n, edges), alpha, scen.d)
+    w = rng.normal(size=(scen.n, scen.d))
+    params = StackedParams(w)
+
+    def both(solve):
+        return [on_route(monkeypatch, dense, solve, problem) for dense in (True, False)]
+
+    grads = both(lambda p: objective_gradient(p, params))
+    assert np.all(np.abs(grads[0] - grads[1]) <= 4 * half_gradient_roundoff(problem, w))
+
+    step = _step_size(problem)
+    steps = [result.per_node for result in both(lambda p: synchronous_step(p, params))]
+    bound = step_roundoff(problem, w, step, np.abs(grads).max(axis=0), np.abs(steps).max(axis=0))
+    assert np.all(np.abs(steps[0] - steps[1]) <= bound)
+
+    # a round is non-expansive in the norm ||x / sqrt(step)|| (the steps
+    # bound the Hessian), so the rounds' differences add up at most
+    rounds = 25
+    iterates = both(lambda p: solve_iterative(p, max_iter=rounds, tol=0.0))
+    assert iterates[0].iterations == iterates[1].iterations == rounds
+    total, current = 0.0, StackedParams.zeros(scen.n, scen.d)
+    for _ in range(rounds):
+        grad = objective_gradient(problem, current)
+        following = synchronous_step(problem, current)
+        per_round = step_roundoff(problem, current.per_node, step, np.abs(grad), np.abs(following.per_node))
+        total += np.linalg.norm(per_round / np.sqrt(step))
+        current = following
+    gap = iterates[0].params.per_node - iterates[1].params.per_node
+    assert np.linalg.norm(gap) <= np.sqrt(step.max()) * total
+
+    # ||w - w'|| <= (||r|| + ||r'||) / mu_min, each true residual widened by
+    # its own roundoff
+    mat, rhs = dense_system(problem), stacked_rhs(problem)
+    vals = np.linalg.eigvalsh(mat)
+    mu_min = vals[0] - mat.shape[0] * eps * vals[-1]
+
+    def residual(v):
+        return np.linalg.norm(mat @ v - rhs) + 64 * eps * np.linalg.norm(np.abs(mat) @ np.abs(v) + np.abs(rhs))
+
+    exact = [result.params.flat for result in both(solve_exact)]
+    assert np.linalg.norm(exact[0] - exact[1]) <= (residual(exact[0]) + residual(exact[1])) / mu_min
+
+
 def assert_matches_dense_oracle(problem, ridge=0.0):
     """||w - w_dense|| <= (||r|| + ||r_dense||) / mu_min, where r is the
     residual the solver reports and r_dense the oracle's; both residuals and
@@ -531,6 +619,8 @@ def test_step_size_never_reads_the_laplacian(monkeypatch):
         raise AssertionError("the step size read the Laplacian")
 
     scen, problem = make_problem(seed=3, alpha=2.0, sizes=(5, 4), p_out=0.3)
+    # the dense Laplacian (small problems) and the CSR one (large problems)
+    monkeypatch.setattr("gtvmin.solver.laplacian", refused)
     monkeypatch.setattr(SimilarityGraph, "_laplacian_csr", refused)
     assert np.all(_step_size(problem) > 0.0)
     with pytest.raises(AssertionError, match="read the Laplacian"):
@@ -568,7 +658,7 @@ def test_step_size_is_computed_once_per_problem(monkeypatch):
     other = problem._with_alpha(2.0)
     assert other._stack is problem._stack
     assert other._memo is problem._memo
-    assert set(problem._memo) == {"gram", "smoothness"}
+    assert set(problem._memo) == {"operators", "smoothness"}
     expected = solve_iterative(GTVMinProblem(problem.losses, problem.graph, 2.0, problem.d), max_iter=7, tol=0.0)
     got = solve_iterative(other, max_iter=7, tol=0.0)
     np.testing.assert_array_equal(bits(got.params.per_node), bits(expected.params.per_node))

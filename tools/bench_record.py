@@ -1,4 +1,4 @@
-"""Reduce paired benchmark runs to one committed BENCH_<workload>.json.
+"""Reduce paired benchmark runs to one record of BENCH_<workload>.json.
 
     python3 tools/bench_record.py --workload NAME \
         --parent DIR --parent-commit SHA --change DIR --change-commit SHA \
@@ -12,7 +12,13 @@ BENCHMARK.json the output holds, per side, the median and quartiles
 the change won (strictly better in the metric's direction). It also holds
 both commits, each side's environment (the records' ``env`` without the
 seed) and the operation counts, which explain a peak RSS that grows with
-the operations a run completes. Standard library only.
+the operations a run completes.
+
+BENCH_<workload>.json is the workload's trajectory: a JSON list of such
+records, one per claim, oldest first. A new record is appended; one with the
+same parent and change commits replaces the earlier one in place. A file
+holding a single record (the format before the trajectory) is read as a
+list of that one. Standard library only.
 """
 
 import argparse
@@ -84,6 +90,21 @@ def reduce(workload: str, parent: dict, change: dict, commits: tuple[str, str], 
     }
 
 
+def append(path: Path, record: dict) -> list[dict]:
+    """The records of ``path`` with ``record`` appended, or in place of the
+    record of the same commits."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    if isinstance(records, dict):
+        records = [records]
+    commits = (record["parent"]["commit"], record["change"]["commit"])
+    same = [k for k, r in enumerate(records) if (r["parent"]["commit"], r["change"]["commit"]) == commits]
+    if same:
+        records[same[0]] = record
+    else:
+        records.append(record)
+    return records
+
+
 def main(argv) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
@@ -106,7 +127,7 @@ def main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
+    out.write_text(json.dumps(append(out, record), indent=1) + "\n")
     for name, m in record["metrics"].items():
         print(
             f"{name}: {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}] -> "
