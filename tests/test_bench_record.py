@@ -74,9 +74,8 @@ def test_bench_record_appends_one_record_per_claim(tmp_path, bench_record):
         write_run(parent, "cli_roundtrip", seed, 0.4, 0.8, 69.0)
         write_run(change, "cli_roundtrip", seed, 0.2, 0.8, 60.0 + seed)
     out = tmp_path / "BENCH_cli_roundtrip.json"
-    # the format before the trajectory: one record, not a list
     earlier = {"workload": "cli_roundtrip", "parent": {"commit": "p0"}, "change": {"commit": "c0"}}
-    out.write_text(json.dumps(earlier))
+    out.write_text(json.dumps([earlier]))
 
     def record(parent_commit, change_commit):
         argv = ["--workload", "cli_roundtrip", "--parent", str(parent), "--parent-commit", parent_commit]

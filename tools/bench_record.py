@@ -16,9 +16,8 @@ the operations a run completes.
 
 BENCH_<workload>.json is the workload's trajectory: a JSON list of such
 records, one per claim, oldest first. A new record is appended; one with the
-same parent and change commits replaces the earlier one in place. A file
-holding a single record (the format before the trajectory) is read as a
-list of that one. Standard library only.
+same parent and change commits replaces the earlier one in place. Standard
+library only.
 """
 
 import argparse
@@ -94,8 +93,6 @@ def append(path: Path, record: dict) -> list[dict]:
     """The records of ``path`` with ``record`` appended, or in place of the
     record of the same commits."""
     records = json.loads(path.read_text()) if path.exists() else []
-    if isinstance(records, dict):
-        records = [records]
     commits = (record["parent"]["commit"], record["change"]["commit"])
     same = [k for k, r in enumerate(records) if (r["parent"]["commit"], r["change"]["commit"]) == commits]
     if same:
