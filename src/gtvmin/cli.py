@@ -311,7 +311,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p_outs = cfg.p_out_list if cfg.p_out_list is not None else [cfg.p_out]
-    rows = []
+    rows, converged = [], []
     for ip, p_out in enumerate(p_outs):
         scen_dir = out_dir / f"scenario_{ip:02d}"
         scenario = _generate(cfg, p_out)
@@ -328,6 +328,7 @@ def cmd_sweep(args) -> int:
                 # name the config's run that failed
                 raise type(exc)(f"config: alpha_list[{ia}] = {alpha:g} in {scen_dir.name}: {exc}") from None
             results.append(result)
+            converged.append(result.converged)
             rows += [row for _, row in pairs]
         # a scenario is written only once every alpha's run has succeeded
         save_scenario(scenario, scen_dir)
@@ -335,7 +336,9 @@ def cmd_sweep(args) -> int:
             save_result(result, scen_dir / f"result_{ia:02d}.json")
     csv_path = out_dir / "sweep.csv"
     write_reports_csv(csv_path, rows)
-    print(f"{len(rows)} rows -> {csv_path}")
+    unconverged = converged.count(False)
+    stalled = f"; {unconverged} of {len(converged)} runs did not converge" if unconverged else ""
+    print(f"{len(rows)} rows -> {csv_path}{stalled}")
     return 0
 
 
@@ -383,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, required=alpha_required, help=alpha_help)
         p.add_argument("--solver", choices=list(_SOLVERS))
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol", type=float, help="iterative solver: stop once the gradient norm "
+                       "is at most 2 * tol * ||q||, q the stacked moments X'y/m")
 
     p_gen = sub.add_parser("generate", help="write a synthetic scenario directory")
     add_config_flags(p_gen)

@@ -8,9 +8,9 @@ over the similarity graph edges,
 with L_i(w_i) = (1/m_i) ||y_i - X_i w_i||^2, a quadratic with Hessian
 2 Q + 2 alpha (L kron I_d), Q = blockdiag((1/m_i) X_i^T X_i). A problem
 batches the samples of its losses by sample count once and computes from
-the batches, by batched matmul, the Gram tensor, moments and label energy
-that feed the system operator, the gradients and both solvers; the batches
-also feed the one exact evaluator of objective values.
+the batches, by batched matmul, the Gram tensor and moments that feed the
+system operator, the gradients and both solvers; the batches also feed the
+one exact evaluator of objective values.
 The graph is read through its cached edge arrays and its Laplacian. The
 node count alone chooses, in one place (:func:`_operators`), how the
 system operator, the gradients and the block-Jacobi preconditioner are
@@ -106,8 +106,8 @@ class QuadraticLoss:
     """Mean squared residual (1/m) ||y - X w||^2 of one local dataset, the
     only loss a :class:`GTVMinProblem` takes.
 
-    It keeps only its dataset: the problem computes the Gram matrix, moment
-    and label energy of all its nodes at once from the batched samples."""
+    It keeps only its dataset: the problem computes the Gram matrices and
+    moments of all its nodes at once from the batched samples."""
 
     def __init__(self, dataset: LocalDataset):
         self.dataset = dataset
@@ -165,9 +165,9 @@ class GTVMinProblem:
     strength.
 
     Immutable: ``losses`` is a tuple, stacked once, at construction, as
-    ``_stack`` = (gram, moment, energy), whose sum is
-    sum_i (w_i' gram_i w_i - 2 moment_i' w_i) + energy, and as the sample
-    batches ``_batches``. A loss that is not a :class:`QuadraticLoss`
+    ``_stack`` = (gram, moment), the blocks of Q and q in the stationarity
+    system (Q + alpha (L kron I)) w = q, and as the sample batches
+    ``_batches``. A loss that is not a :class:`QuadraticLoss`
     raises a TypeError, and one whose dimension is not ``d`` a ValueError,
     both naming the loss. :meth:`_alpha_free` keeps, in one memo that
     ``_with_alpha`` copies share, what alpha does not change: the product
@@ -292,15 +292,14 @@ def _csr_product(blocks: np.ndarray):
 
 
 def _stack_samples(data: Sequence[LocalDataset]):
-    """((gram, moment, energy), batches) of quadratic losses on ``data``.
+    """((gram, moment), batches) of quadratic losses on ``data``.
 
     The batches hold the samples by sample count as (node indices,
-    features (k, m, d), labels (k, m)); each batch's (1/m) x'x, x'y and y'y
-    come from one batched matmul whose every slice takes the BLAS call of
-    the per-node product (syrk, gemv, dot), so the stack equals the
-    per-node products bit for bit. The energy is summed in node order.
-    Samples whose products overflow raise a ValueError naming the first
-    node at which the stack, or the running energy sum, is not finite."""
+    features (k, m, d), labels (k, m)); each batch's (1/m) x'x and x'y come
+    from one batched matmul whose every slice takes the BLAS call of the
+    per-node product (syrk, gemv), so the stack equals the per-node products
+    bit for bit. A ValueError names the first node at which the stack, or
+    the running sum in node order of label energies (1/m) y'y, overflows."""
     counts = np.array([ds.num_samples for ds in data])
     dim = data[0].features.shape[1]
     gram = np.empty((len(data), dim, dim))
@@ -321,17 +320,19 @@ def _stack_samples(data: Sequence[LocalDataset]):
         finite &= np.isfinite(np.cumsum(energy))
     if not finite.all():
         raise ValueError(f"the quadratic loss terms overflow at node {int(np.argmin(finite))}")
-    return (gram, moment, float(sum(energy.tolist()))), batches
+    return (gram, moment), batches
 
 
 @dataclass
 class SolveResult:
     """Solver output: the parameters plus convergence diagnostics.
 
-    ``residual`` is the linear-system residual for the exact solver and
-    the final full-gradient norm for the iterative one. ``iterations``
-    counts gradient rounds for the iterative solver and conjugate-gradient
-    rounds, summed over the refinement passes, for the exact one.
+    ``residual`` is the stationarity residual ||M w - q|| for the exact
+    solver and the gradient norm 2 ||M w - q|| for the iterative one;
+    ``converged`` says that it met the solver's test (exact: 1e-8 ||q||, or
+    the solver raises; iterative: 2 tol ||q||). ``iterations`` counts
+    gradient rounds for the iterative solver and conjugate-gradient rounds,
+    summed over the refinement passes, for the exact one.
     """
 
     params: StackedParams
@@ -392,18 +393,16 @@ def objective_gradient(problem: GTVMinProblem, params: StackedParams) -> np.ndar
     """Gradient of :func:`objective` as an (n, d) array: per-node loss
     gradients plus 2 alpha (L kron I) applied to the stacked parameters."""
     problem._check_params(params)
-    return 2.0 * _value_and_half_gradient(problem, params.per_node)[1]
+    return 2.0 * _half_gradient(problem, params.per_node)
 
 
-def _value_and_half_gradient(problem: GTVMinProblem, w) -> tuple[float, np.ndarray]:
-    """Objective value and half its gradient at the (n, d) array w, from
-    the loss stack: g = M w - q, with M w from :func:`_system_product`, and
-    the value w' (g - q) + energy. Halving is exact, so 2 g is the gradient
-    bit for bit."""
-    _, moment, energy = problem._stack
+def _half_gradient(problem: GTVMinProblem, w) -> np.ndarray:
+    """Half the objective's gradient at the (n, d) array w, the stationarity
+    residual g = M w - q, with M w from :func:`_system_product`. Halving is
+    exact, so 2 g is the gradient bit for bit."""
     g = _system_product(problem, 0.0, w)
-    g -= moment
-    return float(np.vdot(w, g - moment)) + energy, g
+    g -= problem._stack[1]
+    return g
 
 
 def _system_product(problem: GTVMinProblem, ridge: float, w):
@@ -518,7 +517,7 @@ def solve_exact(problem: GTVMinProblem, ridge: float = 0.0) -> SolveResult:
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     _check_coupling(problem)
-    gram, moment, _ = problem._stack
+    gram, moment = problem._stack
     if ridge == 0.0:
         _check_nonsingular(problem)
     shift = problem.alpha * problem.graph.weighted_degrees() + ridge
@@ -616,35 +615,30 @@ def solve_iterative(
     """Synchronous full-gradient descent in which node i takes the fixed
     step 1/(smoothness_i + 4 alpha deg_i) (:func:`_step_size`).
 
-    Starts from all zeros and stops once the objective decrease is
-    non-negative and below ``tol * max(1, |objective|)``, or after
-    ``max_iter`` rounds; the ``converged`` flag records which. The fixed
-    steps guarantee a non-increasing objective sequence in exact
-    arithmetic; a run whose objective still turns non-finite raises
+    Starts from all zeros and stops once half the gradient, the residual
+    g = M w - q, has ||g|| <= ``tol`` ||q||, or after ``max_iter`` rounds
+    (all of them at ``tol`` = 0, unless g vanishes); ``converged`` records
+    which. The fixed steps never raise the objective in exact arithmetic;
+    a run whose gradient norm still turns non-finite raises
     :class:`DivergenceError`.
     """
     tol = _check_stopping(max_iter, tol)
 
     # the gradient is 2 g, and 2 step is exact: the update rounds as w - step * 2 g
     double_step = 2.0 * _step_size(problem)
+    target = tol * _norm(problem._stack[1])
     w = np.zeros((problem.n, problem.d))
-    f_prev, g = _value_and_half_gradient(problem, w)
-    converged = False
-    iterations = 0
+    g = _half_gradient(problem, w)
     for iterations in range(1, int(max_iter) + 1):
         w -= double_step * g
-        f_cur, g = _value_and_half_gradient(problem, w)
-        if not np.isfinite(f_cur):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {iterations}"
-            )
-        decrease = f_prev - f_cur
-        if 0.0 <= decrease < tol * max(1.0, abs(f_prev)):
-            converged = True
+        g = _half_gradient(problem, w)
+        norm = _norm(g)
+        if not math.isfinite(norm):
+            raise DivergenceError(f"gradient norm became non-finite at iteration {iterations}")
+        if norm <= target:
             break
-        f_prev = f_cur
 
-    return _result(problem, w, iterations, converged, 2.0 * float(np.linalg.norm(g)))
+    return _result(problem, w, iterations, norm <= target, 2.0 * norm)
 
 
 # each scalar key of a result file: the SolveResult field it holds, its JSON kind

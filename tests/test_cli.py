@@ -1,7 +1,10 @@
 import dataclasses
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -636,6 +639,89 @@ def test_solve_of_valid_files_whose_system_is_singular_names_the_scenario_and_a_
     residual, floor = map(float, match.groups())
     assert floor > residual > 0.0
     assert not (scen_dir / "result.json").exists()
+
+
+# the README's example config
+README_CONFIG = {
+    "seed": 11, "cluster_sizes": [5, 5], "d": 2, "m_per_node": 10, "noise_std": 0.1,
+    "separation": 2.0, "p_in": 0.9, "p_out": 0.1, "alpha_list": [0.1, 1.0, 10.0],
+}
+
+# the cli_roundtrip benchmark's config: three scenarios of 180 nodes
+ROUNDTRIP_CONFIG = {
+    "seed": 1, "cluster_sizes": [60, 60, 60], "d": 3, "m_per_node": 10, "noise_std": 0.1,
+    "separation": 2.0, "p_in": 0.5, "p_out": 0.05, "p_out_list": [0.01, 0.05, 0.1],
+    "alpha_list": [0.5, 1.0, 5.0],
+}
+
+
+def test_iterative_solve_at_an_edge_weight_of_1e200_does_not_report_convergence(tmp_path, capsys):
+    # its steps are about 1e-200 wide: the objective stops moving long
+    # before the gradient is small
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    scen_dir = tmp_path / "scen"
+    assert main(["generate", "--config", str(cfg), "--out", str(scen_dir)]) == 0
+    graph_path = scen_dir / "graph.txt"
+    lines = graph_path.read_text().splitlines()
+    i, j, _ = lines[1].split()
+    lines[1] = f"{i} {j} 1e200"
+    graph_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["solve", str(scen_dir), "--alpha", "1", "--solver", "iterative", "--max-iter", "2000"]
+    assert _quiet_main(argv) == (0, [])
+    assert " iterations=2000 converged=False -> " in capsys.readouterr().out
+    # the gradient norm stays near 2.75, against ||q|| of about 4
+    result = load_result(scen_dir / "result.json")
+    assert (result.iterations, result.converged) == (2000, False) and result.residual > 1.0
+
+
+def test_sweep_says_how_many_runs_did_not_converge(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}\n"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--solver", "iterative"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}\n"
+    counts = sorted(load_result(out / "scenario_00" / f"result_{ia:02d}.json").iterations for ia in range(3))
+    assert counts[0] < counts[1] < counts[2]
+    assert main(argv + ["--max-iter", "2"]) == 0
+    assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}; 3 of 3 runs did not converge\n"
+    # a run that meets the test in its last allowed round has converged
+    assert main(argv + ["--max-iter", str(counts[1])]) == 0
+    assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}; 1 of 3 runs did not converge\n"
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by its relative path, as bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_iterative_sweep_trees_are_identical_across_processes(tmp_path):
+    import gtvmin
+
+    cfg = tmp_path / "roundtrip.json"
+    cfg.write_text(json.dumps(ROUNDTRIP_CONFIG))
+    src = str(Path(gtvmin.__file__).resolve().parents[1])
+    trees = []
+    # another hash seed and another BLAS thread count in each fresh interpreter
+    for seed, threads in [(1, 1), (2, 2)]:
+        out = tmp_path / f"sweep_{seed}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "PYTHONHASHSEED": str(seed),
+            "OPENBLAS_NUM_THREADS": str(threads),
+        }
+        argv = ["-m", "gtvmin", "sweep", "--config", str(cfg), "--solver", "iterative", "--out", str(out)]
+        done = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"27 rows -> {out / 'sweep.csv'}\n"
+        trees.append(tree_bytes(out))
+    assert len(trees[0]) == 3 * (3 + 3) + 1
+    assert trees[0] == trees[1]
 
 
 def test_analyze_refusals_of_overflowing_terms_name_the_file_at_fault(tmp_path, capsys):

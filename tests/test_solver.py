@@ -150,15 +150,6 @@ def test_objective_matches_per_node_loop_with_unequal_sample_counts():
     assert objective(problem, params) == pytest.approx(loop, rel=1e-13)
 
 
-def test_value_and_gradient_value_is_the_objective():
-    from gtvmin.solver import _value_and_half_gradient
-
-    scen, problem = make_problem(seed=27, alpha=1.3, d=3)
-    params = StackedParams(np.random.default_rng(27).normal(size=(scen.n, scen.d)))
-    value, _ = _value_and_half_gradient(problem, params.per_node)
-    assert value == pytest.approx(objective(problem, params), rel=1e-12)
-
-
 def test_objective_reads_exactly_zero_at_an_exact_fit():
     rng = np.random.default_rng(25)
     w = rng.integers(-3, 4, size=(5, 2)).astype(float)
@@ -361,15 +352,11 @@ def test_stack_equals_per_node_products_bit_for_bit(d):
     ]
     n = len(datasets)
     graph = SimilarityGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-    gram, moment, energy = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.5, d)._stack
+    gram, moment = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.5, d)._stack
     for i, ds in enumerate(datasets):
         x, y, m = ds.features, ds.labels, ds.num_samples
         np.testing.assert_array_equal(bits(gram[i]), bits(x.T @ x / m))
         np.testing.assert_array_equal(bits(moment[i]), bits(x.T @ y / m))
-    # Python's sum in node order: from 3.12 it is compensated and ndarray.sum
-    # is pairwise, so the two can differ in the last bits
-    per_node = [float(ds.labels @ ds.labels) / ds.num_samples for ds in datasets]
-    assert bits(energy) == bits(sum(per_node))
 
 
 @pytest.mark.parametrize("alpha, ridge", [(0.0, 0.0), (0.8, 0.0), (2.5, 1e-3)])
@@ -412,7 +399,7 @@ def half_gradient_roundoff(problem, w):
     Numerical Algorithms, ch. 3)."""
     eps = np.finfo(float).eps
     k = problem.n + problem.d + 3
-    gram, moment, _ = problem._stack
+    gram, moment = problem._stack
     lap = np.abs(laplacian(problem.graph))
     scale = np.einsum("nij,nj->ni", np.abs(gram), np.abs(w)) + problem.alpha * (lap @ np.abs(w))
     return k * eps / (1 - k * eps) * (scale + np.abs(moment))
@@ -707,6 +694,66 @@ def test_iterative_divergence_raises(monkeypatch):
     _, problem = make_problem(seed=15, alpha=0.0, sizes=(2,), m=8)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         solve_iterative(problem, max_iter=10000, tol=0.0)
+
+
+def test_iterative_on_4x400_planted_nodes_stops_at_the_stationarity_test():
+    # sparse clusters: an objective-decrease rule stopped here after 198
+    # rounds, 1.7e-5 ||q|| from stationarity
+    scen = generate_scenario(
+        rng_seed=2,
+        cluster_sizes=[400] * 4,
+        d=3,
+        m_per_node=6,
+        noise_std=0.1,
+        separation=2.0,
+        graph_params=GraphParams(p_in=0.02, p_out=0.001),
+    )
+    problem = GTVMinProblem.from_scenario(scen, 1.0)
+    result = solve_iterative(problem)
+    q_norm = np.linalg.norm(problem._stack[1])
+    assert result.converged and result.residual <= 2 * 1e-10 * q_norm
+
+
+def cross_solver_problems():
+    """The problems of the quick cross-solver suite (its first five
+    connected scenarios, each at alpha 0.5)."""
+    problems, seed = [], 88000
+    while len(problems) < 5:
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 6))
+        sizes = [int(s) for s in rng.integers(2, 9, size=2)]
+        scen = generate_scenario(
+            rng_seed=seed,
+            cluster_sizes=sizes,
+            d=d,
+            m_per_node=3 * d + 2,
+            noise_std=0.1,
+            separation=2.0,
+            graph_params=GraphParams(p_in=0.9, p_out=0.25, w_in=1.0, w_out=0.5),
+        )
+        seed += 1
+        if not is_disconnected(scen.graph):
+            problems.append(GTVMinProblem.from_scenario(scen, alpha=0.5))
+    return problems
+
+
+# the iterative solves of this file and of the quick cross-solver suite:
+# name -> (problem builder, max_iter, tol)
+ITERATIVE_CASES = {
+    "seed10": (lambda: make_problem(seed=10, alpha=0.0, sizes=(3, 3), m=12)[1], 50000, 1e-14),
+    "seed14": (lambda: make_problem(seed=14, alpha=0.5, sizes=(4, 4), m=12)[1], 10**5, 1e-12),
+    "seed16": (lambda: make_problem(seed=16, alpha=1.0)[1], 20000, 1e-13),
+    **{f"cross{k}": (lambda k=k: cross_solver_problems()[k], 10**5, 1e-12) for k in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", list(ITERATIVE_CASES))
+def test_converged_iterative_result_meets_its_tolerance(name):
+    build, max_iter, tol = ITERATIVE_CASES[name]
+    problem = build()
+    result = solve_iterative(problem, max_iter=max_iter, tol=tol)
+    assert result.converged and result.iterations < max_iter
+    assert result.residual <= 2 * tol * np.linalg.norm(problem._stack[1])
 
 
 def test_iterative_reports_gradient_norm():
