@@ -7,6 +7,7 @@ parameters are derived from a base seed plus the scenario index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,16 +199,10 @@ class CrossSolverSuiteResult:
         return self.max_linf <= 1e-5 and self.max_residual_ratio <= 1e-8
 
 
-def cross_solver_suite(num_scenarios: int = 20) -> CrossSolverSuiteResult:
-    """Compare the direct and iterative solvers on random connected
-    scenarios with n*d <= 400 (iterative: tol 1e-12, up to 1e5 rounds)."""
-    max_linf = 0.0
-    max_ratio = 0.0
-    produced = 0
-    index = 0
-    while produced < num_scenarios:
-        seed = 88000 + index
-        index += 1
+def _cross_solver_problems():
+    """The problems of :func:`cross_solver_suite`, in order: random
+    connected scenarios with n*d <= 400, each at alpha 0.5."""
+    for seed in itertools.count(88000):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 6))
         sizes = [int(s) for s in rng.integers(2, 9, size=2)]
@@ -220,20 +215,24 @@ def cross_solver_suite(num_scenarios: int = 20) -> CrossSolverSuiteResult:
             separation=2.0,
             graph_params=GraphParams(p_in=0.9, p_out=0.25, w_in=1.0, w_out=0.5),
         )
-        if is_disconnected(scenario.graph):
-            continue
-        produced += 1
-        problem = GTVMinProblem.from_scenario(scenario, alpha=0.5)
+        if not is_disconnected(scenario.graph):
+            yield GTVMinProblem.from_scenario(scenario, alpha=0.5)
+
+
+def cross_solver_suite(num_scenarios: int = 20) -> CrossSolverSuiteResult:
+    """Compare the direct and iterative solvers on the first
+    ``num_scenarios`` of :func:`_cross_solver_problems` (iterative: tol
+    1e-12, up to 1e5 rounds)."""
+    max_linf = max_ratio = 0.0
+    for problem in itertools.islice(_cross_solver_problems(), num_scenarios):
         exact = solve_exact(problem)
         iterative = solve_iterative(problem, max_iter=10**5, tol=1e-12)
-        linf = float(
-            np.max(np.abs(exact.params.per_node - iterative.params.per_node))
-        )
-        max_linf = max(max_linf, linf)
+        linf = np.max(np.abs(exact.params.per_node - iterative.params.per_node))
+        max_linf = max(max_linf, float(linf))
         q_norm = float(np.linalg.norm(problem._stack[1]))
         max_ratio = max(max_ratio, exact.residual / q_norm if q_norm > 0 else 0.0)
     return CrossSolverSuiteResult(
-        num_scenarios=produced,
+        num_scenarios=num_scenarios,
         max_linf=max_linf,
         max_residual_ratio=max_ratio,
     )

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -29,6 +30,7 @@ from gtvmin import (
     total_variation,
 )
 from gtvmin.data import LocalDataset
+from gtvmin.suites import _cross_solver_problems
 
 
 def make_problem(seed=1, alpha=1.0, sizes=(4, 4), d=2, m=10, noise=0.1, p_out=0.2):
@@ -696,9 +698,9 @@ def test_iterative_divergence_raises(monkeypatch):
         solve_iterative(problem, max_iter=10000, tol=0.0)
 
 
-def test_iterative_on_4x400_planted_nodes_stops_at_the_stationarity_test():
-    # sparse clusters: an objective-decrease rule stopped here after 198
-    # rounds, 1.7e-5 ||q|| from stationarity
+def planted_4x400():
+    """Sparse clusters on which an objective-decrease rule stopped after
+    198 rounds, 1.7e-5 ||q|| from stationarity."""
     scen = generate_scenario(
         rng_seed=2,
         cluster_sizes=[400] * 4,
@@ -708,42 +710,18 @@ def test_iterative_on_4x400_planted_nodes_stops_at_the_stationarity_test():
         separation=2.0,
         graph_params=GraphParams(p_in=0.02, p_out=0.001),
     )
-    problem = GTVMinProblem.from_scenario(scen, 1.0)
-    result = solve_iterative(problem)
-    q_norm = np.linalg.norm(problem._stack[1])
-    assert result.converged and result.residual <= 2 * 1e-10 * q_norm
+    return GTVMinProblem.from_scenario(scen, 1.0)
 
 
-def cross_solver_problems():
-    """The problems of the quick cross-solver suite (its first five
-    connected scenarios, each at alpha 0.5)."""
-    problems, seed = [], 88000
-    while len(problems) < 5:
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 6))
-        sizes = [int(s) for s in rng.integers(2, 9, size=2)]
-        scen = generate_scenario(
-            rng_seed=seed,
-            cluster_sizes=sizes,
-            d=d,
-            m_per_node=3 * d + 2,
-            noise_std=0.1,
-            separation=2.0,
-            graph_params=GraphParams(p_in=0.9, p_out=0.25, w_in=1.0, w_out=0.5),
-        )
-        seed += 1
-        if not is_disconnected(scen.graph):
-            problems.append(GTVMinProblem.from_scenario(scen, alpha=0.5))
-    return problems
-
-
-# the iterative solves of this file and of the quick cross-solver suite:
+# the iterative solves of this file and of the quick cross-solver suite,
+# and the 4 x 400 planted nodes at solve_iterative's defaults:
 # name -> (problem builder, max_iter, tol)
 ITERATIVE_CASES = {
+    "planted4x400": (planted_4x400, 10000, 1e-10),
     "seed10": (lambda: make_problem(seed=10, alpha=0.0, sizes=(3, 3), m=12)[1], 50000, 1e-14),
     "seed14": (lambda: make_problem(seed=14, alpha=0.5, sizes=(4, 4), m=12)[1], 10**5, 1e-12),
     "seed16": (lambda: make_problem(seed=16, alpha=1.0)[1], 20000, 1e-13),
-    **{f"cross{k}": (lambda k=k: cross_solver_problems()[k], 10**5, 1e-12) for k in range(5)},
+    **{f"cross{k}": (lambda k=k: next(itertools.islice(_cross_solver_problems(), k, None)), 10**5, 1e-12) for k in range(5)},
 }
 
 
