@@ -104,8 +104,7 @@ class ExperimentConfig:
         if self.solver not in _SOLVERS:
             names = " or ".join(map(repr, _SOLVERS))
             raise ValueError(f"solver must be {names}, got {self.solver!r}")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("solver parameters max_iter and tol must be positive")
+        _check_stopping(self.max_iter, self.tol)
         if not self.cluster_sizes or any(s < 1 for s in self.cluster_sizes):
             raise ValueError("cluster_sizes must be positive")
         if self.p_out_list is not None and not self.p_out_list:

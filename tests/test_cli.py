@@ -687,8 +687,9 @@ def test_sweep_says_how_many_runs_did_not_converge(tmp_path, capsys):
     assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}\n"
     counts = sorted(load_result(out / "scenario_00" / f"result_{ia:02d}.json").iterations for ia in range(3))
     assert counts[0] < counts[1] < counts[2]
-    assert main(argv + ["--max-iter", "2"]) == 0
-    assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}; 3 of 3 runs did not converge\n"
+    for flags in [["--max-iter", "2"], ["--tol", "0", "--max-iter", "50"]]:
+        assert main(argv + flags) == 0
+        assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}; 3 of 3 runs did not converge\n"
     # a run that meets the test in its last allowed round has converged
     assert main(argv + ["--max-iter", str(counts[1])]) == 0
     assert capsys.readouterr().out == f"6 rows -> {out / 'sweep.csv'}; 1 of 3 runs did not converge\n"
@@ -699,29 +700,45 @@ def tree_bytes(root):
     return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def test_iterative_sweep_trees_are_identical_across_processes(tmp_path):
-    import gtvmin
-
-    cfg = tmp_path / "roundtrip.json"
-    cfg.write_text(json.dumps(ROUNDTRIP_CONFIG))
-    src = str(Path(gtvmin.__file__).resolve().parents[1])
+@pytest.mark.parametrize("solver", ["exact", "iterative"])
+@pytest.mark.parametrize(
+    "config, rows, files",
+    # scenario directories of three files and one result per alpha, plus sweep.csv
+    [(README_CONFIG, 6, 3 + 3 + 1), (ROUNDTRIP_CONFIG, 27, 3 * (3 + 3) + 1)],
+    ids=["readme", "roundtrip"],
+)
+def test_sweep_trees_are_identical_across_processes(tmp_path, config, rows, files, solver):
+    # the Gram eigensolve and inverses, the dense Laplacian products (dgemm)
+    # and the solvers' reductions run through BLAS and LAPACK: no tree may
+    # depend on the hash seed or on the BLAS thread count
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
     trees = []
-    # another hash seed and another BLAS thread count in each fresh interpreter
-    for seed, threads in [(1, 1), (2, 2)]:
-        out = tmp_path / f"sweep_{seed}"
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            "PYTHONHASHSEED": str(seed),
-            "OPENBLAS_NUM_THREADS": str(threads),
-        }
-        argv = ["-m", "gtvmin", "sweep", "--config", str(cfg), "--solver", "iterative", "--out", str(out)]
+    for seed, threads in [(1, 1), (2, 1), (1, 2)]:
+        out = tmp_path / f"sweep_{seed}_{threads}"
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "OPENBLAS_NUM_THREADS": str(threads)}
+        argv = ["-m", "gtvmin", "sweep", "--config", str(cfg), "--solver", solver, "--out", str(out)]
         done = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == f"27 rows -> {out / 'sweep.csv'}\n"
+        assert done.stdout == f"{rows} rows -> {out / 'sweep.csv'}\n"
         trees.append(tree_bytes(out))
-    assert len(trees[0]) == 3 * (3 + 3) + 1
-    assert trees[0] == trees[1]
+        assert len(trees[-1]) == files
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+@pytest.mark.parametrize("solver", ["exact", "iterative"])
+def test_analyze_of_each_sweep_result_writes_its_rows_of_sweep_csv(tmp_path, solver):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--solver", solver]) == 0
+    header, *rows = (out / "sweep.csv").read_bytes().splitlines(keepends=True)
+    clusters = len(README_CONFIG["cluster_sizes"])
+    scen = out / "scenario_00"
+    for ia in range(len(README_CONFIG["alpha_list"])):
+        reports = tmp_path / f"analyze_{ia}"
+        assert main(["analyze", str(scen), str(scen / f"result_{ia:02d}.json"), "--out", str(reports)]) == 0
+        assert (reports / "reports.csv").read_bytes() == header + b"".join(rows[ia * clusters : (ia + 1) * clusters])
 
 
 def test_analyze_refusals_of_overflowing_terms_name_the_file_at_fault(tmp_path, capsys):
@@ -749,6 +766,15 @@ def test_selftest_quick_passes(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 4
+
+
+def test_selftest_passes_in_a_fresh_interpreter_under_w_error():
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gtvmin", "selftest"], capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("[PASS] ") for line in lines)
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -882,7 +908,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(alpha_list=[-1.0]).validate()
     with pytest.raises(ValueError):
-        ExperimentConfig(tol=0.0).validate()
+        ExperimentConfig(tol=-1.0).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(p_out_list=[]).validate()
     with pytest.raises(ValueError):
@@ -1036,6 +1062,8 @@ def test_analyze_bound_terms_that_overflow_are_refused_naming_the_cluster(tmp_pa
     "overrides, message",
     [
         ({"seed": -1}, "config: key 'seed' must be a non-negative integer, got -1"),
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"tol": -1}, "tol must be finite and >= 0, got -1.0"),
         ({"alpha_list": [1.0, 0.0]}, "alpha_list entries must be > 0"),
         ({"alpha_list": [-1.0]}, "alpha_list entries must be > 0"),
         ({"w_in": 0}, "edge weights must be positive, got w_in=0, w_out=1.0"),
@@ -1045,7 +1073,7 @@ def test_analyze_bound_terms_that_overflow_are_refused_naming_the_cluster(tmp_pa
             "p_out_list[1]: need 0 <= p_out <= p_in <= 1, got p_in=1.0, p_out=-0.5",
         ),
     ],
-    ids=["seed", "alpha-zero", "alpha-negative", "w_in", "w_out", "p_out_list"],
+    ids=["seed", "max_iter-0", "tol-negative", "alpha-zero", "alpha-negative", "w_in", "w_out", "p_out_list"],
 )
 def test_config_is_refused_by_key_before_anything_is_written(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -1090,6 +1118,18 @@ def test_size_rule_counts_samples_and_expected_edges(monkeypatch):
     ExperimentConfig(cluster_sizes=[500, 500], d=2, m_per_node=8, p_in=0.5, p_out_list=[0.1]).validate()
     with pytest.raises(ValueError, match="of physical memory$"):
         ExperimentConfig(cluster_sizes=[500, 500], d=2, m_per_node=8, p_in=0.5, p_out_list=[0.1, 0.2]).validate()
+
+
+def test_physical_memory_the_platform_does_not_report_skips_the_size_rule(monkeypatch):
+    import gtvmin.cli
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert gtvmin.cli._physical_memory() is None
+    # 2**70 nodes, which the size rule refuses wherever memory is reported
+    ExperimentConfig(cluster_sizes=[2**70]).validate()
 
 
 @pytest.mark.parametrize("value", [0, -1, 1e308, 2**70], ids=["0", "-1", "1e308", "2**70"])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -56,6 +57,17 @@ def oracle_lambda2(graph):
         lap[i, j] -= w
         lap[j, i] -= w
     return float(scipy.linalg.eigvalsh(lap)[1])
+
+
+def test_graphs_of_one_node_count_and_edge_set_are_equal_and_hash_alike():
+    graph = two_triangles_with_bridge()
+    # the same edges, reversed and as an array
+    same = SimilarityGraph(6, np.array([(j, i, w) for (i, j), w in reversed(graph.edges.items())]))
+    assert graph == same and hash(graph) == hash(same) and len({graph, same}) == 1
+    assert graph != two_triangles_with_bridge(0.25)
+    assert graph != SimilarityGraph(7, [(i, j, w) for (i, j), w in graph.edges.items()])
+    assert graph.__eq__(graph.edges) is NotImplemented and graph != graph.edges
+    assert repr(graph) == "SimilarityGraph(n=6, edges=7)"
 
 
 # ---------------------------------------------------------------- laplacian
@@ -827,16 +839,31 @@ def test_embedding_graph_traces_one_block_plus_the_neighbours():
 
 
 def run_fresh_interpreter(code: str) -> str:
-    """Standard output of ``code`` run by a new Python process that imports
-    gtvmin from this source tree."""
-    import gtvmin
-
-    src = str(Path(gtvmin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
+    """Standard output of ``code`` run by a new Python process."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+_PLANTED_WITHIN_300_MIB = """
+import resource, sys, time
+from gtvmin import generate_planted_clusters
+start = time.perf_counter()
+graph, _ = generate_planted_clusters(1, [5000] * 4, 8 / 5000, 8 / 5000 / 50)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"{graph.num_edges} edges in {time.perf_counter() - start:.2f} s, ru_maxrss {peak:.1f} MiB")
+sys.exit(peak > 300)
+"""
+
+
+def test_planted_graph_at_n_20000_within_300_mib():
+    # a child's ru_maxrss starts at its parent's peak, and so at this test
+    # process's: the check runs in a grandchild, whose parent is a new
+    # interpreter of a few MiB
+    spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    argv = [sys.executable, "-c", spawn, sys.executable, "-c", _PLANTED_WITHIN_300_MIB]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout
+    assert re.fullmatch(r"\d+ edges in \S+ s, ru_maxrss \S+ MiB\n", done.stdout)
 
 
 @pytest.mark.parametrize(

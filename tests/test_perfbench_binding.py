@@ -1,14 +1,12 @@
 """The benchmark in perfbench/ binds to the package by name: its tracer wraps
 module attributes and its workloads call public functions. A name the
-package drops must fail here, not only in a benchmark run."""
+package drops must fail here, not only in a benchmark run. The reference
+oracles the benchmark checks its outputs against run here too, as a script."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
-
-import gtvmin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,13 +46,17 @@ print(json.dumps({"read": sorted(names), "missing": missing}))
 
 
 def test_benchmark_names_resolve_on_the_package():
-    src = str(Path(gtvmin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _CODE, str(PERFBENCH)],
-        capture_output=True, text=True, check=True, env=env,
-    )
+    out = subprocess.run([sys.executable, "-c", _CODE, str(PERFBENCH)], capture_output=True, text=True, check=True)
     names = json.loads(out.stdout)
     # the walk finds what workloads.py and worker.py use
     assert {"GTVMinProblem", "QuadraticLoss", "cli", "solve_iterative"} <= set(names["read"])
     assert names["missing"] == []
+
+
+def test_reference_oracles_pass_run_as_a_script():
+    done = subprocess.run(
+        [sys.executable, "perfbench/test_reference.py"], capture_output=True, text=True, cwd=PERFBENCH.parent
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("[PASS] test_") for line in lines)

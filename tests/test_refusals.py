@@ -43,7 +43,14 @@ def _generate(d=2, m_per_node=4):
     return generate_scenario(0, [2, 2], d=d, m_per_node=m_per_node, noise_std=0.1, separation=2.0)
 
 
+_BEYOND_INTP = int(np.iinfo(np.intp).max) + 1
+
 REFUSALS = [
+    (
+        "graph-node-count-beyond-intp",
+        lambda: SimilarityGraph(_BEYOND_INTP),
+        f"node count {_BEYOND_INTP} exceeds the largest array index",
+    ),
     ("params-not-2d", lambda: StackedParams(np.zeros(3)), "expected an (n, d) array, got shape (3,)"),
     ("params-not-finite", lambda: StackedParams([[1.0, np.nan]]), "parameters must be finite"),
     (
