@@ -27,9 +27,9 @@ import numpy as np
 
 from .data import _write_json
 from .graph import (
+    DISCONNECTION_RTOL,
     ClusterSpec,
     SimilarityGraph,
-    _disconnected_at,
     _member_mask,
     cluster_boundary,
     induced_subgraph,
@@ -38,19 +38,15 @@ from .graph import (
 from .solver import GTVMinProblem, SolveResult, StackedParams, _edge_variation, _evaluate
 
 __all__ = [
-    "DeviationVector",
     "BoundReport",
     "TVBoundCheck",
     "CertificateRecord",
     "cluster_average",
     "deviations",
-    "project_consensus",
-    "project_disagreement",
     "tv_lower_bound_check",
     "cluster_objective",
     "deviation_bound_report",
     "certificate_check",
-    "report_to_dict",
     "save_report",
     "bound_report_row",
     "bound_report_rows",
@@ -76,22 +72,6 @@ CSV_COLUMNS = [
     "satisfied",
     "degenerate",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class DeviationVector:
-    """Per-node deviations from the cluster average, w_i - avg, for i in C.
-
-    The rows sum to the zero vector by construction.
-    """
-
-    per_node: np.ndarray
-    cluster: ClusterSpec
-
-    @property
-    def sum_sq(self) -> float:
-        """Total squared deviation sum_{i in C} ||w_i - avg||^2."""
-        return float(np.einsum("nd,nd->", self.per_node, self.per_node))
 
 
 @dataclass
@@ -157,37 +137,11 @@ def cluster_average(params: StackedParams, cluster: ClusterSpec) -> np.ndarray:
     return params.per_node[list(cluster.members)].mean(axis=0)
 
 
-def deviations(params: StackedParams, cluster: ClusterSpec) -> DeviationVector:
-    """Per-node deviations from the cluster average; they sum to zero."""
+def deviations(params: StackedParams, cluster: ClusterSpec) -> np.ndarray:
+    """Per-node deviations from the cluster average, w_i - avg for i in C,
+    as a (|C|, d) array in member order; the rows sum to zero."""
     avg = cluster_average(params, cluster)
-    rows = params.per_node[list(cluster.members)] - avg
-    return DeviationVector(per_node=rows, cluster=cluster)
-
-
-def _blocks(delta: np.ndarray, d: int) -> np.ndarray:
-    delta = np.asarray(delta, dtype=float)
-    d = int(d)
-    if d < 1:
-        raise ValueError("block dimension must be >= 1")
-    if delta.ndim != 1 or delta.size == 0 or delta.size % d != 0:
-        raise ValueError(
-            f"stacked vector length {delta.size} is not a positive multiple of d={d}"
-        )
-    return delta.reshape(-1, d)
-
-
-def project_consensus(delta: np.ndarray, d: int) -> np.ndarray:
-    """Orthogonal projection onto the consensus subspace (stacked vectors
-    whose d-blocks are all equal): replicate the block average."""
-    blocks = _blocks(delta, d)
-    return np.tile(blocks.mean(axis=0), blocks.shape[0])
-
-
-def project_disagreement(delta: np.ndarray, d: int) -> np.ndarray:
-    """Complementary projection: the stacked block deviations from the block
-    average. Together with :func:`project_consensus` this is an orthogonal
-    decomposition of the input."""
-    return np.asarray(delta, dtype=float) - project_consensus(delta, d)
+    return params.per_node[list(cluster.members)] - avg
 
 
 def tv_lower_bound_check(
@@ -202,7 +156,8 @@ def tv_lower_bound_check(
     if params.n != graph.n:
         raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
     lam2 = _cluster_geometry(graph, cluster)[0]
-    deviation_sum = deviations(params, cluster).sum_sq
+    rows = deviations(params, cluster)
+    deviation_sum = float(np.einsum("nd,nd->", rows, rows))
     inside = _member_mask(graph.n, cluster)
     ii, jj, _ = graph.edge_arrays()
     lhs_tv = _edge_variation(graph, params.per_node, inside[ii] & inside[jj])
@@ -228,14 +183,16 @@ def _cluster_geometry(graph: SimilarityGraph, cluster: ClusterSpec) -> tuple[flo
     """(lambda2, degenerate, boundary) of one cluster.
 
     lambda2 of the induced subgraph comes from one eigensolve, and the
-    degenerate flag from that same value: singleton and disconnected
-    clusters are degenerate, the bound denominator vanishes."""
+    degenerate flag from that same value: singleton, edgeless and
+    disconnected clusters are degenerate, the bound denominator vanishes. A
+    lambda2 below DISCONNECTION_RTOL times the largest weighted degree counts
+    as zero, so a barely coupled cluster is disconnected too."""
     if cluster.size < 2:
         lam2, degenerate = 0.0, True
     else:
         sub = induced_subgraph(graph, cluster)
         lam2 = lambda2(sub)
-        degenerate = _disconnected_at(sub, lam2)
+        degenerate = sub.num_edges == 0 or lam2 < DISCONNECTION_RTOL * float(sub.weighted_degrees().max())
     return lam2, degenerate, cluster_boundary(graph, cluster)
 
 
@@ -273,7 +230,8 @@ def _cluster_terms(
         r_outside = np.max(np.linalg.norm(outside, axis=1)) if len(outside) else 0.0
         w_bar_sq, r_sq = w_bar @ w_bar, r_outside**2
         upper = float(cluster.epsilon + 2.0 * problem.alpha * boundary * (w_bar_sq + r_sq))
-        deviation_sum = deviations(result.params, cluster).sum_sq
+        rows = deviations(result.params, cluster)
+        deviation_sum = float(np.einsum("nd,nd->", rows, rows))
     if not all(map(math.isfinite, (w_bar_sq, r_sq, upper, deviation_sum))):
         raise ValueError(
             f"the {name} of cluster {cluster.members} overflows: ||wbar||^2 = {w_bar_sq:g}, "
@@ -368,13 +326,9 @@ def certificate_check(
     )
 
 
-def report_to_dict(report: BoundReport | CertificateRecord) -> dict:
-    return asdict(report)
-
-
 def save_report(report: BoundReport | CertificateRecord, path: str | Path) -> None:
     """JSON serialization; infinities appear as JSON 'Infinity' literals."""
-    _write_json(path, report_to_dict(report))
+    _write_json(path, asdict(report))
 
 
 def bound_report_row(report: BoundReport, seed, n: int, d: int) -> dict:

@@ -174,16 +174,24 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, "config", None)
         else ExperimentConfig()
     )
+    seed, alpha = getattr(args, "seed", None), getattr(args, "alpha", None)
+    max_iter, tol = getattr(args, "max_iter", None), getattr(args, "tol", None)
+    # a flag's value is refused under the flag's name, before it takes its key's
+    # place; 1 and 0.0 stand in for absent stopping flags and always pass
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    if alpha is not None and not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"--alpha must be finite and > 0, got {alpha}")
+    stopping = (1 if max_iter is None else max_iter, 0.0 if tol is None else tol)
+    _check_stopping(*stopping, ("--max-iter", "--tol"))
     overrides = {
-        "seed": getattr(args, "seed", None),
+        "seed": seed,
         "out_dir": getattr(args, "out", None),
         "solver": getattr(args, "solver", None),
-        "max_iter": getattr(args, "max_iter", None),
-        "tol": getattr(args, "tol", None),
+        "max_iter": max_iter,
+        "tol": tol,
+        "alpha_list": None if alpha is None else [alpha],
     }
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        cfg.alpha_list = [alpha]
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)

@@ -27,7 +27,6 @@ __all__ = [
     "GraphParams",
     "laplacian",
     "lambda2",
-    "is_disconnected",
     "induced_subgraph",
     "cluster_boundary",
     "generate_planted_clusters",
@@ -144,9 +143,6 @@ class SimilarityGraph:
     def weighted_degrees(self) -> np.ndarray:
         """Read-only array of the weighted node degrees."""
         return self._degrees
-
-    def total_weight(self) -> float:
-        return float(self._ww.sum())
 
     def _laplacian_csr(self):
         """Sparse Laplacian, built (importing scipy.sparse) on first use and
@@ -285,16 +281,6 @@ def lambda2(graph: SimilarityGraph) -> float:
     return float(max(vals[1], 0.0))
 
 
-def is_disconnected(graph: SimilarityGraph) -> bool:
-    """Whether the graph splits into more than one component.
-
-    Uses the spectral test ``lambda2 < DISCONNECTION_RTOL * max_degree``
-    so that numerically-zero eigenvalues of barely-coupled graphs are
-    classified as disconnected rather than fed into bound denominators.
-    """
-    return graph.n >= 2 and _disconnected_at(graph, lambda2(graph))
-
-
 def _components(graph: SimilarityGraph) -> tuple[int, np.ndarray]:
     """Connected components as (count, labels), labels numbered in order of
     each component's smallest node, as ``scipy.sparse.csgraph`` numbers them.
@@ -320,14 +306,6 @@ def _components(graph: SimilarityGraph) -> tuple[int, np.ndarray]:
             parent = grand
     roots = parent == np.arange(n)
     return int(roots.sum()), (np.cumsum(roots) - 1)[parent]
-
-
-def _disconnected_at(graph: SimilarityGraph, lam2: float) -> bool:
-    """The :func:`is_disconnected` test for a graph with at least two
-    nodes whose ``lambda2`` is already known."""
-    if graph.num_edges == 0:
-        return True
-    return lam2 < DISCONNECTION_RTOL * float(graph.weighted_degrees().max())
 
 
 def induced_subgraph(graph: SimilarityGraph, cluster: ClusterSpec) -> SimilarityGraph:

@@ -57,12 +57,10 @@ __all__ = [
     "StackedParams",
     "GTVMinProblem",
     "SolveResult",
-    "total_variation",
     "objective",
     "objective_gradient",
     "solve_exact",
     "solve_iterative",
-    "synchronous_step",
     "save_result",
     "load_result",
 ]
@@ -131,10 +129,6 @@ class StackedParams:
         self.per_node = arr
 
     @classmethod
-    def zeros(cls, n: int, d: int) -> "StackedParams":
-        return cls(np.zeros((n, d)))
-
-    @classmethod
     def from_flat(cls, vec: np.ndarray, n: int, d: int) -> "StackedParams":
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (n * d,):
@@ -152,9 +146,6 @@ class StackedParams:
     @property
     def flat(self) -> np.ndarray:
         return self.per_node.reshape(-1)
-
-    def vector(self, i: int) -> np.ndarray:
-        return self.per_node[i]
 
     def copy(self) -> "StackedParams":
         return StackedParams(self.per_node.copy())
@@ -348,14 +339,6 @@ def _result(problem: GTVMinProblem, w: np.ndarray, iterations: int, converged: b
     params = StackedParams(w)
     objective_value = objective(problem, params)
     return SolveResult(params, objective_value, iterations, converged, residual, problem.alpha)
-
-
-def total_variation(graph: SimilarityGraph, params: StackedParams) -> float:
-    """Edge-weighted sum of squared parameter differences,
-    sum_{edges} A_ij ||w_i - w_j||^2."""
-    if params.n != graph.n:
-        raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
-    return _edge_variation(graph, params.per_node, slice(None))
 
 
 def _edge_variation(graph: SimilarityGraph, w: np.ndarray, edges) -> float:
@@ -582,17 +565,6 @@ def _step_size(problem: GTVMinProblem) -> np.ndarray:
 def _smoothness(problem: GTVMinProblem) -> np.ndarray:
     """Each node's smoothness 2 lambda_max(gram_i), by one batched eigensolve."""
     return 2.0 * np.maximum(np.linalg.eigvalsh(problem._stack[0])[:, -1], 0.0)
-
-
-def synchronous_step(problem: GTVMinProblem, params: StackedParams) -> StackedParams:
-    """One synchronous gradient round with the solver's fixed per-node steps.
-
-    Exposed so the message-passing locality of the update can be exercised
-    directly: node i's new parameters depend only on its own dataset, the
-    weights of its own edges and its neighbors' current parameters.
-    """
-    grad = objective_gradient(problem, params)
-    return StackedParams(params.per_node - _step_size(problem) * grad)
 
 
 def _check_stopping(max_iter: int, tol: float, names=("max_iter", "tol")) -> float:

@@ -30,7 +30,6 @@ from .solver import (
 )
 
 __all__ = [
-    "random_scenario",
     "bound_suite",
     "spectral_suite",
     "certificate_suite",
@@ -41,7 +40,7 @@ _ALPHAS = (0.1, 1.0, 10.0)
 _NOISES = (0.0, 0.1, 1.0)
 
 
-def random_scenario(index: int, base_seed: int = 77000) -> tuple[Scenario, float]:
+def _random_scenario(index: int, base_seed: int = 77000) -> tuple[Scenario, float]:
     """Deterministic random scenario number ``index``: n in [4, 40],
     d in [1, 8], alpha cycling over {0.1, 1, 10} and noise over
     {0, 0.1, 1}."""
@@ -78,7 +77,7 @@ def random_scenario(index: int, base_seed: int = 77000) -> tuple[Scenario, float
 def _solved(num_scenarios: int, base_seed: int):
     """(scenario, problem, exact result) of each of the first random scenarios."""
     for index in range(num_scenarios):
-        scenario, alpha = random_scenario(index, base_seed)
+        scenario, alpha = _random_scenario(index, base_seed)
         problem = GTVMinProblem.from_scenario(scenario, alpha)
         yield scenario, problem, solve_exact(problem)
 

@@ -15,6 +15,7 @@ from gtvmin import (
     GraphParams,
     SimilarityGraph,
     StackedParams,
+    cluster_average,
     deviation_bound_report,
     deviations,
     generate_planted_clusters,
@@ -22,8 +23,6 @@ from gtvmin import (
     lambda2,
     objective,
     objective_gradient,
-    project_consensus,
-    project_disagreement,
     solve_exact,
 )
 from gtvmin.cli import main
@@ -123,19 +122,19 @@ def test_criterion_4_orthogonal_decomposition():
         k = int(rng.integers(2, 12))
         d = int(rng.integers(1, 9))
         delta = rng.normal(size=k * d)
-        cons = project_consensus(delta, d)
-        disa = project_disagreement(delta, d)
+        # the consensus part replicates the cluster average, and the
+        # disagreement part stacks the deviations from it
+        w, cluster = StackedParams(delta.reshape(k, d)), ClusterSpec(members=tuple(range(k)))
+        cons = np.tile(cluster_average(w, cluster), k)
+        disa = deviations(w, cluster).reshape(-1)
         total = float(delta @ delta)
         split = float(cons @ cons) + float(disa @ disa)
         worst_pythagoras = max(worst_pythagoras, abs(split - total) / max(1.0, total))
 
-        # deviations from the cluster average carry exactly the disagreement energy
-        w = delta.reshape(k, d)
-        dev = deviations(StackedParams(w), ClusterSpec(members=tuple(range(k))))
-        disa_energy = float(disa @ disa)
+        # the two parts add up to the vector
         worst_consistency = max(
             worst_consistency,
-            abs(dev.sum_sq - disa_energy) / max(1.0, disa_energy),
+            float(np.max(np.abs(cons + disa - delta))) / max(1.0, float(np.max(np.abs(delta)))),
         )
     ok = worst_pythagoras <= 1e-10 and worst_consistency <= 1e-10
     _verdict(

@@ -111,7 +111,7 @@ def test_solve_alpha_zero_gives_per_node_ols(tmp_path):
     result = load_result(out)
     for i, ds in enumerate(scenario.datasets):
         ols = np.linalg.lstsq(ds.features, ds.labels, rcond=None)[0]
-        np.testing.assert_allclose(result.params.vector(i), ols, atol=1e-9)
+        np.testing.assert_allclose(result.params.per_node[i], ols, atol=1e-9)
 
 
 def test_solve_exact_vs_iterative_agree(tmp_path):
@@ -1059,25 +1059,35 @@ def test_analyze_bound_terms_that_overflow_are_refused_naming_the_cluster(tmp_pa
 
 
 @pytest.mark.parametrize(
-    "overrides, message",
+    "overrides, flags, message",
     [
-        ({"seed": -1}, "config: key 'seed' must be a non-negative integer, got -1"),
-        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
-        ({"tol": -1}, "tol must be finite and >= 0, got -1.0"),
-        ({"alpha_list": [1.0, 0.0]}, "alpha_list entries must be > 0"),
-        ({"alpha_list": [-1.0]}, "alpha_list entries must be > 0"),
-        ({"w_in": 0}, "edge weights must be positive, got w_in=0, w_out=1.0"),
-        ({"w_out": -1}, "edge weights must be positive, got w_in=1.0, w_out=-1"),
+        ({"seed": -1}, [], "config: key 'seed' must be a non-negative integer, got -1"),
+        ({"max_iter": 0}, [], "max_iter must be >= 1, got 0"),
+        ({"tol": -1}, [], "tol must be finite and >= 0, got -1.0"),
+        ({"alpha_list": [1.0, 0.0]}, [], "alpha_list entries must be > 0"),
+        ({"alpha_list": [-1.0]}, [], "alpha_list entries must be > 0"),
+        ({"w_in": 0}, [], "edge weights must be positive, got w_in=0, w_out=1.0"),
+        ({"w_out": -1}, [], "edge weights must be positive, got w_in=1.0, w_out=-1"),
         (
             {"p_out_list": [0.1, -0.5]},
+            [],
             "p_out_list[1]: need 0 <= p_out <= p_in <= 1, got p_in=1.0, p_out=-0.5",
         ),
+        # a flag's value is refused under the flag's name, not its key's
+        ({}, ["--max-iter", "0"], "--max-iter must be >= 1, got 0"),
+        ({}, ["--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
+        ({}, ["--alpha", "0"], "--alpha must be finite and > 0, got 0.0"),
+        ({}, ["--alpha", "nan"], "--alpha must be finite and > 0, got nan"),
+        ({}, ["--seed", "-3"], "--seed must be >= 0, got -3"),
     ],
-    ids=["seed", "max_iter-0", "tol-negative", "alpha-zero", "alpha-negative", "w_in", "w_out", "p_out_list"],
+    ids=[
+        "seed", "max_iter-0", "tol-negative", "alpha-zero", "alpha-negative", "w_in", "w_out", "p_out_list",
+        "flag-max-iter-0", "flag-tol-negative", "flag-alpha-zero", "flag-alpha-nan", "flag-seed-negative",
+    ],
 )
-def test_config_is_refused_by_key_before_anything_is_written(tmp_path, capsys, overrides, message):
+def test_config_is_refused_by_key_before_anything_is_written(tmp_path, capsys, overrides, flags, message):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 

@@ -20,12 +20,12 @@ from gtvmin import (
     generate_planted_clusters,
     graph_from_embedding,
     induced_subgraph,
-    is_disconnected,
     lambda2,
     laplacian,
     read_graph,
     write_graph,
 )
+from gtvmin.graph import _components
 
 
 def two_triangles_with_bridge(bridge_weight=0.5):
@@ -136,7 +136,7 @@ def test_lambda2_single_edge():
 def test_lambda2_disconnected_pair():
     g = SimilarityGraph(2)
     assert lambda2(g) == 0.0
-    assert is_disconnected(g)
+    assert _components(g)[0] == 2
 
 
 def test_lambda2_complete_k5():
@@ -162,7 +162,7 @@ def test_lambda2_of_induced_subgraph_matches_oracle(seed):
 
 def test_courant_fischer_quadratic_form():
     graph, _ = random_graph(3, sizes=(6,), p_in=0.9)
-    assert not is_disconnected(graph)
+    assert _components(graph)[0] == 1
     lap = laplacian(graph)
     lam2 = lambda2(graph)
     rng = np.random.default_rng(0)
@@ -204,7 +204,7 @@ def test_boundary_partition_identity(seed):
         w for (i, j), w in graph.edges.items() if i not in inside and j not in inside
     )
     boundary = cluster_boundary(graph, clusters[0])
-    assert boundary + intra + exterior == pytest.approx(graph.total_weight(), rel=1e-12)
+    assert boundary + intra + exterior == pytest.approx(sum(graph.edges.values()), rel=1e-12)
 
 
 def test_boundary_monotone_in_boundary_weight():
@@ -635,8 +635,6 @@ def assert_components_match_csgraph(graph):
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
-    from gtvmin.graph import _components
-
     ii, jj, ww = graph.edge_arrays()
     adjacency = coo_array((ww, (ii, jj)), shape=(graph.n, graph.n))
     count, labels = connected_components(adjacency, directed=False)
@@ -722,7 +720,8 @@ def test_cached_arrays_degrees_and_total_weight_match_edge_list(seed):
         degrees[i] += w
         degrees[j] += w
     np.testing.assert_allclose(graph.weighted_degrees(), degrees, rtol=1e-14, atol=0.0)
-    assert graph.total_weight() == pytest.approx(sum(edge_map.values()), rel=1e-14)
+    # each edge's weight counts once at either end: the degrees sum to twice the total weight
+    assert graph.weighted_degrees().sum() == pytest.approx(2 * sum(edge_map.values()), rel=1e-12)
     assert not graph.weighted_degrees().flags.writeable
 
 

@@ -17,7 +17,6 @@ from gtvmin import (
     StackedParams,
     generate_scenario,
     objective,
-    project_consensus,
     solve_exact,
     tv_lower_bound_check,
 )
@@ -103,7 +102,6 @@ REFUSALS = [
     ),
     ("generate-d-below-1", lambda: _generate(d=0), "d and m_per_node must be >= 1"),
     ("generate-m-below-1", lambda: _generate(m_per_node=0), "d and m_per_node must be >= 1"),
-    ("consensus-d-below-1", lambda: project_consensus(np.zeros(4), 0), "block dimension must be >= 1"),
     (
         "tv-check-node-count",
         lambda: tv_lower_bound_check(_path(3), ClusterSpec((0, 1)), StackedParams(np.zeros((4, 2)))),

@@ -17,7 +17,6 @@ from gtvmin import (
     SingularSystemError,
     StackedParams,
     generate_scenario,
-    is_disconnected,
     laplacian,
     load_result,
     objective,
@@ -26,10 +25,10 @@ from gtvmin import (
     save_result,
     solve_exact,
     solve_iterative,
-    synchronous_step,
-    total_variation,
 )
 from gtvmin.data import LocalDataset
+from gtvmin.graph import _components
+from gtvmin.solver import _edge_variation, _half_gradient, _step_size
 from gtvmin.suites import _cross_solver_problems
 
 
@@ -54,6 +53,17 @@ def kron_quadratic_form(graph, params):
     return float(w @ big @ w)
 
 
+def gradient_round(problem, w):
+    """One synchronous gradient round of :func:`solve_iterative` from the
+    (n, d) array w, each node at its own fixed step."""
+    return w - 2.0 * _step_size(problem) * _half_gradient(problem, w)
+
+
+def total_variation(graph, w):
+    """sum_{edges} A_ij ||w_i - w_j||^2 at the (n, d) array w, as the objective sums it."""
+    return _edge_variation(graph, w, slice(None))
+
+
 def stacked_rhs(problem):
     """Oracle route for the right-hand side: the per-node X'y/m."""
     datasets = [loss.dataset for loss in problem.losses]
@@ -76,14 +86,12 @@ def dense_system(problem, ridge=0.0):
 
 def test_tv_zero_for_identical_params():
     g = SimilarityGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-    params = StackedParams(np.tile([1.5, -2.0], (3, 1)))
-    assert total_variation(g, params) == 0.0
+    assert total_variation(g, np.tile([1.5, -2.0], (3, 1))) == 0.0
 
 
 def test_tv_single_edge_hand_value():
     g = SimilarityGraph(2, [(0, 1, 2.0)])
-    params = StackedParams(np.array([[0.0], [3.0]]))
-    assert total_variation(g, params) == pytest.approx(18.0)
+    assert total_variation(g, np.array([[0.0], [3.0]])) == pytest.approx(18.0)
 
 
 def test_tv_matches_kronecker_form():
@@ -91,15 +99,9 @@ def test_tv_matches_kronecker_form():
     for seed in range(5):
         scen, problem = make_problem(seed=seed, d=3)
         params = StackedParams(rng.normal(size=(scen.n, 3)))
-        edge_sum = total_variation(scen.graph, params)
+        edge_sum = total_variation(scen.graph, params.per_node)
         quad_form = kron_quadratic_form(scen.graph, params)
         assert edge_sum == pytest.approx(quad_form, rel=1e-9)
-
-
-def test_tv_dimension_mismatch():
-    g = SimilarityGraph(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
-        total_variation(g, StackedParams(np.zeros((3, 1))))
 
 
 # ----------------------------------------------------------------- objective
@@ -109,7 +111,7 @@ def test_objective_alpha_zero_is_loss_sum():
     rng = np.random.default_rng(2)
     params = StackedParams(rng.normal(size=(scen.n, scen.d)))
     loss_sum = sum(
-        quadratic_loss(scen.datasets[i], params.vector(i)) for i in range(scen.n)
+        quadratic_loss(scen.datasets[i], params.per_node[i]) for i in range(scen.n)
     )
     assert objective(problem, params) == pytest.approx(loss_sum, rel=1e-12)
 
@@ -129,10 +131,10 @@ def test_objective_matches_reimplementation():
     # independent evaluator: residual loop plus explicit edge loop
     total = 0.0
     for i, ds in enumerate(scen.datasets):
-        r = ds.labels - ds.features @ params.vector(i)
+        r = ds.labels - ds.features @ params.per_node[i]
         total += float(r @ r) / ds.num_samples
     for (i, j), w in scen.graph.edges.items():
-        diff = params.vector(i) - params.vector(j)
+        diff = params.per_node[i] - params.per_node[j]
         total += 1.7 * w * float(diff @ diff)
     assert objective(problem, params) == pytest.approx(total, rel=1e-10)
 
@@ -147,8 +149,10 @@ def test_objective_matches_per_node_loop_with_unequal_sample_counts():
     graph = SimilarityGraph(n, [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)])
     problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, 0.6, d)
     params = StackedParams(rng.normal(size=(n, d)))
-    loop = sum(quadratic_loss(ds, params.vector(i)) for i, ds in enumerate(datasets))
-    loop += 0.6 * total_variation(graph, params)
+    loop = sum(quadratic_loss(ds, params.per_node[i]) for i, ds in enumerate(datasets))
+    for (i, j), w in graph.edges.items():
+        diff = params.per_node[i] - params.per_node[j]
+        loop += 0.6 * w * float(diff @ diff)
     assert objective(problem, params) == pytest.approx(loop, rel=1e-13)
 
 
@@ -170,7 +174,7 @@ def test_solve_exact_alpha_zero_gives_per_node_ols():
     result = solve_exact(problem)
     for i, ds in enumerate(scen.datasets):
         ols = np.linalg.lstsq(ds.features, ds.labels, rcond=None)[0]
-        np.testing.assert_allclose(result.params.vector(i), ols, atol=1e-9)
+        np.testing.assert_allclose(result.params.per_node[i], ols, atol=1e-9)
 
 
 def test_solve_exact_single_node_is_ols_for_any_alpha():
@@ -180,7 +184,7 @@ def test_solve_exact_single_node_is_ols_for_any_alpha():
     problem = GTVMinProblem.from_scenario(scen, alpha=3.0)
     result = solve_exact(problem)
     ols = np.linalg.lstsq(scen.datasets[0].features, scen.datasets[0].labels, rcond=None)[0]
-    np.testing.assert_allclose(result.params.vector(0), ols, atol=1e-9)
+    np.testing.assert_allclose(result.params.per_node[0], ols, atol=1e-9)
 
 
 def test_solve_exact_large_alpha_reaches_pooled_solution():
@@ -194,7 +198,7 @@ def test_solve_exact_large_alpha_reaches_pooled_solution():
     )
     pooled = np.linalg.solve(gram, moment)
     for i in range(scen.n):
-        np.testing.assert_allclose(result.params.vector(i), pooled, atol=1e-3)
+        np.testing.assert_allclose(result.params.per_node[i], pooled, atol=1e-3)
 
 
 def counted_exact_solve(monkeypatch, problem):
@@ -330,7 +334,7 @@ def test_problem_losses_are_immutable_and_stacked_once():
     with pytest.raises(TypeError):
         problem.losses[0] = QuadraticLoss(scen.datasets[0])
     stack = problem._stack
-    objective(problem, StackedParams.zeros(problem.n, problem.d))
+    objective(problem, StackedParams(np.zeros((problem.n, problem.d))))
     solve_exact(problem)
     assert problem._stack is stack
 
@@ -417,8 +421,6 @@ def step_roundoff(problem, w, step, grad, new):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.03, 1.0, 40.0])
 def test_dense_and_csr_routes_agree_within_roundoff(monkeypatch, alpha):
-    from gtvmin.solver import _step_size
-
     eps = np.finfo(float).eps
     rng = np.random.default_rng(40)
     scen, problem = make_problem(seed=40, alpha=alpha, sizes=(7, 5), d=3, p_out=0.3)
@@ -435,7 +437,7 @@ def test_dense_and_csr_routes_agree_within_roundoff(monkeypatch, alpha):
     assert np.all(np.abs(grads[0] - grads[1]) <= 4 * half_gradient_roundoff(problem, w))
 
     step = _step_size(problem)
-    steps = [result.per_node for result in both(lambda p: synchronous_step(p, params))]
+    steps = both(lambda p: gradient_round(p, w))
     bound = step_roundoff(problem, w, step, np.abs(grads).max(axis=0), np.abs(steps).max(axis=0))
     assert np.all(np.abs(steps[0] - steps[1]) <= bound)
 
@@ -444,11 +446,11 @@ def test_dense_and_csr_routes_agree_within_roundoff(monkeypatch, alpha):
     rounds = 25
     iterates = both(lambda p: solve_iterative(p, max_iter=rounds, tol=0.0))
     assert iterates[0].iterations == iterates[1].iterations == rounds
-    total, current = 0.0, StackedParams.zeros(scen.n, scen.d)
+    total, current = 0.0, np.zeros((scen.n, scen.d))
     for _ in range(rounds):
-        grad = objective_gradient(problem, current)
-        following = synchronous_step(problem, current)
-        per_round = step_roundoff(problem, current.per_node, step, np.abs(grad), np.abs(following.per_node))
+        grad = objective_gradient(problem, StackedParams(current))
+        following = gradient_round(problem, current)
+        per_round = step_roundoff(problem, current, step, np.abs(grad), np.abs(following))
         total += np.linalg.norm(per_round / np.sqrt(step))
         current = following
     gap = iterates[0].params.per_node - iterates[1].params.per_node
@@ -507,7 +509,7 @@ def test_solve_exact_rank_deficient_nodes_on_connected_graph_match_dense_oracle(
     # every local Gram has rank 1 < d, but alpha > 0 pools them over the
     # connected graph: the system is regular and must not be refused
     scen, problem = make_problem(seed=27, alpha=1.0, sizes=(6, 5), d=3, m=1, p_out=0.3)
-    assert not is_disconnected(scen.graph)
+    assert _components(scen.graph)[0] == 1
     assert_matches_dense_oracle(problem)
 
 
@@ -559,8 +561,6 @@ def test_solve_exact_never_forms_the_dense_matrix():
 
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (3, 2), (6, 5)])
 def test_step_size_matches_dense_spectrum(sizes):
-    from gtvmin.solver import _step_size
-
     for seed in range(5):
         scen, problem = make_problem(seed=seed, alpha=1.7, sizes=sizes, p_out=0.5)
         smooth = np.array([
@@ -580,8 +580,6 @@ def test_step_size_matches_dense_spectrum(sizes):
 def test_step_sizes_bound_the_hessian(seed):
     # D^(1/2) H D^(1/2) <= I for H = 2 Q + 2 alpha (L kron I) and D the
     # steps: the fixed-step rounds never raise the objective
-    from gtvmin.solver import _step_size
-
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
     datasets = [
@@ -602,8 +600,6 @@ def test_step_sizes_bound_the_hessian(seed):
 
 
 def test_step_size_never_reads_the_laplacian(monkeypatch):
-    from gtvmin.solver import _step_size
-
     def refused(self):
         raise AssertionError("the step size read the Laplacian")
 
@@ -613,7 +609,7 @@ def test_step_size_never_reads_the_laplacian(monkeypatch):
     monkeypatch.setattr(SimilarityGraph, "_laplacian_csr", refused)
     assert np.all(_step_size(problem) > 0.0)
     with pytest.raises(AssertionError, match="read the Laplacian"):
-        synchronous_step(problem, StackedParams.zeros(scen.n, scen.d))
+        gradient_round(problem, np.zeros((scen.n, scen.d)))
 
 
 def test_step_size_is_computed_once_per_problem(monkeypatch):
@@ -630,16 +626,15 @@ def test_step_size_is_computed_once_per_problem(monkeypatch):
     scen, problem = make_problem(seed=4, alpha=1.0)
     first = solve_iterative(problem, max_iter=7, tol=0.0)
     again = solve_iterative(problem, max_iter=7, tol=0.0)
-    params = StackedParams.zeros(scen.n, scen.d)
+    w = np.zeros((scen.n, scen.d))
     for _ in range(7):
-        params = synchronous_step(problem, params)
+        w = gradient_round(problem, w)
     assert len(calls) == 1
-    # the solver's update w - (2 step) g rounds as the round's w - step (2 g)
-    np.testing.assert_array_equal(bits(first.params.per_node), bits(params.per_node))
-    np.testing.assert_array_equal(bits(again.params.per_node), bits(params.per_node))
+    np.testing.assert_array_equal(bits(first.params.per_node), bits(w))
+    np.testing.assert_array_equal(bits(again.params.per_node), bits(w))
     # the step belongs to the problem, not to its graph or its losses
     fresh = GTVMinProblem(problem.losses, problem.graph, problem.alpha, problem.d)
-    synchronous_step(fresh, params)
+    gradient_round(fresh, w)
     solve_iterative(fresh, max_iter=7, tol=0.0)
     assert len(calls) == 2
     # the same problem at another alpha shares its smoothness, and its steps
@@ -667,11 +662,11 @@ def test_iterative_alpha_zero_matches_exact():
 
 def test_objective_sequence_non_increasing():
     scen, problem = make_problem(seed=12, alpha=1.0)
-    params = StackedParams.zeros(scen.n, scen.d)
-    prev = objective(problem, params)
+    w = np.zeros((scen.n, scen.d))
+    prev = objective(problem, StackedParams(w))
     for _ in range(300):
-        params = synchronous_step(problem, params)
-        cur = objective(problem, params)
+        w = gradient_round(problem, w)
+        cur = objective(problem, StackedParams(w))
         assert cur <= prev + 1e-9 * max(1.0, abs(prev))
         prev = cur
 
@@ -761,7 +756,7 @@ def test_tv_is_monotone_in_alpha():
     for alpha in alphas:
         problem = GTVMinProblem.from_scenario(scen, alpha)
         result = solve_exact(problem)
-        tvs.append(total_variation(scen.graph, result.params))
+        tvs.append(total_variation(scen.graph, result.params.per_node))
     for smaller, larger in zip(tvs[1:], tvs[:-1]):
         assert smaller <= larger + 1e-9
 
@@ -804,7 +799,7 @@ def test_update_locality_exact_equality():
     assert non_neighbors and far_edges, "scenario must reach beyond node 0's neighbors"
     rng = np.random.default_rng(1)
     base = rng.normal(size=(scen.n, scen.d))
-    stepped = synchronous_step(problem, StackedParams(base.copy()))
+    stepped = gradient_round(problem, base.copy())
     altered = base.copy()
     altered[non_neighbors] = 0.0
     # a non-neighbor's features scaled, and an edge away from node 0 and its
@@ -817,8 +812,8 @@ def test_update_locality_exact_equality():
     graph = SimilarityGraph(scen.n, [(i, j, w) for (i, j), w in edges.items()])
     far_problem = GTVMinProblem([QuadraticLoss(ds) for ds in datasets], graph, problem.alpha, scen.d)
     for other, params in [(problem, altered), (far_problem, base), (far_problem, altered)]:
-        stepped_other = synchronous_step(other, StackedParams(params.copy()))
-        assert np.array_equal(stepped.per_node[0], stepped_other.per_node[0])
+        stepped_other = gradient_round(other, params.copy())
+        assert np.array_equal(stepped[0], stepped_other[0])
 
 
 # ------------------------------------------------------------------------ IO
