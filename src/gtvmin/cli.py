@@ -38,7 +38,6 @@ from .errors import GTVMinError
 from .graph import GraphParams
 from .solver import (
     GTVMinProblem,
-    _check_alpha,
     _check_coupling,
     _check_stopping,
     load_result,
@@ -246,18 +245,19 @@ def cmd_solve(args) -> int:
     tol = ExperimentConfig.tol if args.tol is None else args.tol
     # checked whichever solver runs, so a bad flag never passes unnoticed
     _check_stopping(max_iter, tol, ("--max-iter", "--tol"))
-    alpha = _check_alpha(args.alpha)
+    if not (np.isfinite(args.alpha) and args.alpha >= 0.0):
+        raise ValueError(f"--alpha must be finite and >= 0, got {args.alpha}")
     scenario = load_scenario(args.scenario)
     solver = args.solver or ExperimentConfig.solver
     try:
-        result = _SOLVERS[solver](_problem(args.scenario, scenario, alpha), max_iter, tol)
+        result = _SOLVERS[solver](_problem(args.scenario, scenario, args.alpha), max_iter, tol)
     except GTVMinError as exc:
         # the files are valid, so the scenario as a whole is at fault
         raise type(exc)(f"{args.scenario}: {exc}") from None
     out_path = Path(args.out) if args.out else Path(args.scenario) / "result.json"
     save_result(result, out_path)
     print(
-        f"solved alpha={alpha:g} solver={solver} objective={result.objective_value:.12g} "
+        f"solved alpha={args.alpha:g} solver={solver} objective={result.objective_value:.12g} "
         f"iterations={result.iterations} converged={result.converged} -> {out_path}"
     )
     return 0

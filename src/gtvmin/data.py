@@ -128,6 +128,17 @@ class LocalDataset:
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
 
+    @classmethod
+    def _split(cls, features: np.ndarray, labels: np.ndarray, bounds) -> list[LocalDataset]:
+        """The datasets of the row runs ``bounds[i]:bounds[i + 1]`` of one
+        features table (rows x d) and its labels, as views of the table: the
+        constructor's checks run once, on the whole table."""
+        cls(features, labels)
+        datasets = [object.__new__(cls) for _ in bounds[1:]]
+        for ds, a, b in zip(datasets, bounds, bounds[1:]):
+            ds.__dict__.update(features=features[a:b], labels=labels[a:b])
+        return datasets
+
     @property
     def num_samples(self) -> int:
         return self.features.shape[0]
@@ -216,6 +227,11 @@ def _draw_separated_centers(rng, k: int, d: int, separation: float) -> np.ndarra
     )
 
 
+def _energies(rows: np.ndarray) -> np.ndarray:
+    """``row @ row`` of each row, by one batched matmul."""
+    return (rows[:, None, :] @ rows[:, :, None]).ravel()
+
+
 def generate_scenario(
     rng_seed: int,
     cluster_sizes: Sequence[int],
@@ -270,20 +286,25 @@ def generate_scenario(
             z = rng.standard_normal((cluster.size, md + m_per_node))
             features = z[:, :md].reshape(cluster.size, m_per_node, d)
             noises = 0.0 + noise_std * z[:, md:]
-            epsilon = 0.0
-            for i, x, noise in zip(cluster.members, features, noises):
-                y = x @ center + noise
-                epsilon += float(noise @ noise) / m_per_node
-                if not math.isfinite(epsilon):
+            labels = features @ center + noises
+            # each node's energies by one batched matmul, which rounds as
+            # its dot product does; epsilon sums them in node order
+            eps = np.cumsum(_energies(noises) / m_per_node)
+            bad_noise = ~np.isfinite(eps)
+            bad = bad_noise | ~np.isfinite(_energies(labels))
+            if bad.any():
+                first = int(np.argmax(bad))
+                i = cluster.members[first]
+                if bad_noise[first]:
                     raise ValueError(f"noise_std {noise_std:g} overflows the noise energy at node {i}")
-                if not math.isfinite(float(y @ y)):
-                    raise ValueError(
-                        f"separation {separation:g} with noise_std {noise_std:g} "
-                        f"overflows the label energy of node {i}"
-                    )
-                datasets.append(LocalDataset(features=x, labels=y))
+                raise ValueError(
+                    f"separation {separation:g} with noise_std {noise_std:g} "
+                    f"overflows the label energy of node {i}"
+                )
+            bounds = range(0, labels.size + 1, m_per_node)
+            datasets += LocalDataset._split(features.reshape(-1, d), labels.ravel(), bounds)
             clusters.append(
-                ClusterSpec(members=cluster.members, reference_params=center, epsilon=epsilon)
+                ClusterSpec(members=cluster.members, reference_params=center, epsilon=float(eps[-1]))
             )
 
     generator = {
@@ -364,10 +385,7 @@ def _read_samples(path: Path) -> list[LocalDataset]:
     if table is None:
         table = _scan_samples(text, path)
     bounds = [0, *(np.flatnonzero(np.diff(table[:, 0])) + 1).tolist(), len(table)]
-    return [
-        LocalDataset(features=table[a:b, 1:-1], labels=table[a:b, -1])
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    return LocalDataset._split(table[:, 1:-1], table[:, -1], bounds)
 
 
 def _parse_samples(text: str) -> np.ndarray | None:

@@ -46,8 +46,8 @@ DISCONNECTION_RTOL = 1e-9
 _PAIR_BLOCK = 1 << 16
 
 # distances per block of the k-nearest-neighbor search: a block holds
-# max(1, _KNN_BLOCK // n) rows, so its few (rows x n) temporaries stay at
-# about this many elements whatever n is
+# max(1, _KNN_BLOCK // n) rows, so its (rows x n) buffers stay at about
+# this many elements whatever n is
 _KNN_BLOCK = 1 << 16
 
 
@@ -372,12 +372,25 @@ def generate_planted_clusters(
     # row i of the upper triangle holds the pairs (i, j), i < j < n, in two
     # runs: the intra-cluster ones, j < ends[i], then the inter-cluster ones
     nodes = np.arange(n)
-    ends = np.repeat(np.cumsum(sizes), sizes)
-    run_lengths = np.column_stack([ends - nodes - 1, n - ends]).ravel()
-    run_probs = np.tile([params.p_in, params.p_out], n)
+    cluster_ends = np.cumsum(sizes)
+    ends = cluster_ends.repeat(sizes)
+    run_lengths, run_probs = np.empty(2 * n, dtype=np.intp), np.empty(2 * n)
+    run_lengths[0::2], run_lengths[1::2] = ends - nodes - 1, n - ends
+    run_probs[0::2], run_probs[1::2] = params.p_in, params.p_out
     # pairs before row i in row-major order
     row_starts = nodes * (2 * n - nodes - 1) // 2
-    parts = [np.empty((0, 3))]
+    # pairs after the last one of 0 < p < 1 draw nothing: p = 0 or 1 fixes
+    # their outcome, and nothing else reads this private stream. The last
+    # inter-cluster pair ends the row before the last cluster; the last
+    # intra-cluster pair (e - 2, e - 1) starts row e - 2, for e the end of
+    # the last cluster of two or more nodes
+    drawn = 0
+    if 0 < params.p_out < 1 and len(sizes) > 1:
+        drawn = row_starts[n - sizes[-1]]
+    intra_ends = [e for e, size in zip(cluster_ends.tolist(), sizes) if size > 1]
+    if 0 < params.p_in < 1 and intra_ends:
+        drawn = max(drawn, row_starts[intra_ends[-1] - 2] + 1)
+    kept = [np.empty(0, dtype=np.intp)]
     first = 0
     while first < n - 1:
         # as many whole rows as fit in one block, at least one
@@ -385,14 +398,17 @@ def generate_planted_clusters(
         stop = max(first + 1, int(np.searchsorted(row_starts, start + _PAIR_BLOCK, side="right")) - 1)
         runs = slice(2 * first, 2 * stop)
         prob = np.repeat(run_probs[runs], run_lengths[runs])
-        kept = start + np.flatnonzero(rng.random(prob.size) < prob)
-        ii = np.searchsorted(row_starts, kept, side="right") - 1
-        jj = kept - row_starts[ii] + ii + 1
-        weight = np.where(jj < ends[ii], params.w_in, params.w_out)
-        parts.append(np.column_stack([ii, jj, weight]))
+        keep = prob == 1.0
+        count = min(prob.size, max(drawn - start, 0))
+        keep[:count] = rng.random(count) < prob[:count]
+        kept.append(start + np.flatnonzero(keep))
         first = stop
+    kept = np.concatenate(kept)
+    ii = np.searchsorted(row_starts, kept, side="right") - 1
+    jj = kept - row_starts[ii] + ii + 1
+    edges = np.column_stack([ii, jj, np.where(jj < ends[ii], params.w_in, params.w_out)])
     try:
-        graph = SimilarityGraph(n, np.concatenate(parts))
+        graph = SimilarityGraph(n, edges)
     except ValueError as exc:  # the edges are valid; only a degree can overflow
         raise ValueError(f"edge weights w_in={params.w_in:g}, w_out={params.w_out:g}: {exc}") from None
 
@@ -414,8 +430,9 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
 
     Ties at the k-th smallest distance go to the smaller node index, as a
     stable sort of the row would order them. Rows are searched in blocks of
-    about 2**16 distances, each taking its k nearest by partition, so
-    memory is one block plus the n k neighbours and the edges.
+    about 2**16 distances, written into two buffers made once. A block finds
+    each row's k-th distance by one partition and keeps the entries up to it,
+    so memory is two blocks plus the n k neighbours and the edges.
     """
     k = int(k)
     n = emb.n
@@ -425,31 +442,46 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
-    vectors = emb.vectors
     nearest = np.empty((n, k), dtype=np.intp)
     near_sq = np.empty((n, k))
-    rows = max(1, _KNN_BLOCK // n)
+    rows = min(n, max(1, _KNN_BLOCK // n))
+    # the two block buffers every block writes into
+    sq_buffer, diff_buffer = np.empty((2, rows, n))
+    first, *rest = emb.vectors.T
     for start in range(0, n, rows):
-        block = slice(start, min(start + rows, n))
-        count = block.stop - start
+        stop = min(start + rows, n)
+        count = stop - start
+        sq, diff = sq_buffer[:count], diff_buffer[:count]
         # the direct form sum_col (x - y)^2, summed column by column as
         # pairwise-distance routines do; |x|^2 + |y|^2 - 2 x.y cancels and
-        # can reorder near-ties
-        sq = np.zeros((count, n))
-        for col in vectors.T:
-            diff = np.subtract.outer(col[block], col)
+        # can reorder near-ties. The first square is the sum so far, as
+        # 0 + x^2 is x^2 exactly.
+        np.subtract(first[start:stop, None], first, out=sq)
+        sq *= sq
+        for col in rest:
+            np.subtract(col[start:stop, None], col, out=diff)
             diff *= diff
             sq += diff
-        sq[np.arange(count), np.arange(start, block.stop)] = np.inf
-        # every distance below the k-th smallest, then the ties at it from
+        local = np.arange(count)
+        sq[local, local + start] = np.inf
+        np.copyto(diff, sq)
+        diff.partition(k - 1, axis=1)
+        kth = diff[:, k - 1 : k]
+        # every entry up to the k-th smallest: exactly k, unless the row
+        # ties at it; a tied row keeps what is below it, then the ties from
         # the smallest index up: the first k of a stable sort, as a set
-        kth = np.partition(sq, k - 1, axis=1)[:, [k - 1]]
-        below = sq < kth
-        at = sq == kth
-        ties = k - below.sum(axis=1, keepdims=True)
-        take = below | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= ties))
-        nearest[block] = np.nonzero(take)[1].reshape(count, k)
-        near_sq[block] = sq[take].reshape(count, k)
+        take = sq <= kth
+        flat = np.flatnonzero(take)
+        if flat.size > count * k:
+            tied = np.flatnonzero(take.sum(axis=1) > k)
+            sub, cut = sq[tied], kth[tied]
+            below = sub < cut
+            at = sub == cut
+            ties = k - below.sum(axis=1, keepdims=True)
+            take[tied] = below | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= ties))
+            flat = np.flatnonzero(take)
+        nearest[start:stop] = (flat % n).reshape(count, k)
+        near_sq[start:stop] = sq.ravel()[flat].reshape(count, k)
     # a pair found from both ends has the same distance bit for bit
     src = np.repeat(np.arange(n), k)
     pairs = np.minimum(src, nearest.ravel()) * n + np.maximum(src, nearest.ravel())

@@ -186,6 +186,8 @@ def test_solve_non_finite_tol_exits_1_naming_tol(tmp_path, capsys, tol):
         ("--tol", "inf", "--tol must be finite and >= 0"),
         ("--max-iter", "-5", "--max-iter must be >= 1"),
         ("--max-iter", "0", "--max-iter must be >= 1"),
+        ("--alpha", "nan", "error: --alpha must be finite and >= 0, got nan"),
+        ("--alpha", "-1", "error: --alpha must be finite and >= 0, got -1.0"),
     ],
 )
 def test_solve_exact_checks_the_iterative_flags(tmp_path, capsys, flag, value, message):

@@ -344,16 +344,21 @@ def _single_draw_planted_clusters(rng_seed, cluster_sizes, p_in, p_out, w_in, w_
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11])
-@pytest.mark.parametrize("p_out", [0.01, 0.05, 0.1])
-def test_scenario_files_equal_those_of_the_single_draw_graph(tmp_path, monkeypatch, seed, p_out):
-    # the benchmark's sweep scenarios: 3 x 60 nodes, d = 3, m = 10, p_in 0.5
+@pytest.mark.parametrize(
+    "p_in, p_out",
+    [(0.5, 0.01), (0.5, 0.05), (0.5, 0.1), (0.0, 0.0), (1.0, 0.0)],
+    ids=["0.01", "0.05", "0.1", "0.0-0.0", "1.0-0.0"],
+)
+def test_scenario_files_equal_those_of_the_single_draw_graph(tmp_path, monkeypatch, seed, p_in, p_out):
+    # the benchmark's sweep scenarios: 3 x 60 nodes, d = 3, m = 10, p_in 0.5;
+    # and probabilities of 0 and 1 only, whose graph takes no draw
     def scenario():
         return make_scenario(
             seed=seed,
             sizes=(60, 60, 60),
             d=3,
             m=10,
-            graph_params=GraphParams(p_in=0.5, p_out=p_out),
+            graph_params=GraphParams(p_in=p_in, p_out=p_out),
         )
 
     blocked = save_scenario(scenario(), tmp_path / "blocked")
@@ -392,11 +397,40 @@ def test_scenario_samples_have_the_bits_of_per_node_draws(d, m, noise):
     # centers at most
     for seed, sizes in enumerate([(1,), (5, 1), (1, 4)] + ([(2, 1, 6)] if d > 1 else [])):
         scen = make_scenario(seed=seed, sizes=sizes, d=d, m=m, noise=noise)
-        samples, epsilons = _per_node_draw_samples(seed, sizes, d, m, noise, 2.0)
-        assert len(scen.datasets) == len(samples)
-        for ds, (x, y) in zip(scen.datasets, samples):
-            # int64 views tell -0.0 from 0.0
-            np.testing.assert_array_equal(ds.features.view(np.int64), x.view(np.int64))
-            np.testing.assert_array_equal(ds.labels.view(np.int64), y.view(np.int64))
-        got = np.array([c.epsilon for c in scen.clusters])
-        np.testing.assert_array_equal(got.view(np.int64), np.array(epsilons).view(np.int64))
+        assert_per_node_draw_bits(scen, seed, sizes, d, m, noise)
+
+
+def assert_per_node_draw_bits(scen, seed, sizes, d, m, noise):
+    samples, epsilons = _per_node_draw_samples(seed, sizes, d, m, noise, 2.0)
+    assert len(scen.datasets) == len(samples)
+    for ds, (x, y) in zip(scen.datasets, samples):
+        # int64 views tell -0.0 from 0.0
+        np.testing.assert_array_equal(ds.features.view(np.int64), x.view(np.int64))
+        np.testing.assert_array_equal(ds.labels.view(np.int64), y.view(np.int64))
+    got = np.array([c.epsilon for c in scen.clusters])
+    np.testing.assert_array_equal(got.view(np.int64), np.array(epsilons).view(np.int64))
+
+
+@pytest.mark.parametrize("sizes, d", [((150,) * 4, 5), ((400,) * 4, 3)], ids=["4x150", "4x400"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_scenario_samples_have_the_bits_of_per_node_draws(seed, sizes, d):
+    # the certify_dense and iterate_sparse shapes, whose clusters' labels
+    # and energies each come from one batched matmul
+    scen = make_scenario(seed=seed, sizes=sizes, d=d, m=10, graph_params=GraphParams(0.0, 0.0))
+    assert_per_node_draw_bits(scen, seed, sizes, d, 10, 0.1)
+
+
+@pytest.mark.parametrize(
+    "seed, noise, message",
+    [
+        # node 3 overflows its label energy, nodes 4 to 6 the noise energy
+        (32, 1e154, "separation 1e+153 with noise_std 1e+154 overflows the label energy of node 3"),
+        # node 4 overflows the noise energy, node 6 also its label energy
+        (179, 1e154, "noise_std 1e+154 overflows the noise energy at node 4"),
+    ],
+)
+def test_overflow_is_refused_at_the_first_node_at_fault(seed, noise, message):
+    # a node's noise energy is checked before its label energy, and the
+    # nodes in order; both cases fail in the second cluster, nodes 3 to 6
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_scenario(seed, [3, 4], d=2, m_per_node=1, noise_std=noise, separation=1e153)

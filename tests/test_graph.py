@@ -266,7 +266,7 @@ def assert_same_edge_arrays(got, expected):
         np.testing.assert_array_equal(a, b)
 
 
-PLANTED_SIZES = [[1], [1, 1], [2], [3, 4], [7, 1, 12], [60, 60, 60], [400] * 4]
+PLANTED_SIZES = [[1], [1, 1], [2], [3, 4], [7, 1, 12], [4, 2, 1], [60, 60, 60], [400] * 4]
 
 
 @pytest.mark.parametrize("sizes", PLANTED_SIZES, ids=lambda s: "x".join(map(str, s)))
@@ -281,13 +281,14 @@ def test_planted_edges_match_the_single_draw(seed, sizes, p_in, p_out):
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
-@pytest.mark.parametrize("sizes", [[1], [2], [3, 4], [7, 1, 12], [30, 20]])
+@pytest.mark.parametrize("sizes", [[1], [2], [3, 4], [7, 1, 12], [30, 20], [5, 3, 1]])
 def test_planted_edges_do_not_depend_on_the_block_size(monkeypatch, block, sizes):
-    # blocks down to one pair: a row longer than a block is a block alone
+    # blocks down to one pair: a row longer than a block is a block alone;
+    # with p_out = 0 the draws end inside a block, before the last pair
     import gtvmin.graph
 
     monkeypatch.setattr(gtvmin.graph, "_PAIR_BLOCK", block)
-    for seed, (p_in, p_out) in enumerate([(0.5, 0.05), (1.0, 1.0), (0.9, 0.4)]):
+    for seed, (p_in, p_out) in enumerate([(0.5, 0.05), (1.0, 1.0), (0.9, 0.4), (0.5, 0.0), (1.0, 0.3)]):
         graph, _ = generate_planted_clusters(seed, sizes, p_in, p_out, 1.0, 0.5)
         assert_same_edge_arrays(graph.edge_arrays(), triu_planted_edges(seed, sizes, p_in, p_out))
 
@@ -810,6 +811,23 @@ def test_embedding_ties_go_to_the_smaller_index_as_in_a_stable_sort(seed):
         assert dict(graph.edges) == stable_sort_knn_edges(vectors, k, 4.0)
 
 
+@pytest.mark.parametrize(
+    "vectors, k",
+    [
+        (np.random.default_rng(1600).normal(size=(1600, 3)), 8),
+        # a 40 x 25 grid: every inner node ties at its 6th distance, in
+        # each of the 16 blocks
+        (np.indices((40, 25)).reshape(2, -1).T.astype(float), 6),
+        (np.random.default_rng(700).integers(0, 4, size=(700, 2)).astype(float), 8),
+    ],
+    ids=["1600x3", "grid-1000", "integers-700"],
+)
+def test_embedding_edges_match_the_stable_sort_at_benchmark_sizes(vectors, k):
+    # the iterate_sparse shape and tie-heavy inputs across many blocks
+    graph = graph_from_embedding(Embedding(vectors), k, 4.0)
+    assert dict(graph.edges) == stable_sort_knn_edges(vectors, k, 4.0)
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_embedding_edges_do_not_depend_on_the_block_size(monkeypatch, budget):
     import gtvmin.graph
@@ -863,6 +881,24 @@ def test_planted_graph_at_n_20000_within_300_mib():
     done = subprocess.run(argv, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, ""), done.stdout
     assert re.fullmatch(r"\d+ edges in \S+ s, ru_maxrss \S+ MiB\n", done.stdout)
+
+
+def test_scenario_and_knn_graph_of_the_benchmark_load_no_scipy():
+    # the iterate_sparse set-up: a scenario of 4 x 400 nodes and the kNN
+    # graph of the nodes' local least-squares estimates
+    code = """
+import sys
+import numpy as np
+import gtvmin as g
+
+scen = g.generate_scenario(1, [400] * 4, 3, 10, 0.1, 2.0, g.GraphParams(p_in=0.0, p_out=0.0))
+x = np.stack([ds.features for ds in scen.datasets])
+y = np.stack([ds.labels for ds in scen.datasets])
+estimates = np.linalg.solve(x.transpose(0, 2, 1) @ x, (x.transpose(0, 2, 1) @ y[..., None]))[..., 0]
+graph = g.graph_from_embedding(g.Embedding(estimates), k=8, sigma=1.0)
+print(graph.n, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert run_fresh_interpreter(code) == "1600 []"
 
 
 @pytest.mark.parametrize(
