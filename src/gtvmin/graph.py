@@ -379,22 +379,24 @@ def generate_planted_clusters(
     run_probs[0::2], run_probs[1::2] = params.p_in, params.p_out
     # pairs before row i in row-major order
     row_starts = nodes * (2 * n - nodes - 1) // 2
-    # pairs after the last one of 0 < p < 1 draw nothing: p = 0 or 1 fixes
-    # their outcome, and nothing else reads this private stream. The last
-    # inter-cluster pair ends the row before the last cluster; the last
-    # intra-cluster pair (e - 2, e - 1) starts row e - 2, for e the end of
-    # the last cluster of two or more nodes
-    drawn = 0
-    if 0 < params.p_out < 1 and len(sizes) > 1:
-        drawn = row_starts[n - sizes[-1]]
-    intra_ends = [e for e, size in zip(cluster_ends.tolist(), sizes) if size > 1]
-    if 0 < params.p_in < 1 and intra_ends:
-        drawn = max(drawn, row_starts[intra_ends[-1] - 2] + 1)
+    # pairs up to the last intra-cluster pair, (e - 2, e - 1) for e the end
+    # of the last cluster of two or more nodes, and up to the last
+    # inter-cluster pair, which ends the row before the last cluster
+    ends_list = cluster_ends.tolist()
+    intra_ends = [e for e, size in zip(ends_list, sizes) if size > 1]
+    last_intra = int(row_starts[intra_ends[-1] - 2]) + 1 if intra_ends else 0
+    pair_ends = [last_intra, int(row_starts[n - sizes[-1]])]
+    # only pairs up to the last one of p > 0 can be kept, and only those up
+    # to the last one of 0 < p < 1 draw: p = 0 or 1 fixes the outcome of
+    # the rest, and nothing else reads this private stream
+    probs = [params.p_in, params.p_out]
+    kept_end = max((e for e, p in zip(pair_ends, probs) if p > 0), default=0)
+    drawn = max((e for e, p in zip(pair_ends, probs) if 0 < p < 1), default=0)
     kept = [np.empty(0, dtype=np.intp)]
     first = 0
-    while first < n - 1:
+    while first < n - 1 and row_starts[first] < kept_end:
         # as many whole rows as fit in one block, at least one
-        start = row_starts[first]
+        start = int(row_starts[first])
         stop = max(first + 1, int(np.searchsorted(row_starts, start + _PAIR_BLOCK, side="right")) - 1)
         runs = slice(2 * first, 2 * stop)
         prob = np.repeat(run_probs[runs], run_lengths[runs])
@@ -406,17 +408,14 @@ def generate_planted_clusters(
     kept = np.concatenate(kept)
     ii = np.searchsorted(row_starts, kept, side="right") - 1
     jj = kept - row_starts[ii] + ii + 1
-    edges = np.column_stack([ii, jj, np.where(jj < ends[ii], params.w_in, params.w_out)])
+    edges = np.empty((kept.size, 3))
+    edges[:, 0], edges[:, 1], edges[:, 2] = ii, jj, np.where(jj < ends[ii], params.w_in, params.w_out)
     try:
         graph = SimilarityGraph(n, edges)
     except ValueError as exc:  # the edges are valid; only a degree can overflow
         raise ValueError(f"edge weights w_in={params.w_in:g}, w_out={params.w_out:g}: {exc}") from None
 
-    clusters = []
-    start = 0
-    for size in sizes:
-        clusters.append(ClusterSpec(members=tuple(range(start, start + size))))
-        start += size
+    clusters = [ClusterSpec(members=tuple(range(e - size, e))) for e, size in zip(ends_list, sizes)]
     return graph, clusters
 
 
@@ -445,7 +444,6 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
     nearest = np.empty((n, k), dtype=np.intp)
     near_sq = np.empty((n, k))
     rows = min(n, max(1, _KNN_BLOCK // n))
-    # the two block buffers every block writes into
     sq_buffer, diff_buffer = np.empty((2, rows, n))
     first, *rest = emb.vectors.T
     for start in range(0, n, rows):
@@ -462,8 +460,7 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
             np.subtract(col[start:stop, None], col, out=diff)
             diff *= diff
             sq += diff
-        local = np.arange(count)
-        sq[local, local + start] = np.inf
+        sq[np.arange(count), np.arange(start, stop)] = np.inf
         np.copyto(diff, sq)
         diff.partition(k - 1, axis=1)
         kth = diff[:, k - 1 : k]
