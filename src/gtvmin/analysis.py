@@ -155,7 +155,7 @@ def tv_lower_bound_check(
         raise ValueError("the spectral lower bound needs a cluster with >= 2 nodes")
     if params.n != graph.n:
         raise ValueError(f"params have {params.n} nodes, graph has {graph.n}")
-    lam2 = _cluster_geometry(graph, cluster)[0]
+    lam2 = lambda2(induced_subgraph(graph, cluster))
     rows = deviations(params, cluster)
     deviation_sum = float(np.einsum("nd,nd->", rows, rows))
     inside = _member_mask(graph.n, cluster)

@@ -50,15 +50,17 @@ from .suites import bound_suite, certificate_suite, cross_solver_suite, spectral
 __all__ = ["ExperimentConfig", "main", "entrypoint"]
 
 
-# the JSON kind of each config key (p_out_list may also be null)
+# the JSON kind of each config key; alpha > 0, as every sweep row's deviation bound needs it
 _CONFIG_KINDS = {
-    "an integer": ("max_iter",),
     "a non-negative integer": ("seed",),
-    "a positive integer": ("d", "m_per_node"),
-    "a finite number": ("noise_std", "separation", "p_in", "p_out", "w_in", "w_out", "tol"),
+    "a positive integer": ("d", "m_per_node", "max_iter"),
+    "a non-negative number": ("noise_std", "tol"),
+    "a positive number": ("separation", "w_in", "w_out"),
+    "a number in [0, 1]": ("p_in", "p_out"),
     "a string": ("solver", "out_dir"),
-    "a list of integers": ("cluster_sizes",),
-    "a list of finite numbers": ("alpha_list", "p_out_list"),
+    "a non-empty list of positive integers": ("cluster_sizes",),
+    "a non-empty list of positive numbers": ("alpha_list",),
+    "a non-empty list of numbers in [0, 1]": ("p_out_list",),
 }
 
 # each solver's run on a problem, given max_iter and tol (read by iterative only);
@@ -95,26 +97,13 @@ class ExperimentConfig:
         for kind, keys in _CONFIG_KINDS.items():
             for key in keys:
                 _json_field(values, key, kind, "config", optional=key == "p_out_list")
-        if not self.alpha_list:
-            raise ValueError("alpha_list must not be empty")
-        if any(a <= 0 for a in self.alpha_list):
-            # every sweep row's deviation bound needs alpha > 0
-            raise ValueError("alpha_list entries must be > 0")
         if self.solver not in _SOLVERS:
             names = " or ".join(map(repr, _SOLVERS))
-            raise ValueError(f"solver must be {names}, got {self.solver!r}")
-        _check_stopping(self.max_iter, self.tol)
-        if not self.cluster_sizes or any(s < 1 for s in self.cluster_sizes):
-            raise ValueError("cluster_sizes must be positive")
-        if self.p_out_list is not None and not self.p_out_list:
-            raise ValueError("p_out_list, when given, must not be empty")
-        # graph probabilities validated by GraphParams
-        self.graph_params()
-        for k, p in enumerate(self.p_out_list or []):
-            try:
-                self.graph_params(p)
-            except ValueError as exc:
-                raise ValueError(f"p_out_list[{k}]: {exc}") from None
+            raise ValueError(f"config: key 'solver' must be {names}, got {self.solver!r}")
+        for key, p_outs in (("p_out", [self.p_out]), ("p_out_list", self.p_out_list or [])):
+            if any(p > self.p_in for p in p_outs):
+                value = getattr(self, key)
+                raise ValueError(f"config: key {key!r} must not exceed p_in = {self.p_in}, got {value}")
         self._check_size()
 
     def _check_size(self) -> None:
@@ -199,15 +188,22 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _generate(cfg: ExperimentConfig, p_out: float | None = None):
-    return generate_scenario(
-        rng_seed=cfg.seed,
-        cluster_sizes=cfg.cluster_sizes,
-        d=cfg.d,
-        m_per_node=cfg.m_per_node,
-        noise_std=cfg.noise_std,
-        separation=cfg.separation,
-        graph_params=cfg.graph_params(p_out),
-    )
+    try:
+        return generate_scenario(
+            rng_seed=cfg.seed,
+            cluster_sizes=cfg.cluster_sizes,
+            d=cfg.d,
+            m_per_node=cfg.m_per_node,
+            noise_std=cfg.noise_std,
+            separation=cfg.separation,
+            graph_params=cfg.graph_params(p_out),
+        )
+    except ValueError as exc:
+        # past validate(), what is refused is samples that overflow, named first
+        # by the key that scales them, or more cluster centers than d can place
+        key = str(exc).partition(" ")[0]
+        key = key if key in ("noise_std", "separation") else "cluster_sizes"
+        raise ValueError(f"config: key {key!r}: {exc}") from None
 
 
 def _problem(scenario_dir, scenario, alpha: float) -> GTVMinProblem:

@@ -26,11 +26,12 @@ from .graph import (
     ClusterSpec,
     GraphParams,
     SimilarityGraph,
-    _graph_from_text,
-    _graph_header,
-    _is_plain,
+    _build_graph,
+    _decode,
     _loadtxt,
-    _read_ascii,
+    _parse_graph_rows,
+    _read_table,
+    _scan_graph_lines,
     _write_table,
     generate_planted_clusters,
     write_graph,
@@ -64,17 +65,26 @@ def _is_real(value) -> bool:
 
 # the JSON value kinds that input files are checked against, by description
 _KINDS = {
-    "an integer": _is_int,
     "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "a positive integer": lambda v: _is_int(v) and v >= 1,
     "a finite number": _is_real,
     "a non-negative number": lambda v: _is_real(v) and v >= 0,
+    "a positive number": lambda v: _is_real(v) and v > 0,
+    "a number in [0, 1]": lambda v: _is_real(v) and 0 <= v <= 1,
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
     "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
     "a list of finite numbers": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+    "a non-empty list of positive integers": lambda v: _non_empty_list(v, "a positive integer"),
+    "a non-empty list of positive numbers": lambda v: _non_empty_list(v, "a positive number"),
+    "a non-empty list of numbers in [0, 1]": lambda v: _non_empty_list(v, "a number in [0, 1]"),
 }
+
+
+def _non_empty_list(value, kind: str) -> bool:
+    """Whether ``value`` is a list of at least one entry, each of ``kind``."""
+    return isinstance(value, list) and value != [] and all(map(_KINDS[kind], value))
 
 
 def _json_field(payload: dict, key: str, kind: str, source, optional: bool = False):
@@ -95,7 +105,7 @@ def _read_json(path: Path):
     """The JSON document in the ASCII file ``path``; a ValueError that
     starts with the path when the file does not decode (and then names the
     line) or parse."""
-    text = _read_ascii(path)
+    text = _decode(path.read_bytes(), path)
     try:
         return json.loads(text)
     # a syntax error and an integer beyond int's digit limit are
@@ -380,20 +390,17 @@ def _read_samples(path: Path) -> list[LocalDataset]:
     """The local datasets of samples.csv, one per node, read once and parsed
     by one ``np.loadtxt``; a file that it does not take, or whose table
     fails a check, is left to :func:`_scan_samples` to refuse by its line."""
-    text = _read_ascii(path)
-    table = _parse_samples(text)
-    if table is None:
-        table = _scan_samples(text, path)
+    table = _read_table(path, _parse_samples, _scan_samples)
     bounds = [0, *(np.flatnonzero(np.diff(table[:, 0])) + 1).tolist(), len(table)]
     return LocalDataset._split(table[:, 1:-1], table[:, -1], bounds)
 
 
-def _parse_samples(text: str) -> np.ndarray | None:
-    """samples.csv's (rows, d + 2) table by one np.loadtxt when every check
-    passes, or None to leave it to :func:`_scan_samples`. With plain bytes,
-    np.loadtxt reads the scan's lines, and its float syntax is a subset of
-    ``float``'s: what it accepts the scan accepts, with the same values."""
-    table = _loadtxt(text, delimiter=",", ndmin=2) if _is_plain(text) else None
+def _parse_samples(data: bytes) -> np.ndarray | None:
+    """samples.csv's (rows, d + 2) table of its plain bytes by one np.loadtxt
+    when every check passes, or None to leave it to :func:`_scan_samples`.
+    np.loadtxt reads plain bytes in the scan's lines and a subset of
+    ``float``'s syntax: what it accepts the scan does, with the same values."""
+    table = _loadtxt(data, delimiter=",", ndmin=2)
     if table is None or table.shape[1] < 3 or not np.isfinite(table).all():
         return None
     nodes = table[:, 0]
@@ -447,15 +454,17 @@ def _scan_samples(text: str, path: Path) -> np.ndarray:
 def load_scenario(directory: str | Path) -> Scenario:
     """Read back a directory written by :func:`save_scenario`.
 
-    samples.csv is read first, once, as ASCII, and parsed by one
-    ``np.loadtxt``: its nodes give n and its width d + 2. It is refused by
-    a ValueError that starts with its path and, where there is one, the
-    line at fault: a line that does not decode, a cell that does not parse,
-    a first row of fewer than 3 columns, a row of another width or with a
-    non-finite entry, a node that is not a non-negative integer or that
-    comes before the row above's, no rows at all, or a node without rows.
-    A graph.txt header other than n is refused before anything of its size
-    is built. meta.json and graph.txt at fault raise a ValueError that
+    samples.csv and graph.txt are each read once, as bytes, and parsed by
+    one ``np.loadtxt`` of them; a table of other bytes than printable ASCII,
+    tab and newline, or that the parse does not take, is decoded and read
+    line by line. samples.csv's nodes give n and its width d + 2. It is
+    refused by a ValueError that starts with its path and, where there is
+    one, the line at fault: a line that does not decode, a cell that does
+    not parse, a first row of fewer than 3 columns, a row of another width
+    or with a non-finite entry, a node that is not a non-negative integer or
+    that comes before the row above's, no rows at all, or a node without
+    rows. A graph.txt node count other than n is refused before anything of
+    its size is built. meta.json and graph.txt at fault raise a ValueError that
     starts with their path too (a meta.json whose ``seed`` is neither a
     non-negative integer nor null, or whose clusters do not fit the
     scenario, is at fault; ``clusters[k]`` names the cluster). Other
@@ -468,14 +477,13 @@ def load_scenario(directory: str | Path) -> Scenario:
     samples_path = directory / _SAMPLES_FILE
     datasets = _read_samples(samples_path)
     graph_path = directory / _GRAPH_FILE
-    graph_text = _read_ascii(graph_path)
-    nodes, _ = _graph_header(graph_text, graph_path)
+    nodes, edges = _read_table(graph_path, _parse_graph_rows, _scan_graph_lines)
     if nodes != len(datasets):
         raise ValueError(
             f"{graph_path}: {reprlib.repr(nodes)} nodes, but {samples_path} holds "
             f"samples of {len(datasets)}"
         )
-    graph = _graph_from_text(graph_text, graph_path)
+    graph = _build_graph(graph_path, nodes, edges)
     seed = _json_field(meta, "seed", "a non-negative integer", meta_path, optional=True)
     clusters = []
     for k, entry in enumerate(_json_field(meta, "clusters", "a list", meta_path)):

@@ -515,13 +515,12 @@ def read_graph(path: str | Path) -> SimilarityGraph:
     ASCII or is malformed is named by its line number in the file.
     """
     path = Path(path)
-    return _graph_from_text(_read_ascii(path), path)
+    return _build_graph(path, *_read_table(path, _parse_graph_rows, _scan_graph_lines))
 
 
-def _graph_from_text(text: str, path: Path) -> SimilarityGraph:
-    """:func:`read_graph`'s graph of the decoded text of the file ``path``."""
-    parsed = _parse_graph_rows(text)
-    n, edges = parsed if parsed is not None else _scan_graph_lines(text, path)
+def _build_graph(path: Path, n: int, edges) -> SimilarityGraph:
+    """The graph of the node count and edges read from the file ``path``;
+    a ValueError starting with the path when they do not make one."""
     try:
         return SimilarityGraph(n, edges)
     # a node count too large to allocate is the file's fault too
@@ -539,10 +538,19 @@ def _write_table(path: str | Path, fmt: str, cells: list) -> None:
     Path(path).write_text(fmt % tuple(cells), encoding="ascii", newline="\n")
 
 
-def _read_ascii(path: Path) -> str:
-    """The ASCII text of ``path``, line ends kept; a ValueError naming the
-    path and the line of the first byte that does not decode otherwise."""
+def _read_table(path: Path, parse, scan):
+    """The table of the text file ``path``, read once: ``parse`` of its bytes
+    when they are plain (printable ASCII, tab and newline, which np.loadtxt
+    and the line scans read alike) and ``parse`` does not return None; else
+    ``scan`` of their decoded text, which names the line at fault."""
     data = path.read_bytes()
+    table = None if data.translate(None, _PLAIN_BYTES) else parse(data)
+    return table if table is not None else scan(_decode(data, path), path)
+
+
+def _decode(data: bytes, path: Path) -> str:
+    """``data``, the bytes of ``path``, as ASCII text; a ValueError naming
+    the path and the line of the first byte that does not decode otherwise."""
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -551,19 +559,14 @@ def _read_ascii(path: Path) -> str:
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
-def _is_plain(text: str) -> bool:
-    """Whether ``text`` holds only printable ASCII, tab and newline, which
-    np.loadtxt and a line scan (str.splitlines, str.split) read alike."""
-    return not text.encode("ascii").translate(None, _PLAIN_BYTES)
-
-
-def _loadtxt(text: str, **kwargs) -> np.ndarray | None:
-    """``np.loadtxt`` of ``text``, or None when it refuses it or warns
-    (numpy < 2 reads '1.0' as an integer, and no rows, with a warning)."""
+def _loadtxt(data: bytes, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` of the bytes ``data``, from a binary handle, or None
+    when it refuses them or warns (numpy < 2 reads '1.0' as an integer, and
+    no rows, with a warning)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(io.StringIO(text), **kwargs)
+            return np.loadtxt(io.BytesIO(data), **kwargs)
     except (ValueError, Warning):
         return None
 
@@ -571,14 +574,12 @@ def _loadtxt(text: str, **kwargs) -> np.ndarray | None:
 _GRAPH_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
-def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
-    """(n, (E, 3) edge array) of a graph file's text by one np.loadtxt, or
-    None to leave it to :func:`_scan_graph_lines`. With plain bytes,
-    np.loadtxt reads the scan's lines in a subset of ``int``'s and ``float``'s
-    syntax: what it accepts the scan accepts, with the same values."""
-    if not _is_plain(text):
-        return None
-    head, _, body = text.lstrip().partition("\n")
+def _parse_graph_rows(data: bytes) -> tuple[int, np.ndarray] | None:
+    """(n, (E, 3) edge array) of a graph file's plain bytes by one
+    np.loadtxt, or None to leave it to :func:`_scan_graph_lines`. On plain
+    bytes, np.loadtxt reads the scan's lines in a subset of ``int``'s and
+    ``float``'s syntax: what it accepts the scan accepts, with the same values."""
+    head, _, body = data.lstrip().partition(b"\n")
     try:
         n = int(head)
     except ValueError:
@@ -594,35 +595,19 @@ def _parse_graph_rows(text: str) -> tuple[int, np.ndarray] | None:
     return n, np.column_stack([rows["i"], rows["j"], rows["w"]])
 
 
-def _graph_header(text: str, path: Path) -> tuple[int, int]:
-    """A graph file's node count, from its first non-blank line, and that
-    line's number as str.splitlines counts lines; a ValueError naming the
-    file when there is no such count. Only a prefix of ``text`` is split,
-    grown until it holds that line whole."""
-    size = 64
-    while True:
-        whole = size >= len(text)
-        lines = text[:size].splitlines()
-        # the prefix's last line may be cut short unless the prefix is all of it
-        for k, line in enumerate(lines if whole else lines[:-1], start=1):
-            if line.strip():
-                try:
-                    return int(line), k
-                except ValueError:
-                    raise ValueError(f"{path}: first line must be the node count") from None
-        if whole:
-            raise ValueError(f"{path}: empty graph file")
-        size *= 4
-
-
 def _scan_graph_lines(text: str, path: Path) -> tuple[int, list]:
-    """(n, edge triples) of a graph file's text, line by line; a
-    ValueError naming the file and the line at fault otherwise."""
-    n, head = _graph_header(text, path)
+    """(n, edge triples) of a graph file's text, line by line, with n from
+    its first non-blank line; a ValueError naming the file, and the line at
+    fault where there is one, otherwise."""
+    lines = ((k, line) for k, line in enumerate(text.splitlines(), start=1) if line.strip())
+    try:
+        n = int(next(lines)[1])
+    except StopIteration:
+        raise ValueError(f"{path}: empty graph file") from None
+    except ValueError:
+        raise ValueError(f"{path}: first line must be the node count") from None
     edges = []
-    for lineno, line in enumerate(text.splitlines()[head:], start=head + 1):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {line!r}")

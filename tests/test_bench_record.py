@@ -93,3 +93,60 @@ def test_bench_record_appends_one_record_per_claim(tmp_path, bench_record):
     again = record("p1", "c1")
     assert len(again) == 3 and again[0] == earlier and again[2] == second[2]
     assert again[1]["seeds"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "before, after, expected",
+    [
+        pytest.param([0.40 + 0.01 * k for k in range(10)], [0.30 + 0.01 * k for k in range(10)], "gain", id="gain"),
+        # better by more than the spread, but in 8 of 10 pairs only
+        pytest.param(
+            [0.40 + 0.01 * k for k in range(10)],
+            [0.30 + 0.01 * k for k in range(8)] + [0.50, 0.50],
+            "unchanged",
+            id="8-of-10",
+        ),
+        pytest.param(
+            [0.40 + 0.01 * k for k in range(10)], [0.55 + 0.01 * k for k in range(10)], "regression", id="regression"
+        ),
+        pytest.param(
+            [0.40 + 0.01 * k for k in range(10)], [0.48 + 0.01 * k for k in range(10)], "unchanged", id="worse-within-bound"
+        ),
+        # the parent's own runs spread wider than the 25 % bound
+        pytest.param([0.2, 0.9] * 5, [0.2, 0.9] * 5, "unresolved", id="unresolved"),
+        # as wide, but every run of the change beats every run of the parent
+        # by less than the spread
+        pytest.param(
+            [1.0, 1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5, 2.6], [0.99] * 10, "unchanged", id="every-run-better"
+        ),
+    ],
+)
+def test_bench_record_gives_each_metric_the_review_verdict(tmp_path, bench_record, capsys, before, after, expected):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (b, a) in enumerate(zip(before, after)):
+        write_run(parent, "cli_roundtrip", seed, b, 0.8, 69.0)
+        write_run(change, "cli_roundtrip", seed, a, 0.8, 69.0)
+    out = tmp_path / "BENCH_cli_roundtrip.json"
+    argv = ["--workload", "cli_roundtrip", "--parent", str(parent), "--parent-commit", "a"]
+    assert bench_record.main(argv + ["--change", str(change), "--change-commit", "b", "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())
+    verdicts = {name: m["verdict"] for name, m in record["metrics"].items()}
+    assert verdicts == {"setup_s": expected, "op_s.p50": "unchanged", "peak_rss_mib": "unchanged"}
+    assert f"change won {record['metrics']['setup_s']['pairs_won']}/10: {expected}\n" in capsys.readouterr().out
+
+
+def test_bench_record_verdict_reads_a_higher_is_better_metric_the_other_way(bench_record):
+    def metric(before, after):
+        return {
+            "better": "higher",
+            "bound": 0.05,
+            "pairs_won": sum(a > b for a, b in zip(after, before)),
+            "pairs": len(before),
+            "parent": {**bench_record.summary(before), "values": before},
+            "change": {**bench_record.summary(after), "values": after},
+        }
+
+    base = [100.0 + k for k in range(10)]
+    assert bench_record.verdict(metric(base, [v + 20 for v in base])) == "gain"
+    assert bench_record.verdict(metric(base, [v - 20 for v in base])) == "regression"
+    assert bench_record.verdict(metric(base, base)) == "unchanged"

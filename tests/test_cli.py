@@ -605,10 +605,10 @@ def test_meta_n_that_the_graph_header_repeats_is_refused_by_the_samples_before_t
     meta_path = scen_dir / "meta.json"
     meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "n": 10**11}))
 
-    def no_graph(text, path):
+    def no_graph(self, n, edges=()):
         raise AssertionError("graph built")
 
-    monkeypatch.setattr(gtvmin.data, "_graph_from_text", no_graph)
+    monkeypatch.setattr(gtvmin.data.SimilarityGraph, "__init__", no_graph)
     capsys.readouterr()
     code, caught = _quiet_main(["solve", str(scen_dir), "--alpha", "1"])
     assert (code, caught) == (1, [])
@@ -920,7 +920,9 @@ def test_config_validation():
 def test_config_empty_cluster_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", cluster_sizes=[0])
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: cluster_sizes must be positive\n"
+    assert capsys.readouterr().err == (
+        "error: config: key 'cluster_sizes' must be a non-empty list of positive integers, got [0]\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -989,13 +991,18 @@ def _quiet_main(argv):
     [
         (
             {"separation": 1e308},
-            "separation 1e+308 with noise_std 0.1 overflows the label energy of node 0",
+            "config: key 'separation': separation 1e+308 with noise_std 0.1 overflows the label energy of node 0",
         ),
         (
             {"separation": 1e308, "d": 16},
-            "separation 1e+308 overflows the center radius in dimension 16",
+            "config: key 'separation': separation 1e+308 overflows the center radius in dimension 16",
         ),
-        ({"noise_std": 1e308}, "noise_std 1e+308 overflows the noise energy at node 0"),
+        ({"noise_std": 1e308}, "config: key 'noise_std': noise_std 1e+308 overflows the noise energy at node 0"),
+        (
+            {"cluster_sizes": [2, 2, 2]},
+            "config: key 'cluster_sizes': could not place 3 cluster centers at separation 2.0 in dimension 1 "
+            "after 1000 attempts",
+        ),
         (
             {"alpha_list": [1e308]},
             "config: alpha_list[0] = 1e+308 in scenario_00: alpha 1e+308 overflows the "
@@ -1007,7 +1014,7 @@ def _quiet_main(argv):
             "4 * alpha * the weighted degree 1e+308 of node 0 is not finite",
         ),
     ],
-    ids=["separation", "separation-radius", "noise_std", "alpha_list", "w_in"],
+    ids=["separation", "separation-radius", "noise_std", "centers", "alpha_list", "w_in"],
 )
 def test_sweep_input_that_overflows_is_refused_by_name(tmp_path, capsys, overrides, message):
     path = tmp_path / "cfg.json"
@@ -1060,31 +1067,132 @@ def test_analyze_bound_terms_that_overflow_are_refused_naming_the_cluster(tmp_pa
     assert not (tmp_path / "out" / "reports.csv").exists()
 
 
+_LIST_OF_POSITIVE_INTEGERS = "must be a non-empty list of positive integers"
+_LIST_OF_POSITIVE_NUMBERS = "must be a non-empty list of positive numbers"
+_LIST_OF_PROBABILITIES = "must be a non-empty list of numbers in [0, 1]"
+
+
 @pytest.mark.parametrize(
     "overrides, flags, message",
     [
-        ({"seed": -1}, [], "config: key 'seed' must be a non-negative integer, got -1"),
-        ({"max_iter": 0}, [], "max_iter must be >= 1, got 0"),
-        ({"tol": -1}, [], "tol must be finite and >= 0, got -1.0"),
-        ({"alpha_list": [1.0, 0.0]}, [], "alpha_list entries must be > 0"),
-        ({"alpha_list": [-1.0]}, [], "alpha_list entries must be > 0"),
-        ({"w_in": 0}, [], "edge weights must be positive, got w_in=0, w_out=1.0"),
-        ({"w_out": -1}, [], "edge weights must be positive, got w_in=1.0, w_out=-1"),
-        (
+        pytest.param(
+            {"seed": -1},
+            [],
+            "config: key 'seed' must be a non-negative integer, got -1",
+            id="seed",
+        ),
+        pytest.param({"d": 0}, [], "config: key 'd' must be a positive integer, got 0", id="d-0"),
+        pytest.param(
+            {"max_iter": 0},
+            [],
+            "config: key 'max_iter' must be a positive integer, got 0",
+            id="max_iter-0",
+        ),
+        pytest.param(
+            {"tol": -1},
+            [],
+            "config: key 'tol' must be a non-negative number, got -1",
+            id="tol-negative",
+        ),
+        pytest.param(
+            {"noise_std": -1},
+            [],
+            "config: key 'noise_std' must be a non-negative number, got -1",
+            id="noise_std",
+        ),
+        pytest.param(
+            {"separation": 0},
+            [],
+            "config: key 'separation' must be a positive number, got 0",
+            id="separation",
+        ),
+        pytest.param({"p_in": 2}, [], "config: key 'p_in' must be a number in [0, 1], got 2", id="p_in"),
+        pytest.param(
+            {"p_in": 0.5, "p_out": 0.7},
+            [],
+            "config: key 'p_out' must not exceed p_in = 0.5, got 0.7",
+            id="p_out",
+        ),
+        pytest.param({"w_in": 0}, [], "config: key 'w_in' must be a positive number, got 0", id="w_in"),
+        pytest.param(
+            {"w_in": -1},
+            [],
+            "config: key 'w_in' must be a positive number, got -1",
+            id="w_in-negative",
+        ),
+        pytest.param({"w_out": -1}, [], "config: key 'w_out' must be a positive number, got -1", id="w_out"),
+        pytest.param(
+            {"solver": "magic"},
+            [],
+            "config: key 'solver' must be 'exact' or 'iterative', got 'magic'",
+            id="solver",
+        ),
+        pytest.param(
+            {"cluster_sizes": [3, 0]},
+            [],
+            f"config: key 'cluster_sizes' {_LIST_OF_POSITIVE_INTEGERS}, got [3, 0]",
+            id="cluster_sizes",
+        ),
+        pytest.param(
+            {"cluster_sizes": []},
+            [],
+            f"config: key 'cluster_sizes' {_LIST_OF_POSITIVE_INTEGERS}, got []",
+            id="cluster_sizes-empty",
+        ),
+        pytest.param(
+            {"alpha_list": [1.0, 0.0]},
+            [],
+            f"config: key 'alpha_list' {_LIST_OF_POSITIVE_NUMBERS}, got [1.0, 0.0]",
+            id="alpha-zero",
+        ),
+        pytest.param(
+            {"alpha_list": [-1.0]},
+            [],
+            f"config: key 'alpha_list' {_LIST_OF_POSITIVE_NUMBERS}, got [-1.0]",
+            id="alpha-negative",
+        ),
+        pytest.param(
+            {"alpha_list": [0]},
+            [],
+            f"config: key 'alpha_list' {_LIST_OF_POSITIVE_NUMBERS}, got [0]",
+            id="alpha-0",
+        ),
+        pytest.param(
+            {"alpha_list": []},
+            [],
+            f"config: key 'alpha_list' {_LIST_OF_POSITIVE_NUMBERS}, got []",
+            id="alpha-empty",
+        ),
+        pytest.param(
             {"p_out_list": [0.1, -0.5]},
             [],
-            "p_out_list[1]: need 0 <= p_out <= p_in <= 1, got p_in=1.0, p_out=-0.5",
+            f"config: key 'p_out_list' {_LIST_OF_PROBABILITIES}, got [0.1, -0.5]",
+            id="p_out_list",
+        ),
+        pytest.param(
+            {"p_out_list": [0.5, 2.0]},
+            [],
+            f"config: key 'p_out_list' {_LIST_OF_PROBABILITIES}, got [0.5, 2.0]",
+            id="p_out_list-2",
+        ),
+        pytest.param(
+            {"p_out_list": []},
+            [],
+            f"config: key 'p_out_list' {_LIST_OF_PROBABILITIES}, got []",
+            id="p_out_list-empty",
+        ),
+        pytest.param(
+            {"p_in": 0.5, "p_out_list": [0.1, 0.7]},
+            [],
+            "config: key 'p_out_list' must not exceed p_in = 0.5, got [0.1, 0.7]",
+            id="p_out_list-above-p_in",
         ),
         # a flag's value is refused under the flag's name, not its key's
-        ({}, ["--max-iter", "0"], "--max-iter must be >= 1, got 0"),
-        ({}, ["--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
-        ({}, ["--alpha", "0"], "--alpha must be finite and > 0, got 0.0"),
-        ({}, ["--alpha", "nan"], "--alpha must be finite and > 0, got nan"),
-        ({}, ["--seed", "-3"], "--seed must be >= 0, got -3"),
-    ],
-    ids=[
-        "seed", "max_iter-0", "tol-negative", "alpha-zero", "alpha-negative", "w_in", "w_out", "p_out_list",
-        "flag-max-iter-0", "flag-tol-negative", "flag-alpha-zero", "flag-alpha-nan", "flag-seed-negative",
+        pytest.param({}, ["--max-iter", "0"], "--max-iter must be >= 1, got 0", id="flag-max-iter-0"),
+        pytest.param({}, ["--tol", "-1"], "--tol must be finite and >= 0, got -1.0", id="flag-tol-negative"),
+        pytest.param({}, ["--alpha", "0"], "--alpha must be finite and > 0, got 0.0", id="flag-alpha-zero"),
+        pytest.param({}, ["--alpha", "nan"], "--alpha must be finite and > 0, got nan", id="flag-alpha-nan"),
+        pytest.param({}, ["--seed", "-3"], "--seed must be >= 0, got -3", id="flag-seed-negative"),
     ],
 )
 def test_config_is_refused_by_key_before_anything_is_written(tmp_path, capsys, overrides, flags, message):

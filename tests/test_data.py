@@ -1,9 +1,14 @@
 import filecmp
 import io
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtvmin.data
 import gtvmin.graph
@@ -230,6 +235,75 @@ def test_byte_that_does_not_decode_is_named_by_the_line_the_scan_names(tmp_path,
         read(path)
 
 
+_SAMPLE_CELLS = st.sampled_from(
+    ["0.5", "-2.5", "1", "-0", "007", "+1", "1e3", ".5", "5.", "4.9e-324", "1.7976931348623157e308", " 2", "3 ", "\t3"]
+)
+# cells that np.loadtxt or the line scan may each refuse, or read as a node
+# at fault
+_ODD_CELLS = st.sampled_from(
+    ["1 2", "inf", "-inf", "nan", "1e400", "1_0", "0x1p3", "x", "", "#", "1#2", "3\x1f", "\x0c1", "\x00",
+     "-1", "0.0", "1.5", "2", "9"]
+)
+
+
+@st.composite
+def samples_texts(draw):
+    """samples.csv texts of a few well-formed rows, with at most two edits
+    (an odd cell, a cell more or less, an extra line) and line ends that
+    np.loadtxt or the line scan may each refuse."""
+    width, node, lines = draw(st.integers(2, 4)), 0, []
+    for k in range(draw(st.integers(1, 5))):
+        node += draw(st.sampled_from([0, 1])) if k else 0
+        lines.append([str(node), *draw(st.lists(_SAMPLE_CELLS, min_size=width, max_size=width))])
+    for _ in range(draw(st.integers(0, 2))):
+        cells = lines[draw(st.integers(0, len(lines) - 1))]
+        edit = draw(st.sampled_from(["cell", "more", "fewer", "line"]))
+        if edit == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_ODD_CELLS)
+        elif edit == "more":
+            cells.append(draw(_SAMPLE_CELLS))
+        elif edit == "fewer":
+            cells.pop()
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), [draw(st.sampled_from(["", " ", "# note", "\t# 1"]))])
+    sep = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e"]))
+    return sep.join(map(",".join, lines)) + draw(st.sampled_from(["", sep]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(samples_texts())
+def test_read_samples_matches_line_scan_on_generated_files(tmp_path_factory, text):
+    from gtvmin.data import _read_samples, _scan_samples
+
+    path = tmp_path_factory.mktemp("samples") / "samples.csv"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        table = _scan_samples(path.read_bytes().decode("ascii"), path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _read_samples(path)
+        assert str(info.value) == str(exc)
+        return
+    datasets = _read_samples(path)
+    assert [ds.num_samples for ds in datasets] == np.bincount(table[:, 0].astype(int)).tolist()
+    got = np.concatenate([np.column_stack([ds.features, ds.labels]) for ds in datasets])
+    # comparing the bit patterns tells -0.0 from 0.0
+    assert got.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
+
+
+def test_graph_file_of_another_node_count_with_a_malformed_line_is_refused_by_the_line(tmp_path):
+    directory = save_scenario(make_scenario(seed=4, sizes=(3, 2)), tmp_path / "scen")
+    path = directory / "graph.txt"
+    head, *edges = path.read_text().splitlines()
+    path.write_text("\n".join(["7", edges[0], "0 1 x", *edges[1:]]) + "\n")
+    # the edges are read with the node count, before it is checked
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: malformed edge line '0 1 x'$"):
+        load_scenario(directory)
+    path.write_text("\n".join(["7", *edges]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 7 nodes, but .* holds samples of 5$"):
+        load_scenario(directory)
+
+
 def _adversarial_scenario(d):
     """Four nodes whose cells hit the %.17g corner cases: the sign of zero,
     the smallest subnormal, the largest finite magnitudes, inexact decimals
@@ -306,26 +380,62 @@ def test_scenario_io_writes_without_savetxt_and_reads_from_handles(tmp_path, mon
     monkeypatch.setattr(np_module, "loadtxt", spy_loadtxt)
     scen = make_scenario(seed=4, sizes=(3, 2), d=2, m=5)
     load_scenario(save_scenario(scen, tmp_path / "scen"))
-    # one parse of samples.csv and one of graph.txt's edge lines
+    # one parse of samples.csv and one of graph.txt's edge lines, each from
+    # a binary handle of the bytes read
     assert len(sources) == 2
     for source in sources:
-        assert isinstance(source, io.TextIOBase)
+        assert isinstance(source, io.BufferedIOBase)
 
 
 def test_load_scenario_decodes_each_file_once(tmp_path, monkeypatch):
-    read_ascii = gtvmin.graph._read_ascii
-    decoded = []
+    read_bytes, decode = Path.read_bytes, gtvmin.graph._decode
+    read, decoded = [], []
 
-    def counting_read_ascii(path):
+    def counting_read_bytes(path):
+        read.append(path.name)
+        return read_bytes(path)
+
+    def counting_decode(data, path):
         decoded.append(path.name)
-        return read_ascii(path)
+        return decode(data, path)
 
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(Path, "read_text", None)
     # data.py binds the graph module's function under the same name
-    monkeypatch.setattr(gtvmin.graph, "_read_ascii", counting_read_ascii)
-    monkeypatch.setattr(gtvmin.data, "_read_ascii", counting_read_ascii)
+    monkeypatch.setattr(gtvmin.graph, "_decode", counting_decode)
+    monkeypatch.setattr(gtvmin.data, "_decode", counting_decode)
     directory = save_scenario(make_scenario(seed=4, sizes=(3, 2)), tmp_path / "scen")
     load_scenario(directory)
-    assert sorted(decoded) == ["graph.txt", "meta.json", "samples.csv"]
+    assert sorted(read) == ["graph.txt", "meta.json", "samples.csv"]
+    # both tables are plain, so neither is decoded for the line scan
+    assert decoded == ["meta.json"]
+
+
+_LOAD_WITHIN_3X = """
+import resource, sys
+from pathlib import Path
+from gtvmin import load_scenario
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+scenario = load_scenario(sys.argv[1])
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 - before
+size = (Path(sys.argv[1]) / "samples.csv").stat().st_size / 2**20
+print(f"{scenario.n} nodes, samples.csv {size:.1f} MiB, ru_maxrss rise {rise:.1f} MiB")
+sys.exit(rise > 3 * size)
+"""
+
+
+def test_load_scenario_peak_within_three_times_the_samples_file(tmp_path):
+    scen = generate_scenario(1, [2500] * 4, 5, 10, 0.1, 2.0, GraphParams(p_in=16 / 2500, p_out=16 / 2500 / 50))
+    directory = save_scenario(scen, tmp_path / "scen")
+    del scen
+    # a child's ru_maxrss starts at its parent's peak, and so at this test
+    # process's: the load runs in a grandchild, whose parent is a new
+    # interpreter of a few MiB
+    spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    argv = [sys.executable, "-c", spawn, sys.executable, "-c", _LOAD_WITHIN_3X, str(directory)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout
+    assert re.fullmatch(r"10000 nodes, samples.csv \S+ MiB, ru_maxrss rise \S+ MiB\n", done.stdout)
 
 
 def _single_draw_planted_clusters(rng_seed, cluster_sizes, p_in, p_out, w_in, w_out):

@@ -3,7 +3,6 @@ import re
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from gtvmin import (
     read_graph,
     write_graph,
 )
-from gtvmin.graph import _components
+from gtvmin.graph import _components, _scan_graph_lines
 
 
 def two_triangles_with_bridge(bridge_weight=0.5):
@@ -584,10 +583,8 @@ _BLANKS = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", " ", "\t"
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(_BLANKS, max_size=300), st.sampled_from(["4", " 4 ", "x", ""]), st.lists(_GRAPH_LINES, max_size=3))
 def test_graph_header_after_blank_lines_is_numbered_as_the_line_scan(tmp_path_factory, blanks, head, lines):
-    # the header is read from a prefix of the file, grown past 64 and 256
-    # characters here; its line and the later lines' numbers must not move
-    from gtvmin.graph import _graph_header
-
+    # blank lines of every kind before the header, past 64 and 256
+    # characters here; the header's value and line must not move
     text = "".join(blanks) + "\n".join([head, *lines]) + "\n"
     path = tmp_path_factory.mktemp("graph") / "graph.txt"
     path.write_bytes(text.encode("ascii"))
@@ -598,10 +595,20 @@ def test_graph_header_after_blank_lines_is_numbered_as_the_line_scan(tmp_path_fa
     except (IndexError, ValueError):
         expected = None
     if expected is not None:
-        assert _graph_header(text, path) == expected
+        assert_graph_header(text, path, *expected)
     else:
         with pytest.raises(ValueError, match="empty graph file|first line must be the node count"):
-            _graph_header(text, path)
+            _scan_graph_lines(text, path)
+
+
+def assert_graph_header(text, path, n, line):
+    """The line scan and read_graph take ``text``'s node count ``n`` from
+    its line ``line``: a line put right after it is numbered ``line + 1``."""
+    head = text.splitlines()[:line]
+    assert _scan_graph_lines("\n".join(head), path) == (n, [])
+    path.write_bytes("\n".join([*head, "x"]).encode("ascii"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line + 1}: expected 'i j weight', got 'x'$"):
+        read_graph(path)
 
 
 @pytest.mark.parametrize(
@@ -613,10 +620,12 @@ def test_graph_header_after_blank_lines_is_numbered_as_the_line_scan(tmp_path_fa
         pytest.param(" " * 63 + "\r\n12\n", (12, 2), id="crlf-split-at-64"),
     ],
 )
-def test_graph_header_cut_by_the_read_prefix_is_read_whole(text, expected):
-    from gtvmin.graph import _graph_header
-
-    assert _graph_header(text, Path("graph.txt")) == expected
+def test_graph_header_cut_by_the_read_prefix_is_read_whole(tmp_path, text, expected):
+    # headers that a prefix of 64 or 256 characters would cut
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert read_graph(path).n == expected[0]
+    assert_graph_header(text, path, *expected)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -626,7 +635,7 @@ def test_written_graph_files_take_the_vectorised_parse(tmp_path, seed):
     graph, _ = generate_planted_clusters(seed, [7, 5, 6], p_in=0.7, p_out=0.2)
     path = tmp_path / "graph.txt"
     write_graph(graph, path)
-    n, edges = _parse_graph_rows(path.read_text(encoding="ascii"))
+    n, edges = _parse_graph_rows(path.read_bytes())
     assert SimilarityGraph(n, edges) == graph
 
 

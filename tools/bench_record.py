@@ -8,8 +8,18 @@ Each DIR holds the run records that ``perfbench/run.py --trace 0`` writes
 to ``.perfbench/runs/`` of the checkout it ran in, one per seed. Records
 of the two directories are paired by seed. For each end-to-end metric of
 BENCHMARK.json the output holds, per side, the median and quartiles
-(inclusive method) and the value of every seed, plus the number of pairs
-the change won (strictly better in the metric's direction). It also holds
+(inclusive method) and the value of every seed, the number of pairs the
+change won (strictly better in the metric's direction) and a verdict:
+
+- ``gain``: the change won at least 9 in 10 pairs, and its median is better
+  by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound``, a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range exceeds that bound,
+  unless every run of the change is better than every run of the parent;
+- ``unchanged``: otherwise.
+
+It also holds
 both commits, each side's environment (the records' ``env`` without the
 seed) and the operation counts, which explain a peak RSS that grows with
 the operations a run completes.
@@ -58,6 +68,24 @@ def side(runs: dict[int, dict], seeds: list[int], commit: str) -> dict:
     }
 
 
+def verdict(metric: dict) -> str:
+    """The verdict on one metric of :func:`reduce`'s record (see the module
+    docstring)."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    parent, change = metric["parent"], metric["change"]
+    better_by = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    bound = metric["bound"] * abs(parent["median"])
+    if metric["pairs_won"] >= 0.9 * metric["pairs"] and better_by > spread:
+        return "gain"
+    if -better_by > bound:
+        return "regression"
+    every_run_better = max(sign * v for v in change["values"]) < min(sign * v for v in parent["values"])
+    if spread > bound and not every_run_better:
+        return "unresolved"
+    return "unchanged"
+
+
 def reduce(workload: str, parent: dict, change: dict, commits: tuple[str, str], bench: dict) -> dict:
     seeds = sorted(set(parent) & set(change))
     if len(seeds) < 2:
@@ -79,6 +107,7 @@ def reduce(workload: str, parent: dict, change: dict, commits: tuple[str, str], 
             "pairs_won": sum(sign * (a - b) < 0.0 for a, b in zip(after, before)),
             "pairs": len(seeds),
         }
+        metrics[name]["verdict"] = verdict(metrics[name])
     return {
         "workload": workload,
         "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {bench['run_seconds']} --trace 0",
@@ -129,7 +158,7 @@ def main(argv) -> int:
         print(
             f"{name}: {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}] -> "
             f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, {m['change']['q3']:.4g}] {m['unit']}, "
-            f"change won {m['pairs_won']}/{m['pairs']}"
+            f"change won {m['pairs_won']}/{m['pairs']}: {m['verdict']}"
         )
     return 0
 
