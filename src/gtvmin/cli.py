@@ -312,7 +312,6 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     p_outs = cfg.p_out_list if cfg.p_out_list is not None else [cfg.p_out]
     rows, converged = [], []
     for ip, p_out in enumerate(p_outs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -49,6 +50,9 @@ _PAIR_BLOCK = 1 << 16
 # max(1, _KNN_BLOCK // n) rows, so its (rows x n) buffers stay at about
 # this many elements whatever n is
 _KNN_BLOCK = 1 << 16
+
+# rows per block of a written table: a block's cells and text stay a few MiB
+_TABLE_ROWS = 1 << 12
 
 
 class SimilarityGraph:
@@ -501,10 +505,7 @@ def graph_from_embedding(emb: Embedding, k: int, sigma: float) -> SimilarityGrap
 def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
     """Write the line-oriented text format: first line ``n``, then one
     ``i j weight`` line per edge in canonical sorted order."""
-    ii, jj, ww = graph.edge_arrays()
-    cells = [None] * (3 * graph.num_edges)
-    cells[0::3], cells[1::3], cells[2::3] = ii.tolist(), jj.tolist(), ww.tolist()
-    _write_table(path, f"{graph.n}\n" + "%d %d %.17g\n" * graph.num_edges, cells)
+    _write_table(path, f"{graph.n}\n", "%d %d %.17g\n", graph.edge_arrays())
 
 
 def read_graph(path: str | Path) -> SimilarityGraph:
@@ -531,11 +532,15 @@ def _build_graph(path: Path, n: int, edges) -> SimilarityGraph:
 _PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 
-def _write_table(path: str | Path, fmt: str, cells: list) -> None:
-    """Write the text table ``fmt % cells`` as ASCII by one string format and
-    one write: with ``fmt`` a head and then a row format once per row of the
-    row-major ``cells``, the head and the bytes ``np.savetxt(fmt=row)`` writes."""
-    Path(path).write_text(fmt % tuple(cells), encoding="ascii", newline="\n")
+def _write_table(path: str | Path, head: str, row: str, columns: Sequence[np.ndarray]) -> None:
+    """Write ``head``, then the equal-length ``columns`` as ASCII in the bytes
+    ``np.savetxt(fmt=row)`` writes: each block of ``_TABLE_ROWS`` rows is
+    formatted by one ``%`` and written, so only a block's cells exist at once."""
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write(head)
+        for start in range(0, len(columns[0]), _TABLE_ROWS):
+            rows = list(zip(*(column[start : start + _TABLE_ROWS].tolist() for column in columns)))
+            out.write(row * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _read_table(path: Path, parse, scan):

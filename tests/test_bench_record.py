@@ -30,7 +30,7 @@ def write_run(directory, workload, seed, setup_s, op_s, rss, trace=0, ops=100):
     (directory / f"{workload}_seed{seed}_trace{trace}.json").write_text(json.dumps(record))
 
 
-def test_bench_record_pairs_runs_by_seed(tmp_path, bench_record):
+def test_bench_record_pairs_runs_by_seed(tmp_path, bench_record, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, (before, after) in enumerate([(0.45, 0.20), (0.46, 0.22), (0.44, 0.47), (0.50, 0.21), (0.48, 0.25)]):
         write_run(parent, "cli_roundtrip", seed, before, 0.8, 69.0, ops=40)
@@ -47,6 +47,10 @@ def test_bench_record_pairs_runs_by_seed(tmp_path, bench_record):
     assert (record["parent"]["commit"], record["change"]["commit"]) == ("aaa", "bbb")
     assert record["parent"]["env"] == {"python": "3.11.7", "numpy": "2.4.6"}
     assert record["change"]["ops"] == [41] * 5
+    # printed after the three metric lines
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[2].startswith("peak_rss_mib: ")
+    assert lines[3] == "operations per run, median: 40 -> 41"
     setup = record["metrics"]["setup_s"]
     assert setup["parent"]["values"] == [0.45, 0.46, 0.44, 0.50, 0.48]
     assert setup["parent"]["median"] == 0.46

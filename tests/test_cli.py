@@ -1009,12 +1009,17 @@ def _quiet_main(argv):
             "coupling: 4 * alpha * the weighted degree 1 of node 0 is not finite",
         ),
         (
+            {"alpha_list": [1e308], "w_in": 10},
+            "config: alpha_list[0] = 1e+308 in scenario_00: alpha 1e+308 overflows the "
+            "coupling: 4 * alpha * the weighted degree 10 of node 0 is not finite",
+        ),
+        (
             {"w_in": 1e308},
             "config: alpha_list[0] = 1 in scenario_00: alpha 1 overflows the coupling: "
             "4 * alpha * the weighted degree 1e+308 of node 0 is not finite",
         ),
     ],
-    ids=["separation", "separation-radius", "noise_std", "centers", "alpha_list", "w_in"],
+    ids=["separation", "separation-radius", "noise_std", "centers", "alpha_list", "alpha_list-w_in", "w_in"],
 )
 def test_sweep_input_that_overflows_is_refused_by_name(tmp_path, capsys, overrides, message):
     path = tmp_path / "cfg.json"
@@ -1022,7 +1027,8 @@ def test_sweep_input_that_overflows_is_refused_by_name(tmp_path, capsys, overrid
     code, caught = _quiet_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     assert (code, caught) == (1, [])
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not list((tmp_path / "out").glob("sweep.csv"))
+    # refused before its first file, a sweep leaves no output directory
+    assert not (tmp_path / "out").exists()
 
 
 def _last_cells(text, sep, value):

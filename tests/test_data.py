@@ -336,8 +336,23 @@ def _assert_node_files_match_savetxt(scen, directory, oracle_dir):
     assert (directory / "samples.csv").read_bytes() == oracle.read_bytes()
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
-def test_node_files_equal_savetxt_bytes_on_corner_values(tmp_path, d):
+@pytest.mark.parametrize(
+    "d, block",
+    [
+        pytest.param(1, None, id="1"),
+        pytest.param(2, None, id="2"),
+        pytest.param(5, None, id="5"),
+        # at d = 2 the table has 16 rows: one block plus 1, one block, and
+        # one block minus 1; at d = 1, 25 rows in 5 blocks of 5
+        pytest.param(2, 15, id="2-blocks-of-15"),
+        pytest.param(2, 16, id="2-blocks-of-16"),
+        pytest.param(2, 17, id="2-blocks-of-17"),
+        pytest.param(1, 5, id="1-blocks-of-5"),
+    ],
+)
+def test_node_files_equal_savetxt_bytes_on_corner_values(tmp_path, monkeypatch, d, block):
+    if block is not None:
+        monkeypatch.setattr(gtvmin.graph, "_TABLE_ROWS", block)
     scen = _adversarial_scenario(d)
     _assert_node_files_match_savetxt(scen, tmp_path / "scen", tmp_path / "oracle")
     lines = (tmp_path / "scen" / "samples.csv").read_text().splitlines()
@@ -346,8 +361,19 @@ def test_node_files_equal_savetxt_bytes_on_corner_values(tmp_path, d):
         assert token in tokens
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_node_files_equal_savetxt_bytes_on_generated_scenarios(tmp_path, seed):
+@pytest.mark.parametrize(
+    "seed, block",
+    [
+        pytest.param(1, None, id="1"),
+        pytest.param(2, None, id="2"),
+        pytest.param(3, None, id="3"),
+        # 42 rows in 5 blocks of 8 and one of 2
+        pytest.param(1, 8, id="1-blocks-of-8"),
+    ],
+)
+def test_node_files_equal_savetxt_bytes_on_generated_scenarios(tmp_path, monkeypatch, seed, block):
+    if block is not None:
+        monkeypatch.setattr(gtvmin.graph, "_TABLE_ROWS", block)
     scen = make_scenario(seed=seed, noise=0.3, sizes=(4, 3), d=3, m=6)
     _assert_node_files_match_savetxt(scen, tmp_path / "scen", tmp_path / "oracle")
 
@@ -433,6 +459,31 @@ def test_load_scenario_peak_within_three_times_the_samples_file(tmp_path):
     # interpreter of a few MiB
     spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     argv = [sys.executable, "-c", spawn, sys.executable, "-c", _LOAD_WITHIN_3X, str(directory)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout
+    assert re.fullmatch(r"10000 nodes, samples.csv \S+ MiB, ru_maxrss rise \S+ MiB\n", done.stdout)
+
+
+_SAVE_WITHIN_2X = """
+import os, resource, sys
+from gtvmin import GraphParams, generate_scenario, save_scenario
+scenario = generate_scenario(1, [2500] * 4, 5, 10, 0.1, 2.0, GraphParams(p_in=16 / 2500, p_out=16 / 2500 / 50))
+# the rise counts from the resident size the save starts at, so a higher
+# peak of the generation before it cannot hide the save's
+with open("/proc/self/statm") as statm:
+    before = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+directory = save_scenario(scenario, sys.argv[1])
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 - before
+size = (directory / "samples.csv").stat().st_size / 2**20
+print(f"{scenario.n} nodes, samples.csv {size:.1f} MiB, ru_maxrss rise {rise:.1f} MiB")
+sys.exit(rise > 2 * size)
+"""
+
+
+def test_save_scenario_peak_within_twice_the_samples_file(tmp_path):
+    # run in a grandchild for the reason given in the load test above
+    spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    argv = [sys.executable, "-c", spawn, sys.executable, "-c", _SAVE_WITHIN_2X, str(tmp_path / "scen")]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, ""), done.stdout
     assert re.fullmatch(r"10000 nodes, samples.csv \S+ MiB, ru_maxrss rise \S+ MiB\n", done.stdout)

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtvmin.graph
 from gtvmin import (
     ClusterSpec,
     Embedding,
@@ -445,11 +446,30 @@ def test_graph_file_roundtrip(tmp_path):
     assert path.read_bytes() == first
 
 
-@pytest.mark.parametrize("source", ["corner-weights", 0, 1, 2])
-def test_graph_file_equals_savetxt_bytes_after_its_header(tmp_path, source):
+@pytest.mark.parametrize(
+    "source, block",
+    [
+        pytest.param("corner-weights", None, id="corner-weights"),
+        pytest.param(0, None, id="0"),
+        pytest.param(1, None, id="1"),
+        pytest.param(2, None, id="2"),
+        # tables of 0 rows, of 1 row (one block minus 1), and of 49 rows in
+        # 12 blocks of 4 and one of 1
+        pytest.param("edgeless", 2, id="edgeless-blocks-of-2"),
+        pytest.param("one-edge", 2, id="one-edge-blocks-of-2"),
+        pytest.param(0, 4, id="0-blocks-of-4"),
+    ],
+)
+def test_graph_file_equals_savetxt_bytes_after_its_header(tmp_path, monkeypatch, source, block):
+    if block is not None:
+        monkeypatch.setattr(gtvmin.graph, "_TABLE_ROWS", block)
     if source == "corner-weights":
         weights = [4.9406564584124654e-324, 1.7976931348623157e308, 1 / 3, 2.0, 2.0**53]
         graph = SimilarityGraph(6, [(i, i + 1, w) for i, w in enumerate(weights)])
+    elif source == "edgeless":
+        graph = SimilarityGraph(3, [])
+    elif source == "one-edge":
+        graph = SimilarityGraph(3, [(0, 2, 0.1)])
     else:
         graph, _ = generate_planted_clusters(source, [7, 5, 6], p_in=0.7, p_out=0.2)
     path, oracle = tmp_path / "graph.txt", tmp_path / "oracle.txt"

@@ -22,7 +22,8 @@ change won (strictly better in the metric's direction) and a verdict:
 It also holds
 both commits, each side's environment (the records' ``env`` without the
 seed) and the operation counts, which explain a peak RSS that grows with
-the operations a run completes.
+the operations a run completes; after the metric lines, each side's median
+operation count is printed too.
 
 BENCH_<workload>.json is the workload's trajectory: a JSON list of such
 records, one per claim, oldest first. A new record is appended; one with the
@@ -160,6 +161,9 @@ def main(argv) -> int:
             f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, {m['change']['q3']:.4g}] {m['unit']}, "
             f"change won {m['pairs_won']}/{m['pairs']}: {m['verdict']}"
         )
+    # a peak RSS that only follows the operation count shows beside it
+    ops = [statistics.median(record[key]["ops"]) for key in ("parent", "change")]
+    print(f"operations per run, median: {ops[0]:g} -> {ops[1]:g}")
     return 0
 
 
